@@ -9,9 +9,8 @@ regularization of integrals with per-endpoint divergence bookkeeping.
 """
 
 from .asymptotics import (AsymptoticExpansion, ExpansionTerm, bernoulli,
-                          euler_maclaurin_psum, invert_to_x_expansion,
-                          synthesize_annihilator, x_power_expansion,
-                          zeta_psum_expansion)
+                          invert_to_x_expansion, synthesize_annihilator,
+                          x_power_expansion, zeta_psum_expansion)
 from .climits import (CesaroResult, cdlim_power, cesaro_limit,
                       cesaro_limit_discrete, classical_limit, clim_k_alpha,
                       clim_x_alpha, strong_cesaro_limit)
@@ -37,8 +36,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AsymptoticExpansion", "ExpansionTerm", "bernoulli",
-    "euler_maclaurin_psum", "invert_to_x_expansion", "synthesize_annihilator",
-    "x_power_expansion", "zeta_psum_expansion",
+    "invert_to_x_expansion", "synthesize_annihilator", "x_power_expansion",
+    "zeta_psum_expansion",
     "CesaroResult", "cdlim_power", "cesaro_limit", "cesaro_limit_discrete",
     "classical_limit", "clim_k_alpha", "clim_x_alpha", "strong_cesaro_limit",
     "DEFAULT_CONFIG", "LAMBDA_EPS", "LimitConfig",

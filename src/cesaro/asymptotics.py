@@ -8,7 +8,6 @@ a finished expansion into the regular polynomial that annihilates it.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -23,10 +22,12 @@ __all__ = [
     "bernoulli",
     "ExpansionTerm",
     "AsymptoticExpansion",
-    "euler_maclaurin_psum",
     "zeta_psum_expansion",
     "x_power_expansion",
     "invert_to_x_expansion",
+    "peel_ladder",
+    "gamma_ratio_coeffs",
+    "eigensequence_lower_order",
     "synthesize_annihilator",
 ]
 
@@ -107,21 +108,6 @@ class AsymptoticExpansion:
             acc = acc + t.evaluate(v)
         return acc
 
-    def evaluate_terms_array(self, vs):
-        import numpy as np
-        acc = np.zeros(len(vs), dtype=complex)
-        lv = np.log(vs)
-        for t in self.terms:
-            acc += complex(t.coeff) * np.asarray(vs, dtype=complex) ** complex(t.exponent) \
-                * (lv ** t.log_power if t.log_power else 1.0)
-        if acc.imag.any():
-            return acc
-        return acc.real
-
-    def with_constant(self, c) -> "AsymptoticExpansion":
-        return AsymptoticExpansion(self.terms, self.remainder_order, c,
-                                   self.variable)
-
     def to_json(self) -> str:
         return json.dumps({
             "variable": self.variable,
@@ -133,7 +119,12 @@ class AsymptoticExpansion:
 
 
 def _merge_terms(raw: Sequence[tuple], variable: str):
-    """Combine (coeff, exponent, log_power) triples with colliding keys."""
+    """Combine (coeff, exponent, log_power) triples with colliding keys.
+
+    Zero coefficients are dropped; double-precision ones also below 1e-13,
+    their rounding floor.  Exact and mpmath coefficients keep every nonzero
+    term.
+    """
     bucket: dict = {}
     for c, e, m in raw:
         ec = complex(e)
@@ -146,36 +137,107 @@ def _merge_terms(raw: Sequence[tuple], variable: str):
             bucket[key] = (c, e, m)
     out = []
     for c, e, m in bucket.values():
-        if abs(complex(c)) < 1e-13:
+        if c == 0 or (isinstance(c, (float, complex)) and abs(c) < 1e-13):
             continue
         out.append(ExpansionTerm(_snap_scalar(c), _snap_scalar(e), m, variable))
     return out
 
 
-def euler_maclaurin_psum(f, f_derivatives, f_antiderivative, k: int,
-                         order: int):
-    """Truncated correction formula for sum_{n=1}^{k} f(n).
+def peel_ladder(pending, live, lower_order, tol):
+    """Work a ledger of divergent (coeff, exponent) content top-down.
 
-    Returns (value, last_term_magnitude) where value is
-        integral_0^k f  +  f(k)/2  +  sum_{r=2}^{order} (B_r/r!) f^(r-1)(k)
-    i.e. the full right-hand side minus the unknown constant, which the
-    caller extracts as the limit of (actual sum - value).  The magnitude of
-    the last retained correction is the usual error proxy.
+    Each round merges colliding exponents, drops coefficients with
+    |c| <= tol, and removes the live term c*n^e of largest real exponent;
+    its unit eigenobject carries lower-order content a*n^f for each (a, f)
+    in lower_order(e), so -c*a goes back onto the ledger at f.  Runs in the
+    arithmetic of the coefficients and exponents given.  Returns the
+    removed terms in order and the ledger left when nothing is live.
     """
-    if order >= 2 and len(f_derivatives) < order - 1:
-        raise ValueError(
-            f"order {order} needs derivatives up to {order - 1}, "
-            f"got {len(f_derivatives)}")
-    value = f_antiderivative(k) + f(k) / 2
-    last = 0.0
-    for r in range(2, order + 1):
-        br = bernoulli(r)
-        if br == 0:
-            continue
-        term = Fraction(br, math.factorial(r)) * f_derivatives[r - 2](k)
-        value = value + term
-        last = abs(complex(term))
-    return value, last
+    removed = []
+    while True:
+        merged = []
+        for c, e in pending:
+            for i, (mc, me) in enumerate(merged):
+                if abs(complex(e) - complex(me)) < EXPONENT_MERGE_TOL:
+                    merged[i] = (mc + c, me)
+                    break
+            else:
+                merged.append((c, e))
+        pending = [(c, e) for c, e in merged if abs(c) > tol]
+        top = [p for p in pending if live(p[1])]
+        if not top:
+            return removed, pending
+        if len(removed) >= 64:
+            raise NonTriangularError(
+                "exponent ladder did not terminate; expansion is not a "
+                "descending unit-gap family")
+        c, e = max(top, key=lambda p: complex(p[1]).real)
+        pending.remove((c, e))
+        removed.append((c, e))
+        pending += [(-c * a, f) for a, f in lower_order(e)]
+
+
+def gamma_ratio_coeffs(rho, depth: Optional[int] = None) -> list:
+    """[a_0, ..., a_depth] with Gamma(n)/Gamma(n-rho) ~ n^rho sum_j a_j n^-j.
+
+    The ratio of log-gamma asymptotic series collapses to
+      g(t) = -rho - (1/t - rho - 1/2) ln(1 - rho t)
+             + sum_m B_{2m}/(2m(2m-1)) t^{2m-1} (1 - (1 - rho t)^{1-2m})
+    with t = 1/n, and the a_j are the Taylor coefficients of exp(g).  They
+    are computed in the arithmetic of rho (double, complex, mpmath); an
+    int or Fraction rho gives exact rationals, and at a nonnegative integer
+    the series terminates in the falling factorial (n-1)(n-2)...(n-rho).
+    """
+    if isinstance(rho, int):
+        rho = Fraction(rho)
+    if depth is None:
+        depth = int(math.ceil(max(0.0, complex(rho).real))) + 3
+    D = depth + 1
+    one = rho ** 0
+    zero = 0 * one
+    # ln(1 - rho t) = sum_k logc[k] t^k
+    logc = [zero] + [-(rho ** k) / k for k in range(1, D + 1)]
+    g = [-rho] + [zero] * (D - 1)
+    for j in range(D):
+        g[j] = g[j] - logc[j + 1]
+    half = rho + Fraction(1, 2)
+    for j in range(1, D):
+        g[j] = g[j] + half * logc[j]
+    for m in range(1, D // 2 + 1):
+        p = 2 * m - 1
+        scale = one * bernoulli(2 * m) / (2 * m * (2 * m - 1))
+        coef = one                       # binomial(1 - 2m, k)
+        for k in range(1, D - p):
+            coef = coef * Fraction(2 - 2 * m - k, k)
+            g[p + k] = g[p + k] - scale * (coef * (-rho) ** k)
+
+    def mul(a, b):
+        out = [zero] * D
+        for i, ai in enumerate(a):
+            if ai == 0:
+                continue
+            for j in range(i, D):
+                out[j] = out[j] + ai * b[j - i]
+        return out
+
+    # g has no constant term, so g^k starts at t^k and k < D suffices
+    out = [one] + [zero] * (D - 1)
+    acc = out
+    for k in range(1, D):
+        acc = mul(acc, g)
+        inv = Fraction(1, math.factorial(k))
+        out = [o + a * inv for o, a in zip(out, acc)]
+    return out
+
+
+def eigensequence_lower_order(rho) -> list:
+    """(a_j, rho - j) for j >= 1: the content of Gamma(n)/Gamma(n-rho)
+    below n^rho.  Within SNAP_RADIUS of a nonnegative integer the exact
+    falling-factorial coefficients are used."""
+    n = round(complex(rho).real)
+    exact = n >= 0 and abs(complex(rho) - n) <= SNAP_RADIUS
+    coeffs = gamma_ratio_coeffs(n if exact else rho)
+    return [(a, rho - j) for j, a in enumerate(coeffs) if j]
 
 
 def _product(s, r: int):
@@ -217,7 +279,7 @@ def zeta_psum_expansion(s, order: Optional[int] = None) -> AsymptoticExpansion:
         else:
             raw.append((c, e, 0))
 
-    push(1 / (1 - s) if not exact else Fraction(1, 1) / (1 - s), 1 - s)
+    push(1 / (1 - s), 1 - s)
     push(Fraction(1, 2) if exact else 0.5, -s)
     last_e = complex(-s).real
     for r in range(2, r_max + 1):
@@ -265,6 +327,13 @@ def x_power_expansion(gamma, order: int) -> AsymptoticExpansion:
                                variable="k")
 
 
+def _x_power_lower_order(gamma) -> list:
+    """Content of x^gamma below k^gamma in integer-part powers."""
+    depth = int(math.floor(complex(gamma).real)) + 2
+    return [(t.coeff, t.exponent)
+            for t in x_power_expansion(gamma, depth).terms[1:]]
+
+
 def invert_to_x_expansion(exp_k: AsymptoticExpansion) -> AsymptoticExpansion:
     """Rewrite a k-expansion as an x-expansion with a strongly-null error.
 
@@ -278,38 +347,23 @@ def invert_to_x_expansion(exp_k: AsymptoticExpansion) -> AsymptoticExpansion:
         raise ValueError("input must be a k-expansion")
     if any(t.log_power for t in exp_k.terms):
         raise NonTriangularError("log-carrying k-terms are not invertible here")
-    pending = [(t.coeff, t.exponent) for t in exp_k.terms]
-    out = []
+    removed, pending = peel_ladder(
+        [(t.coeff, t.exponent) for t in exp_k.terms],
+        lambda e: (complex(e).real >= -SNAP_RADIUS
+                   and abs(complex(e)) > SNAP_RADIUS),
+        _x_power_lower_order, 1e-13)
+    # degree-zero content belongs in the constant slot, not in terms
     constant = exp_k.constant
-    guard = 0
-    while True:
-        pending = [(c, e) for (c, e) in
-                   ((c, e) for c, e in pending if abs(complex(c)) > 1e-13)]
-        live = [(c, e) for c, e in pending if complex(e).real >= -SNAP_RADIUS]
-        if not live:
-            break
-        guard += 1
-        if guard > 64:
-            raise NonTriangularError(
-                "exponent ladder did not terminate; expansion is not a "
-                "descending unit-gap family")
-        c, e = max(live, key=lambda p: complex(p[1]).real)
+    tail = []
+    for c, e in pending:
         if abs(complex(e)) <= SNAP_RADIUS:
-            # degree-zero content belongs in the constant slot, not in terms
             constant = constant + c
-            pending = [p for p in pending if p != (c, e)]
-            continue
-        out.append((c, e, 0))
-        depth = int(math.floor(complex(e).real)) + 2
-        ladder = x_power_expansion(e, depth)
-        rewrite = [(c * t.coeff, t.exponent) for t in ladder.terms]
-        merged = _merge_terms(
-            [(cc, ee, 0) for cc, ee in pending] +
-            [(-cc, ee, 0) for cc, ee in rewrite], "k")
-        pending = [(t.coeff, t.exponent) for t in merged]
-    tail = min((complex(e).real for _, e in pending), default=-1.0)
-    terms = _merge_terms(out, "x")
-    return AsymptoticExpansion(tuple(terms), remainder_order=min(tail, -1e-9),
+        else:
+            tail.append(complex(e).real)
+    terms = _merge_terms([(c, e, 0) for c, e in removed], "x")
+    return AsymptoticExpansion(tuple(terms),
+                               remainder_order=min(min(tail, default=-1.0),
+                                                   -1e-9),
                                constant=constant, variable="x")
 
 

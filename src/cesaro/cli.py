@@ -5,7 +5,8 @@ configuration; the CLI only parses arguments, formats output, and maps
 outcomes onto exit codes:
 
   0  success (including sweeps that contain pole rows)
-  1  a limit failed to converge or an endpoint fit failed
+  1  the library raised a CesaroError: no convergence, a failed fit or
+     cross-check, an illegal cancellation, ...
   2  usage error
   3  a point query landed exactly on a pole
 """
@@ -25,8 +26,8 @@ import numpy as np
 
 from .climits import CesaroResult, cesaro_limit, cesaro_limit_discrete
 from .config import DEFAULT_CONFIG, LimitConfig
-from .errors import (FitFailureError, IllegalCancellationError,
-                     NotConvergentError, PoleSignal, SAtPoleError, is_pole)
+from .errors import (CesaroError, NotConvergentError, PoleSignal,
+                     SAtPoleError, is_pole)
 from .integrals import DomainSpec, SingularPoint, cesaro_integral, \
     mellin_1_over_1px
 from .seqfun import (alt_naturals, alt_ones, n_pow_minus_s, naturals, ones,
@@ -407,9 +408,9 @@ def cmd_sweep(args) -> int:
                 value = eta(s, cfg)
             else:
                 value = mellin_1_over_1px(s, cfg)
-        except (SAtPoleError,) as exc:
+        except SAtPoleError:
             status = "pole"
-        except (NotConvergentError, FitFailureError) as exc:
+        except CesaroError as exc:
             status = f"error: {exc}"
         if value is not None and is_pole(value):
             status = "pole"
@@ -535,8 +536,7 @@ def run(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (NotConvergentError, FitFailureError,
-            IllegalCancellationError) as exc:
+    except CesaroError as exc:
         print(f"failed: {exc}", file=sys.stderr)
         return EXIT_FAILED
     except (ValueError, json.JSONDecodeError) as exc:

@@ -25,7 +25,8 @@ from .config import DEFAULT_CONFIG, LimitConfig, SNAP_RADIUS
 from .errors import NotConvergentError, PoleSignal, is_pole
 from .operators import (RegularPolynomial, apply_P, apply_regular_polynomial,
                         build_regular_polynomial)
-from .asymptotics import AsymptoticExpansion, synthesize_annihilator
+from .asymptotics import (AsymptoticExpansion, eigensequence_lower_order,
+                          peel_ladder, synthesize_annihilator)
 from .seqfun import PiecewiseFn
 from .tailfit import (decade_variation, fit_limit, fit_limit_array,
                       fit_limit_nodes, snap_to_rational)
@@ -230,19 +231,6 @@ def cdlim_power(rho):
     return 1 if _near_nonneg_int(rho) is not None else 0
 
 
-def _falling_poly_coeffs(rho: int) -> dict:
-    """(n-1)(n-2)...(n-rho) as {power: coeff}, the exact integer-exponent
-    eigensequence scaled to unit leading coefficient."""
-    coeffs = [1]
-    for j in range(1, rho + 1):
-        nxt = [0] * (len(coeffs) + 1)
-        for p, c in enumerate(coeffs):
-            nxt[p + 1] += c
-            nxt[p] += -j * c
-        coeffs = nxt
-    return {p: Fraction(c) for p, c in enumerate(coeffs) if c}
-
-
 def _gamma_ratio_values(rho, ns: np.ndarray) -> np.ndarray:
     """The sequence Gamma(n)/Gamma(n-rho), the exact eigensequence for
     exponent rho: its running average is itself/(rho+1) plus an exact
@@ -252,67 +240,6 @@ def _gamma_ratio_values(rho, ns: np.ndarray) -> np.ndarray:
     if rc.imag:
         return np.exp(loggamma(ns.astype(complex)) - loggamma(ns - rc))
     return poch(ns - rc.real, rc.real)
-
-
-def _gamma_ratio_coeffs(rho, depth: Optional[int] = None) -> dict:
-    """Asymptotic expansion Gamma(n)/Gamma(n-rho) ~ n^rho sum_j a_j n^-j
-    as {j: a_j}, a_0 = 1.
-
-    The ratio of log-gamma asymptotic series collapses to
-      g(t) = -rho - (1/t - rho - 1/2) ln(1 - rho t)
-             + sum_m B_{2m}/(2m(2m-1)) t^{2m-1} (1 - (1 - rho t)^{1-2m})
-    with t = 1/n, and the a_j are the Taylor coefficients of exp(g).
-    At integer rho the series terminates in the falling factorial."""
-    from .asymptotics import bernoulli
-    rc = complex(rho)
-    if depth is None:
-        depth = min(12, int(math.ceil(max(0.0, rc.real))) + 3)
-    D = depth + 1
-
-    def mul(a, b):
-        out = np.zeros(D, dtype=complex)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            top = D - i
-            out[i:] += ai * b[:top]
-        return out
-
-    logc = np.zeros(D + 1, dtype=complex)
-    for k in range(1, D + 1):
-        logc[k] = -(rc ** k) / k
-    g = np.zeros(D, dtype=complex)
-    g[0] = -rc
-    g[: D] -= logc[1: D + 1]          # (1/t) * ln(1 - rho t), shifted down
-    g[1:] += (rc + 0.5) * logc[1:D]
-    for m in range(1, D // 2 + 1):
-        p = 2 * m - 1
-        if p >= D:
-            break
-        b2m = bernoulli(2 * m)
-        if b2m == 0:
-            continue
-        scale = float(b2m) / (2 * m * (2 * m - 1))
-        pw = np.zeros(D, dtype=complex)
-        pw[0] = 1.0
-        coef = 1.0
-        for k in range(1, D):
-            coef *= (1 - 2 * m - k + 1) / k
-            pw[k] = coef * (-rc) ** k
-        term = -pw
-        term[0] += 1.0
-        g[p:] += scale * term[: D - p]
-    out = np.zeros(D, dtype=complex)
-    out[0] = 1.0
-    acc = out.copy()
-    for k in range(1, D + 2):
-        acc = mul(acc, g)
-        if not acc.any():
-            break
-        out += acc / math.factorial(k)
-    if rc.imag:
-        return {j: out[j] for j in range(D) if abs(out[j]) > 1e-13}
-    return {j: out[j].real for j in range(D) if abs(out[j]) > 1e-13}
 
 
 def _discrete_exact(vals, eigendecomposition, cfg: LimitConfig,
@@ -326,29 +253,12 @@ def _discrete_exact(vals, eigendecomposition, cfg: LimitConfig,
     """
     n_max = min(len(vals), 4000)
     arr = [Fraction(v) for v in vals[:n_max]]
-    pending = [(Fraction(c), int(e)) for c, e in eigendecomposition]
-    removed = []
-    guard = 0
-    while True:
-        pending = [(c, e) for c, e in pending if c != 0]
-        live = [(c, e) for c, e in pending if e >= 1]
-        if not live:
-            break
-        guard += 1
-        if guard > 64:
-            raise NotConvergentError("eigensequence ladder did not terminate")
-        c, e = max(live, key=lambda p: p[1])
-        pending = [p for p in pending if p != (c, e)]
-        variant = {e - p: fc for p, fc in _falling_poly_coeffs(e).items()}
-        powers = {off: [Fraction(n) ** (e - off) for n in range(1, n_max + 1)]
-                  for off in variant}
-        for off, vc in variant.items():
-            coeff = c * vc
-            col = powers[off]
-            arr = [v - coeff * p for v, p in zip(arr, col)]
-            if off > 0:
-                pending.append((-coeff, e - off))
-        removed.append((c, e))
+    removed, _ = peel_ladder(
+        [(Fraction(c), int(e)) for c, e in eigendecomposition],
+        lambda e: e >= 1, eigensequence_lower_order, 0)
+    for c, e in removed:
+        # Gamma(n)/Gamma(n-e) = (n-1)(n-2)...(n-e), exactly
+        arr = [v - c * math.perm(n - 1, e) for n, v in enumerate(arr, 1)]
     lo = max(1, n_max // 10)
     tail = arr[lo:]
     if all(v == tail[0] for v in tail):
@@ -373,8 +283,8 @@ def cesaro_limit_discrete(a, eigendecomposition: Sequence[tuple],
     """Discrete generalised limit of a sequence a_1, a_2, ...
 
     eigendecomposition lists (coeff, rho) for the divergent power content
-    of a.  Working top exponent first, the matching eigensequence (exact
-    falling-factorial form at integer rho, strip-variant otherwise) is
+    of a.  Working top exponent first, the matching eigensequence
+    Gamma(n)/Gamma(n-rho) (the falling factorial at integer rho) is
     subtracted and its lower-order terms are pushed back onto the pending
     ledger, so the bookkeeping is exact.  Degree-zero pending content is
     deliberately left in place: a constant sequence is its own discrete
@@ -401,72 +311,29 @@ def cesaro_limit_discrete(a, eigendecomposition: Sequence[tuple],
     arr = np.asarray(vals, dtype=dtype)
     ns = np.arange(1, n_max + 1, dtype=float)
 
-    pending = [(c, e) for c, e in eigendecomposition]
-    removed = []
-    ladder_exponents = []
-    guard = 0
-    while True:
-        merged = []
-        for c, e in pending:
-            for i, (mc, me) in enumerate(merged):
-                if abs(complex(e) - complex(me)) < 1e-12:
-                    merged[i] = (mc + c, me)
-                    break
-            else:
-                merged.append((c, e))
-        pending = [(c, e) for c, e in merged if abs(complex(c)) > 1e-13]
-        live = [(c, e) for c, e in pending
-                if complex(e).real >= -SNAP_RADIUS and abs(complex(e)) > SNAP_RADIUS]
-        if not live:
-            break
-        guard += 1
-        if guard > 64:
-            raise NotConvergentError("eigensequence ladder did not terminate")
-        c, e = max(live, key=lambda p: complex(p[1]).real)
-        pending = [p for p in pending if p is not None and p != (c, e)]
+    removed, pending = peel_ladder(
+        list(eigendecomposition),
+        lambda e: (complex(e).real >= -SNAP_RADIUS
+                   and abs(complex(e)) > SNAP_RADIUS),
+        eigensequence_lower_order, 1e-13)
+    for c, e in removed:
         n_int = _near_nonneg_int(e)
-        if n_int is not None and n_int >= 1:
-            variant = {n_int - p: fc for p, fc in _falling_poly_coeffs(n_int).items()}
-            for off, vc in variant.items():
-                exp = e - off
-                coeff = c * vc
-                if dtype is complex:
-                    arr = arr - complex(coeff) * ns.astype(complex) ** complex(exp)
-                else:
-                    arr = arr - float(complex(coeff).real) * ns ** float(complex(exp).real)
-                if off > 0:
-                    # the variant already removed this much content at exp,
-                    # so the outstanding amount there drops by coeff
-                    pending.append((-coeff, exp))
+        seq = _gamma_ratio_values(e if n_int is None else n_int, ns)
+        if dtype is complex:
+            arr = arr - complex(c) * seq.astype(complex)
         else:
-            seq = _gamma_ratio_values(e, ns)
-            if dtype is complex:
-                arr = arr - complex(c) * seq.astype(complex)
-            else:
-                arr = arr - float(complex(c).real) * np.real(seq)
-            for off, vc in _gamma_ratio_coeffs(e).items():
-                if off == 0:
-                    continue
-                # the gamma-ratio carries vc * n^{e-off} below its leading
-                # power; that much content was removed along with it
-                pending.append((-c * vc, e - off))
-        removed.append((c, e))
-        ladder_exponents.append(e)
+            arr = arr - float(complex(c).real) * np.real(seq)
 
     # decaying content left on the ledger has exactly known coefficients,
     # so subtract it outright: a slowly decaying power like n^{-1/2} is far
     # too collinear with the constant over one decade to be fitted instead
-    still = []
     for c, e in pending:
         er = complex(e).real
-        if er < -SNAP_RADIUS and er > -6 and abs(complex(c)) > 1e-13:
+        if -6 < er < -SNAP_RADIUS:
             if dtype is complex:
                 arr = arr - complex(c) * ns.astype(complex) ** complex(e)
             else:
                 arr = arr - float(complex(c).real) * ns ** er
-        else:
-            still.append((c, e))
-    pending = still
 
     extras = []
     for e in extra_exponents:
@@ -507,7 +374,7 @@ def cesaro_limit_discrete(a, eigendecomposition: Sequence[tuple],
                              "stderr": fit.stderr, "escalations": escalations})
         if not applied_factors:
             applied_factors = True
-            for e in ladder_exponents:
+            for _, e in removed:
                 if abs(complex(e)) <= SNAP_RADIUS:
                     continue
                 lam = 1 / (e + 1)

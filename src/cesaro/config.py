@@ -30,8 +30,6 @@ class LimitConfig:
                       this coarser threshold is scale free; the value itself
                       is then refined by a tail-model fit.
     max_pure_power    escalation budget for pure averaging powers.
-    expansion_order   term budget for automatically derived expansions
-                      (None: every exponent with Re >= 0 plus one guard term).
     exact_mode        prefer exact rational arithmetic where available and
                       snap clean rational limits.
     """
@@ -40,7 +38,6 @@ class LimitConfig:
     tail_tolerance: float = 1e-8
     detect_tolerance: float = 1e-3
     max_pure_power: int = 6
-    expansion_order: int | None = None
     exact_mode: bool = False
     cross_check_tol: float = 1e-6
     snap_radius: float = SNAP_RADIUS

@@ -18,7 +18,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .config import LAMBDA_EPS
-from .errors import LambdaIsOneError, VanishingMassError
+from .errors import (CrossCheckMismatchError, LambdaIsOneError,
+                     VanishingMassError)
 from .seqfun import (NODES, PARTIAL_FROM_VALUES, PiecewiseFn, TO_MONOMIAL,
                      WEIGHTS)
 
@@ -61,7 +62,7 @@ def apply_P(f: PiecewiseFn) -> PiecewiseFn:
         return f.cumulative(x) / x
 
     g = PiecewiseFn("poly-in-alpha", gen, point_value=pv,
-                    label=f"P[{f.label}]", parents=(f,))
+                    label=f"P[{f.label}]")
     f._averaged = g
     return g
 
@@ -230,7 +231,7 @@ def apply_regular_polynomial(q: RegularPolynomial, f: PiecewiseFn, *,
             expanded = sum(c * p.value(x) for c, p in zip(coeffs, powers))
             scale = max(1.0, abs(direct))
             if abs(direct - expanded) > cross_check_tol * scale:
-                raise AssertionError(
+                raise CrossCheckMismatchError(
                     f"factored vs monomial application disagree at x={x}: "
                     f"{direct} vs {expanded}")
     return g
@@ -266,7 +267,7 @@ def apply_P_mu(f: PiecewiseFn, scheme: MeasureScheme) -> PiecewiseFn:
     weighted = PiecewiseFn("poly-in-alpha", wgen,
                            point_value=lambda x: f.value(x) * scheme.mu(
                                np.array([float(x)]))[0],
-                           label=f"{f.label}*mu", parents=(f,))
+                           label=f"{f.label}*mu")
 
     def gen(k0, k1):
         vals = weighted.node_values(k1)[k0:k1]
@@ -289,4 +290,4 @@ def apply_P_mu(f: PiecewiseFn, scheme: MeasureScheme) -> PiecewiseFn:
         return weighted.cumulative(x) / mass
 
     return PiecewiseFn("poly-in-alpha", gen, point_value=pv,
-                       label=f"P_mu[{f.label}]", parents=(weighted,))
+                       label=f"P_mu[{f.label}]")

@@ -141,8 +141,7 @@ class PiecewiseFn:
     def __init__(self, kind: str, gen, *, label: str = "",
                  point_value: Optional[Callable[[float], complex]] = None,
                  closed_cumulative: Optional[Callable] = None,
-                 step_term: Optional[Callable[[int], complex]] = None,
-                 parents: tuple = ()):
+                 step_term: Optional[Callable[[int], complex]] = None):
         if kind not in ("step", "poly-in-alpha", "generic"):
             raise ValueError(f"unknown kind {kind!r}")
         self.kind = kind
@@ -151,7 +150,6 @@ class PiecewiseFn:
         self._point_value = point_value
         self._closed_cumulative = closed_cumulative
         self._step_term = step_term        # value on [k, k+1) for step kind
-        self._parents = parents
         self._vals: Optional[np.ndarray] = None      # (n, G) node values
         self._prefix: Optional[np.ndarray] = None    # cumulative at 0..n
         self._exact_prefix: list = [0]               # step kind only
@@ -300,12 +298,8 @@ class PiecewiseFn:
         def pv(x):
             return sum(c * f.value(x) for c, f in parts)
 
-        kind = "step" if all(f.kind == "step" for _, f in parts) else "poly-in-alpha"
-        out = PiecewiseFn(kind if kind != "step" else "poly-in-alpha", gen,
-                          point_value=pv,
-                          label="+".join(f.label for _, f in parts),
-                          parents=tuple(f for _, f in parts))
-        return out
+        return PiecewiseFn("poly-in-alpha", gen, point_value=pv,
+                           label="+".join(f.label for _, f in parts))
 
 
 def psum_function(terms: SeriesTerms) -> PiecewiseFn:

@@ -30,14 +30,13 @@ from typing import Optional, Sequence
 import mpmath
 import numpy as np
 
-from .asymptotics import (AsymptoticExpansion, bernoulli, invert_to_x_expansion,
-                          zeta_psum_expansion, synthesize_annihilator)
+from .asymptotics import (bernoulli, eigensequence_lower_order, peel_ladder,
+                          zeta_psum_expansion)
 from .climits import (CesaroResult, cesaro_limit_discrete, strong_cesaro_limit,
                       _near_nonneg_int)
 from .config import DEFAULT_CONFIG, LimitConfig, SNAP_RADIUS
 from .errors import (CrossCheckMismatchError, MissingDerivativeTermError,
-                     NonIntegerRhoError, NotConvergentError, PoleSignal,
-                     SAtPoleError, is_pole)
+                     NonIntegerRhoError, PoleSignal, SAtPoleError, is_pole)
 from .operators import apply_P, build_regular_polynomial
 from .seqfun import PiecewiseFn, SeriesTerms, n_pow_minus_s, psum_function
 from .tailfit import fit_limit, fit_limit_array, snap_to_rational
@@ -123,7 +122,8 @@ def faulhaber(m: int) -> FaulhaberPoly:
     for k in range(1, 8):
         acc += Fraction(k) ** m
         if poly(Fraction(k)) != acc:
-            raise AssertionError(f"power-sum polynomial failed self-check at m={m}")
+            raise CrossCheckMismatchError(
+                f"power-sum polynomial failed self-check at m={m}")
     _FAULHABER_CACHE[m] = poly
     return poly
 
@@ -142,9 +142,9 @@ def zeta_integral_rep(s0: int) -> Fraction:
 def _psum_constant_mp(s, K: int = 400, order: int = 12, dps: int = 40):
     """Unknown constant of the p-sum model, by high-precision subtraction.
 
-    Computes sum_{n<=K} n^{-s} minus the truncated correction formula;
-    the truncation error is on the order of the first omitted Bernoulli
-    term, reported as a diagnostic bound.
+    Computes sum_{n<=K} n^{-s} minus the p-sum model evaluated at K, both
+    at working precision; the truncation error is on the order of the
+    first omitted Bernoulli term, reported as a diagnostic bound.
     """
     with mpmath.workdps(dps):
         sc = mpmath.mpmathify(complex(s)) if complex(s).imag else mpmath.mpf(
@@ -153,20 +153,9 @@ def _psum_constant_mp(s, K: int = 400, order: int = 12, dps: int = 40):
         for n in range(1, K + 1):
             total += mpmath.power(n, -sc)
         k = mpmath.mpf(K)
-        model = mpmath.power(k, 1 - sc) / (1 - sc) + mpmath.power(k, -sc) / 2
-        fall = sc          # s(s+1)...(s+r-2) for r=2 is the single factor s
-        last = mpmath.mpf(0)
-        for r in range(2, order + 1):
-            br = bernoulli(r)
-            if br != 0:
-                term = ((-1) ** (r - 1) * mpmath.mpf(br.numerator)
-                        / br.denominator / mpmath.factorial(r)
-                        * fall * mpmath.power(k, 1 - sc - r))
-                model += term
-                last = abs(term)
-            fall = fall * (sc + r - 1)
-        C = total - model
-        err = float(last)
+        model = zeta_psum_expansion(sc, order)
+        C = total - model.evaluate(k)
+        err = float(abs(model.terms[-1].evaluate(k)))
         if abs(complex(s).imag) > 0:
             return complex(C), err
         return float(mpmath.re(C)), err
@@ -371,26 +360,6 @@ def eta(s, cfg: LimitConfig = DEFAULT_CONFIG):
 # ---------------------------------------------------------------------------
 # Discrete framework
 
-def _psum_model_terms_mp(smp, order: int):
-    """Divergent-part coefficients of the p-sum model, as mpmath scalars.
-
-    Returns [(coeff, exponent)] for  sum_{n<=k} n^{-s}  ~  C
-    + k^{1-s}/(1-s) + k^{-s}/2 + Bernoulli ladder, exponents as complex.
-    Carrying the coefficients at working precision matters: a double holds
-    1/(1-s) only to ~1e-16 relative, which multiplied by k^{1-Re(s)} is
-    exactly the bias that caps a double-precision subtraction."""
-    terms = [(1 / (1 - smp), complex(1 - smp)), (mpmath.mpf('0.5'), complex(-smp))]
-    fall = smp
-    for r in range(2, order + 1):
-        br = bernoulli(r)
-        if br != 0:
-            c = ((-1) ** (r - 1) * mpmath.mpf(br.numerator) / br.denominator
-                 / mpmath.factorial(r) * fall)
-            terms.append((c, complex(1 - smp - r)))
-        fall = fall * (smp + r - 1)
-    return terms
-
-
 def _ext_mp(s, cfg: LimitConfig, horizon: int = 4000, dps: int = 30):
     """Discrete evaluation in software floats for deep Re(s) < 0.
 
@@ -398,8 +367,13 @@ def _ext_mp(s, cfg: LimitConfig, horizon: int = 4000, dps: int = 30):
     gamma-ratio eigensequences for the divergent exponents top-down,
     push their lower-order asymptotic content onto the ledger, subtract
     the decaying remainder outright, then fit the tail of the residual.
+
+    The subtraction cancels ~|1-Re(s)| leading digits of the p-sum, so
+    exponents need working precision as much as coefficients do: a double
+    holds 1-s only to ~1e-16, and at n = 4000 that error times ln n times
+    a p-sum of ~1e14 is an error of order 1 in the value.  The model, the
+    ledger and the eigensequences therefore all stay in mpmath numbers.
     """
-    from .climits import _gamma_ratio_coeffs
     sc = complex(s)
     order = max(2, int(math.floor(-sc.real + 1)) + 3)
     with mpmath.workdps(dps):
@@ -409,38 +383,17 @@ def _ext_mp(s, cfg: LimitConfig, horizon: int = 4000, dps: int = 30):
         for n in range(1, horizon + 1):
             acc += mpmath.power(n, -smp)
             arr.append(acc)
-        pend = list(_psum_model_terms_mp(smp, order))
-        removed = []
-        guard = 0
-        while True:
-            merged = []
-            for c, e in pend:
-                for i, (mc, me) in enumerate(merged):
-                    if abs(e - me) < 1e-12:
-                        merged[i] = (mc + c, me)
-                        break
-                else:
-                    merged.append((c, e))
-            pend = [(c, e) for c, e in merged if abs(complex(c)) > 1e-25]
-            live = [(c, e) for c, e in pend if e.real > SNAP_RADIUS]
-            if not live:
-                break
-            guard += 1
-            if guard > 64:
-                raise NotConvergentError("eigensequence ladder did not terminate")
-            c, e = max(live, key=lambda p: p[1].real)
-            pend.remove((c, e))
-            emp = mpmath.mpmathify(e) if e.imag else mpmath.mpf(e.real)
+        model = zeta_psum_expansion(smp, order)
+        removed, pend = peel_ladder(
+            [(t.coeff, t.exponent) for t in model.terms],
+            lambda e: e.real > SNAP_RADIUS, eigensequence_lower_order, 1e-25)
+        for c, e in removed:
             for n in range(1, horizon + 1):
-                arr[n - 1] -= c * mpmath.gamma(n) / mpmath.gamma(n - emp)
-            for off, vc in _gamma_ratio_coeffs(e).items():
-                if off:
-                    pend.append((-c * vc, e - off))
-            removed.append((complex(c), e))
+                arr[n - 1] -= c * mpmath.gamma(n) / mpmath.gamma(n - e)
         for c, e in pend:
             if -8 < e.real < -SNAP_RADIUS:
                 for n in range(1, horizon + 1):
-                    arr[n - 1] -= c * mpmath.power(n, e if e.imag else e.real)
+                    arr[n - 1] -= c * mpmath.power(n, e)
         if sc.imag:
             ys = np.array([complex(v) for v in arr])
         else:
@@ -448,7 +401,7 @@ def _ext_mp(s, cfg: LimitConfig, horizon: int = 4000, dps: int = 30):
     xs = np.arange(1, horizon + 1, dtype=float)
     lo = horizon // 10
     fit = fit_limit_array(xs[lo:], ys[lo:])
-    return fit, removed
+    return fit, [(complex(c), complex(e)) for c, e in removed]
 
 
 def zeta_discrete_ext(s, cfg: LimitConfig = DEFAULT_CONFIG) -> ZetaEvaluation:
@@ -464,7 +417,7 @@ def zeta_discrete_ext(s, cfg: LimitConfig = DEFAULT_CONFIG) -> ZetaEvaluation:
     s0 = _near_nonneg_int(-sc)
     if s0 is None and sc.real < -0.5:
         # deep strip: double precision cannot carry the subtraction, see
-        # _psum_model_terms_mp; run the same ladder in software floats
+        # _ext_mp; run the same ladder in software floats
         fit, removed = _ext_mp(s, cfg)
         value = fit.limit
         return ZetaEvaluation(s=s, value=value, path="discrete-cesaro",
@@ -498,7 +451,7 @@ def zeta_discrete_ext(s, cfg: LimitConfig = DEFAULT_CONFIG) -> ZetaEvaluation:
         snapped = snap_to_rational(value, tol=1e-6)
         value = snapped if snapped is not None else value
         if value != 1:
-            raise AssertionError(
+            raise CrossCheckMismatchError(
                 f"integer-point evaluation expected the anomalous value 1, "
                 f"got {value}")
         if cfg.exact_mode:

@@ -3,10 +3,11 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from cesaro.asymptotics import (AsymptoticExpansion, ExpansionTerm, bernoulli,
-                                euler_maclaurin_psum, invert_to_x_expansion,
+                                gamma_ratio_coeffs, invert_to_x_expansion,
                                 synthesize_annihilator, x_power_expansion,
                                 zeta_psum_expansion)
 from cesaro.errors import (NonTriangularError, PoleSignal, SAtPoleError,
@@ -59,17 +60,20 @@ def test_expansion_json_round_trip_shape():
 
 
 def test_euler_maclaurin_constant_for_inverse_squares():
-    # sum 1/n^2 = zeta(2) - 1/k + ... ; the EM constant is zeta(2)
+    # sum 1/n^2 = zeta(2) - 1/k + ... ; the constant of the p-sum model is
+    # zeta(2), up to the last retained Bernoulli correction
     k = 50
-    f = lambda x: x ** -2.0
-    ders = [lambda x: -2 * x ** -3.0, lambda x: 6 * x ** -4.0,
-            lambda x: -24 * x ** -5.0, lambda x: 120 * x ** -6.0,
-            lambda x: -720 * x ** -7.0]
-    anti = lambda x: -x ** -1.0
-    value, last = euler_maclaurin_psum(f, ders, anti, k, 6)
+    e = zeta_psum_expansion(2, order=6)
+    last = abs(e.terms[-1].evaluate(k))
     actual = sum(n ** -2.0 for n in range(1, k + 1))
-    assert actual - value == pytest.approx(math.pi ** 2 / 6, abs=10 * last)
+    assert actual - e.evaluate(k) == pytest.approx(math.pi ** 2 / 6,
+                                                   abs=10 * last)
     assert last < 1e-9
+    # an mpmath argument keeps the whole model, exponents included, in mpmath
+    with mpmath.workdps(30):
+        deep = zeta_psum_expansion(mpmath.mpf(-3.1))
+    assert all(isinstance(t.exponent, mpmath.mpf) for t in deep.terms)
+    assert len(deep.terms) == len(zeta_psum_expansion(-3.1).terms)
 
 
 def test_zeta_psum_expansion_at_zero_is_exact():
@@ -183,3 +187,21 @@ def test_synthesize_annihilator_skips_decaying_terms():
         remainder_order=-1.0)
     q = synthesize_annihilator(e)
     assert len(q.factors) == 1
+
+
+def test_gamma_ratio_coeffs_exact_and_mp():
+    # integer rho: exactly the falling factorial (n-1)(n-2)...(n-rho)
+    assert gamma_ratio_coeffs(Fraction(3))[:4] == [1, -6, 11, -6]
+    for rho in range(6):
+        coeffs = gamma_ratio_coeffs(Fraction(rho))
+        for n in (1, 2, 7, 30):
+            series = sum(a * Fraction(n) ** (rho - j)
+                         for j, a in enumerate(coeffs))
+            assert series == math.prod(n - j for j in range(1, rho + 1))
+    # mpmath rho: the asymptotic series to working precision
+    with mpmath.workdps(30):
+        rho, n = mpmath.mpf("5.9"), 4000
+        series = sum(a * mpmath.mpf(n) ** (rho - j)
+                     for j, a in enumerate(gamma_ratio_coeffs(rho)))
+        exact = mpmath.gamma(n) / mpmath.gamma(n - rho)
+        assert abs(series / exact - 1) < 1e-25

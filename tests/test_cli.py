@@ -126,6 +126,13 @@ def test_zeta_pole_exit_code(capsys):
     assert doc["residue"] == pytest.approx(1.0, abs=1e-6)
 
 
+def test_zeta_cross_check_failure_exits_one(capsys):
+    # the continuation routes disagree here; a typed library error is a
+    # failed query (exit 1), not a traceback
+    assert run(["zeta", "--s", "-5.8"]) == 1
+    assert capsys.readouterr().err.startswith("failed: ")
+
+
 def test_zeta_discrete_anomaly(capsys):
     doc = _json_out(capsys, ["zeta", "--s", "-1,0", "--discrete"])
     assert _value(doc) == pytest.approx(1.0, abs=1e-6)
@@ -197,6 +204,15 @@ def test_sweep_crosses_pole_without_aborting(capsys):
     assert rows[1]["status"] == "pole"
     assert rows[1]["value_re"] is None
     assert rows[0]["status"] == "ok" and rows[2]["status"] == "ok"
+
+
+def test_sweep_records_library_errors_without_aborting(capsys):
+    doc = _json_out(capsys, ["sweep", "zeta", "--start", "-5.9",
+                             "--stop", "-5.7", "--count", "3"])
+    rows = doc["rows"]
+    assert len(rows) == 3
+    assert all(r["status"].startswith("error: ") for r in rows)
+    assert all(r["value_re"] is None for r in rows)
 
 
 def test_sweep_empty_grid_is_usage_error(capsys):
