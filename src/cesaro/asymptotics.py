@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import mpmath
+
 from .config import EXPONENT_MERGE_TOL, LAMBDA_EPS, SNAP_RADIUS
 from .errors import NonTriangularError, SAtPoleError, PoleSignal
 from .operators import RegularPolynomial, build_regular_polynomial
@@ -25,9 +27,6 @@ __all__ = [
     "zeta_psum_expansion",
     "x_power_expansion",
     "invert_to_x_expansion",
-    "peel_ladder",
-    "gamma_ratio_coeffs",
-    "eigensequence_lower_order",
     "synthesize_annihilator",
 ]
 
@@ -143,13 +142,32 @@ def _merge_terms(raw: Sequence[tuple], variable: str):
     return out
 
 
-def peel_ladder(pending, live, lower_order, tol):
+def divergent_exponent(e) -> bool:
+    """Liveness rule of the ladders: Re e >= 0 and e != 0, up to SNAP_RADIUS.
+
+    Degree-zero content is not divergent, and is kept as a constant."""
+    ec = complex(e)
+    return ec.real >= -SNAP_RADIUS and abs(ec) > SNAP_RADIUS
+
+
+def _negligible(c) -> bool:
+    """|c| at the rounding floor of its arithmetic: exactly 0 for int and
+    Fraction, 1e-13 for doubles, five digits above working precision for
+    mpmath numbers."""
+    if isinstance(c, (int, Fraction)):
+        return c == 0
+    if isinstance(c, (mpmath.mpf, mpmath.mpc)):
+        return abs(c) <= mpmath.mpf(10) ** (5 - mpmath.mp.dps)
+    return abs(c) <= 1e-13
+
+
+def peel_ladder(pending, live, lower_order):
     """Work a ledger of divergent (coeff, exponent) content top-down.
 
-    Each round merges colliding exponents, drops coefficients with
-    |c| <= tol, and removes the live term c*n^e of largest real exponent;
-    its unit eigenobject carries lower-order content a*n^f for each (a, f)
-    in lower_order(e), so -c*a goes back onto the ledger at f.  Runs in the
+    Each round merges colliding exponents, drops negligible coefficients,
+    and removes the live term c*n^e of largest real exponent; its unit
+    eigenobject carries lower-order content a*n^f for each (a, f) in
+    lower_order(e), so -c*a goes back onto the ledger at f.  Runs in the
     arithmetic of the coefficients and exponents given.  Returns the
     removed terms in order and the ledger left when nothing is live.
     """
@@ -163,7 +181,7 @@ def peel_ladder(pending, live, lower_order, tol):
                     break
             else:
                 merged.append((c, e))
-        pending = [(c, e) for c, e in merged if abs(c) > tol]
+        pending = [(c, e) for c, e in merged if not _negligible(c)]
         top = [p for p in pending if live(p[1])]
         if not top:
             return removed, pending
@@ -177,8 +195,9 @@ def peel_ladder(pending, live, lower_order, tol):
         pending += [(-c * a, f) for a, f in lower_order(e)]
 
 
-def gamma_ratio_coeffs(rho, depth: Optional[int] = None) -> list:
-    """[a_0, ..., a_depth] with Gamma(n)/Gamma(n-rho) ~ n^rho sum_j a_j n^-j.
+def gamma_ratio_coeffs(rho) -> list:
+    """[a_0, ..., a_d] with Gamma(n)/Gamma(n-rho) ~ n^rho sum_j a_j n^-j,
+    d = ceil(Re rho) + 3.
 
     The ratio of log-gamma asymptotic series collapses to
       g(t) = -rho - (1/t - rho - 1/2) ln(1 - rho t)
@@ -190,9 +209,7 @@ def gamma_ratio_coeffs(rho, depth: Optional[int] = None) -> list:
     """
     if isinstance(rho, int):
         rho = Fraction(rho)
-    if depth is None:
-        depth = int(math.ceil(max(0.0, complex(rho).real))) + 3
-    D = depth + 1
+    D = int(math.ceil(max(0.0, complex(rho).real))) + 4
     one = rho ** 0
     zero = 0 * one
     # ln(1 - rho t) = sum_k logc[k] t^k
@@ -348,10 +365,8 @@ def invert_to_x_expansion(exp_k: AsymptoticExpansion) -> AsymptoticExpansion:
     if any(t.log_power for t in exp_k.terms):
         raise NonTriangularError("log-carrying k-terms are not invertible here")
     removed, pending = peel_ladder(
-        [(t.coeff, t.exponent) for t in exp_k.terms],
-        lambda e: (complex(e).real >= -SNAP_RADIUS
-                   and abs(complex(e)) > SNAP_RADIUS),
-        _x_power_lower_order, 1e-13)
+        [(t.coeff, t.exponent) for t in exp_k.terms], divergent_exponent,
+        _x_power_lower_order)
     # degree-zero content belongs in the constant slot, not in terms
     constant = exp_k.constant
     tail = []

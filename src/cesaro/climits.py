@@ -25,8 +25,9 @@ from .config import DEFAULT_CONFIG, LimitConfig, SNAP_RADIUS
 from .errors import NotConvergentError, PoleSignal, is_pole
 from .operators import (RegularPolynomial, apply_P, apply_regular_polynomial,
                         build_regular_polynomial)
-from .asymptotics import (AsymptoticExpansion, eigensequence_lower_order,
-                          peel_ladder, synthesize_annihilator)
+from .asymptotics import (AsymptoticExpansion, divergent_exponent,
+                          eigensequence_lower_order, peel_ladder,
+                          synthesize_annihilator)
 from .seqfun import PiecewiseFn
 from .tailfit import (decade_variation, fit_limit, fit_limit_array,
                       fit_limit_nodes, snap_to_rational)
@@ -255,7 +256,7 @@ def _discrete_exact(vals, eigendecomposition, cfg: LimitConfig,
     arr = [Fraction(v) for v in vals[:n_max]]
     removed, _ = peel_ladder(
         [(Fraction(c), int(e)) for c, e in eigendecomposition],
-        lambda e: e >= 1, eigensequence_lower_order, 0)
+        divergent_exponent, eigensequence_lower_order)
     for c, e in removed:
         # Gamma(n)/Gamma(n-e) = (n-1)(n-2)...(n-e), exactly
         arr = [v - c * math.perm(n - 1, e) for n, v in enumerate(arr, 1)]
@@ -312,10 +313,8 @@ def cesaro_limit_discrete(a, eigendecomposition: Sequence[tuple],
     ns = np.arange(1, n_max + 1, dtype=float)
 
     removed, pending = peel_ladder(
-        list(eigendecomposition),
-        lambda e: (complex(e).real >= -SNAP_RADIUS
-                   and abs(complex(e)) > SNAP_RADIUS),
-        eigensequence_lower_order, 1e-13)
+        list(eigendecomposition), divergent_exponent,
+        eigensequence_lower_order)
     for c, e in removed:
         n_int = _near_nonneg_int(e)
         seq = _gamma_ratio_values(e if n_int is None else n_int, ns)

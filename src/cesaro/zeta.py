@@ -386,7 +386,7 @@ def _ext_mp(s, cfg: LimitConfig, horizon: int = 4000, dps: int = 30):
         model = zeta_psum_expansion(smp, order)
         removed, pend = peel_ladder(
             [(t.coeff, t.exponent) for t in model.terms],
-            lambda e: e.real > SNAP_RADIUS, eigensequence_lower_order, 1e-25)
+            lambda e: e.real > SNAP_RADIUS, eigensequence_lower_order)
         for c, e in removed:
             for n in range(1, horizon + 1):
                 arr[n - 1] -= c * mpmath.gamma(n) / mpmath.gamma(n - e)

@@ -6,8 +6,9 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from cesaro.asymptotics import (AsymptoticExpansion, ExpansionTerm, bernoulli,
-                                gamma_ratio_coeffs, invert_to_x_expansion,
+from cesaro.asymptotics import (AsymptoticExpansion, ExpansionTerm, _merge_terms,
+                                bernoulli, gamma_ratio_coeffs,
+                                invert_to_x_expansion,
                                 synthesize_annihilator, x_power_expansion,
                                 zeta_psum_expansion)
 from cesaro.errors import (NonTriangularError, PoleSignal, SAtPoleError,
@@ -73,7 +74,15 @@ def test_euler_maclaurin_constant_for_inverse_squares():
     with mpmath.workdps(30):
         deep = zeta_psum_expansion(mpmath.mpf(-3.1))
     assert all(isinstance(t.exponent, mpmath.mpf) for t in deep.terms)
-    assert len(deep.terms) == len(zeta_psum_expansion(-3.1).terms)
+
+
+def test_merge_terms_drops_small_coefficients_only_in_doubles():
+    # 1e-13 is the rounding floor of a double; exact and mpmath
+    # coefficients keep every nonzero term
+    assert _merge_terms([(1e-20, -5.0, 0)], "k") == []
+    for tiny in (mpmath.mpf("1e-20"), Fraction(1, 10 ** 20)):
+        kept = _merge_terms([(tiny, mpmath.mpf(-5), 0)], "k")
+        assert [t.coeff for t in kept] == [tiny]
 
 
 def test_zeta_psum_expansion_at_zero_is_exact():

@@ -6,7 +6,9 @@ import json
 
 import pytest
 
+import cesaro.cli
 from cesaro.cli import parse_scalar, parse_series, run, series_dirichlet_s
+from cesaro.errors import CrossCheckMismatchError
 
 
 def _json_out(capsys, argv, expect_code=0):
@@ -126,9 +128,13 @@ def test_zeta_pole_exit_code(capsys):
     assert doc["residue"] == pytest.approx(1.0, abs=1e-6)
 
 
-def test_zeta_cross_check_failure_exits_one(capsys):
-    # the continuation routes disagree here; a typed library error is a
-    # failed query (exit 1), not a traceback
+def _routes_disagree(s, cfg):
+    raise CrossCheckMismatchError(f"routes disagree at s = {s}")
+
+
+def test_zeta_cross_check_failure_exits_one(capsys, monkeypatch):
+    # a typed library error is a failed query (exit 1), not a traceback
+    monkeypatch.setattr(cesaro.cli, "zeta", _routes_disagree)
     assert run(["zeta", "--s", "-5.8"]) == 1
     assert capsys.readouterr().err.startswith("failed: ")
 
@@ -206,12 +212,14 @@ def test_sweep_crosses_pole_without_aborting(capsys):
     assert rows[0]["status"] == "ok" and rows[2]["status"] == "ok"
 
 
-def test_sweep_records_library_errors_without_aborting(capsys):
+def test_sweep_records_library_errors_without_aborting(capsys, monkeypatch):
+    monkeypatch.setattr(cesaro.cli, "zeta", _routes_disagree)
     doc = _json_out(capsys, ["sweep", "zeta", "--start", "-5.9",
                              "--stop", "-5.7", "--count", "3"])
     rows = doc["rows"]
     assert len(rows) == 3
-    assert all(r["status"].startswith("error: ") for r in rows)
+    assert all(r["status"].startswith("error: routes disagree")
+               for r in rows)
     assert all(r["value_re"] is None for r in rows)
 
 
