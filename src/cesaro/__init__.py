@@ -26,8 +26,8 @@ from .operators import (MeasureScheme, RegularPolynomial, apply_P, apply_P_D,
                         apply_P_D_inverse, apply_P_mu,
                         apply_regular_polynomial, build_regular_polynomial)
 from .seqfun import (PiecewiseFn, SeriesTerms, alt_naturals, alt_ones,
-                     embed_step, n_pow_minus_s, naturals, ones, psum,
-                     psum_function, zero_padded)
+                     embed_step, n_pow_minus_s, naturals, ones, psum_function,
+                     zero_padded)
 from .zeta import (FaulhaberPoly, ZetaEvaluation, discrete_eigensequence,
                    eta, faulhaber, zeta, zeta_discrete_corrected,
                    zeta_discrete_ext, zeta_integral_rep, zeta_residue_at_1)
@@ -50,7 +50,7 @@ __all__ = [
     "apply_P_D_inverse", "apply_P_mu", "apply_regular_polynomial",
     "build_regular_polynomial",
     "PiecewiseFn", "SeriesTerms", "alt_naturals", "alt_ones", "embed_step",
-    "n_pow_minus_s", "naturals", "ones", "psum", "psum_function",
+    "n_pow_minus_s", "naturals", "ones", "psum_function",
     "zero_padded",
     "FaulhaberPoly", "ZetaEvaluation", "discrete_eigensequence", "eta",
     "faulhaber", "zeta", "zeta_discrete_corrected", "zeta_discrete_ext",

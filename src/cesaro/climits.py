@@ -23,14 +23,14 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, LimitConfig, SNAP_RADIUS
 from .errors import NotConvergentError, PoleSignal, is_pole
-from .operators import (RegularPolynomial, apply_P, apply_regular_polynomial,
-                        build_regular_polynomial)
+from .operators import (RegularPolynomial, apply_P, apply_P_D,
+                        apply_regular_polynomial, build_regular_polynomial)
 from .asymptotics import (AsymptoticExpansion, divergent_exponent,
                           eigensequence_lower_order, peel_ladder,
                           synthesize_annihilator)
 from .seqfun import PiecewiseFn
-from .tailfit import (decade_variation, fit_limit, fit_limit_array,
-                      fit_limit_nodes, snap_to_rational)
+from .tailfit import (decade_variation, fit_limit, fit_limit_nodes,
+                      fit_sequence_tail, relative_spread, snap_to_rational)
 
 __all__ = [
     "CesaroResult",
@@ -339,25 +339,13 @@ def cesaro_limit_discrete(a, eigendecomposition: Sequence[tuple],
         if all(abs(complex(e) - complex(d)) > 1e-9 for d in extras):
             extras.append(e)
 
-    def classify(seq):
-        lo = max(1, n_max // 10)
-        tail = seq[lo:]
-        spread = float(np.max(tail.real) - np.min(tail.real))
-        if dtype is complex:
-            spread = max(spread, float(np.max(tail.imag) - np.min(tail.imag)))
-        return spread / max(1.0, float(np.mean(np.abs(tail))))
-
-    def pd(seq):
-        return np.cumsum(seq) / np.arange(1, len(seq) + 1)
-
     work = arr
     q_factors = []
     applied_factors = False
     escalations = 0
     for stage in range(cfg.max_pure_power + 1):
-        variation = classify(work)
-        lo = max(1, n_max // 10)
-        fit = fit_limit_array(ns[lo:], work[lo:], extra_exponents=extras)
+        variation = relative_spread(work[max(1, n_max // 10):])
+        fit = fit_sequence_tail(work, extra_exponents=extras)
         scale = max(1.0, abs(complex(fit.limit)))
         if (variation <= cfg.detect_tolerance
                 or fit.residual_rms <= cfg.detect_tolerance * scale):
@@ -382,10 +370,10 @@ def cesaro_limit_discrete(a, eigendecomposition: Sequence[tuple],
                 q_factors.append((lam, 1))
                 lam_n = complex(lam) if dtype is complex else float(
                     complex(lam).real)
-                work = (pd(work) - lam_n * work) / (1 - lam_n)
+                work = (apply_P_D(work) - lam_n * work) / (1 - lam_n)
             if q_factors:
                 continue
-        work = pd(work)
+        work = apply_P_D(work)
         escalations += 1
     raise NotConvergentError(
         "discrete escalation exhausted", diagnostics={"horizon": n_max})

@@ -22,6 +22,7 @@ from .asymptotics import AsymptoticExpansion, ExpansionTerm
 from .config import DEFAULT_CONFIG, LimitConfig
 from .errors import (FitFailureError, IllegalCancellationError, PoleSignal,
                      QuadratureError, is_pole)
+from .tailfit import lstsq_columns, power_column
 
 __all__ = [
     "SingularPoint",
@@ -154,37 +155,20 @@ def _endpoint_samples(f, point: SingularPoint, anchor: float,
     return xs, np.asarray(out)
 
 
-def _design_matrix(xs: np.ndarray, exponents, log_powers,
-                   with_decay: bool = True):
-    cols = [np.ones_like(xs)]
-    names = [("const", 0, 0)]
-    for e in exponents:
-        ec = complex(e)
-        col = xs.astype(complex) ** ec if ec.imag else xs ** ec.real
-        cols.append(col)
-        names.append(("power", e, 0))
-    for e, m in log_powers:
-        ec = complex(e)
-        col = (xs.astype(complex) ** ec if ec.imag else xs ** ec.real)
-        cols.append(col * np.log(xs) ** m)
-        names.append(("log", e, m))
-    if with_decay:
-        for k in (1, 2, 3):
-            cols.append(1.0 / xs ** k)
-            names.append(("decay", -k, 0))
-    return np.column_stack(cols), names
+def _endpoint_fit(xs: np.ndarray, ys, powers, log_powers=()):
+    """Least-squares endpoint model: a constant, X^e for each power,
+    X^e ln^m X for each (e, m), and 1/X, 1/X^2, 1/X^3 decay columns.
 
-
-def _lstsq_fit(xs, ys, exponents, log_powers, with_decay=True):
-    A, names = _design_matrix(xs, exponents, log_powers, with_decay)
-    ys = np.asarray(ys)
-    if np.iscomplexobj(ys) and not np.iscomplexobj(A):
-        A = A.astype(complex)
-    norms = np.max(np.abs(A), axis=0)
-    coef, *_ = np.linalg.lstsq(A / norms, ys, rcond=None)
-    coef = coef / norms
-    resid = ys - A @ coef
-    rms = float(np.sqrt(np.mean(np.abs(resid) ** 2)))
+    Returns the coefficients, a (kind, exponent, log power) name per
+    column, and the residual rms.
+    """
+    names = ([("const", 0, 0)] + [("power", e, 0) for e in powers]
+             + [("log", e, m) for e, m in log_powers]
+             + [("decay", -k, 0) for k in (1, 2, 3)])
+    cols = ([np.ones_like(xs)] + [power_column(xs, e) for e in powers]
+            + [power_column(xs, e) * np.log(xs) ** m for e, m in log_powers]
+            + [1.0 / xs ** k for k in (1, 2, 3)])
+    coef, rms, _ = lstsq_columns(cols, np.asarray(ys))
     return coef, names, rms
 
 
@@ -214,7 +198,7 @@ def fit_endpoint_expansion(samples: Sequence, model_exponents: Sequence,
                 powers.append(e)
         else:
             powers.append(entry)
-    coef, names, rms = _lstsq_fit(xs, ys, powers, logs)
+    coef, names, rms = _endpoint_fit(xs, ys, powers, logs)
     scale = max(1.0, float(np.max(np.abs(ys))))
     if rms > tol * scale:
         raise FitFailureError(
@@ -226,8 +210,7 @@ def fit_endpoint_expansion(samples: Sequence, model_exponents: Sequence,
         # significance is judged by the term's contribution over the window,
         # not the bare coefficient: a leading X^2 term can have a tiny
         # coefficient and still dominate the samples
-        ec = complex(e)
-        col = xs.astype(complex) ** ec if ec.imag else xs ** ec.real
+        col = power_column(xs, e)
         if m:
             col = col * np.log(xs) ** m
         contrib = abs(complex(c)) * float(np.max(np.abs(col)))
@@ -240,8 +223,7 @@ def fit_endpoint_expansion(samples: Sequence, model_exponents: Sequence,
 
 
 def _term_values(term: ExpansionTerm, xs: np.ndarray):
-    ec = complex(term.exponent)
-    vals = xs.astype(complex) ** ec if ec.imag else xs ** ec.real
+    vals = power_column(xs, term.exponent)
     if term.log_power:
         vals = vals * np.log(xs) ** term.log_power
     cc = complex(term.coeff)
@@ -272,7 +254,7 @@ def _analyze_endpoint(f, point: SingularPoint, anchor: float, cfg: LimitConfig,
         if log_flag:
             return None, tuple(removed), True, log_coeff
         # what is left should settle to the finite part
-        coef, _, rms = _lstsq_fit(xs, resid, [], [])
+        coef, _, rms = _endpoint_fit(xs, resid, [])
         if rms > max(cfg.tail_tolerance * scale, 1e-9):
             raise FitFailureError(
                 f"endpoint {point.label}: residual {rms:.3g} after removing "
@@ -282,7 +264,7 @@ def _analyze_endpoint(f, point: SingularPoint, anchor: float, cfg: LimitConfig,
         raise ValueError("expansion must be an AsymptoticExpansion or 'fit'")
     powers = [e for e in point.fit_exponents
               if abs(complex(e)) > cfg.snap_radius]
-    coef, names, rms = _lstsq_fit(xs, ys, powers, [])
+    coef, names, rms = _endpoint_fit(xs, ys, powers)
     if rms <= max(cfg.tail_tolerance * scale, 1e-8):
         removed = tuple((c, e, 0) for c, (kind, e, _m)
                         in zip(coef[1:], names[1:])
@@ -290,7 +272,7 @@ def _analyze_endpoint(f, point: SingularPoint, anchor: float, cfg: LimitConfig,
                         and abs(complex(c)) > cfg.tail_tolerance * scale)
         return coef[0], removed, False, 0.0
     # power model failed; a log column deciding the residual means a pole
-    coef2, names2, rms2 = _lstsq_fit(xs, ys, powers, [(0, 1)])
+    coef2, names2, rms2 = _endpoint_fit(xs, ys, powers, [(0, 1)])
     if rms2 <= max(cfg.tail_tolerance * scale, 1e-8):
         idx = [i for i, (kind, _e, _m) in enumerate(names2)
                if kind == "log"][0]

@@ -87,27 +87,21 @@ def P_on_term(rho, m: int):
     return out
 
 
-def _exact_seq(a) -> bool:
-    return all(isinstance(v, (int, Fraction)) for v in a)
-
-
 def apply_P_D(a: Sequence):
     """Running averages out_n = (a_1 + ... + a_n)/n, input indexed from 1.
 
-    Exact rational output when every input entry is an int or Fraction.
+    Runs in the arithmetic of the input: an ndarray gives an ndarray, a list
+    of ints and Fractions gives exact Fractions, and any other list (floats,
+    complex or mpmath numbers) is summed in the type of its entries.
     """
+    if isinstance(a, np.ndarray):
+        return np.cumsum(a) / np.arange(1, len(a) + 1)
     a = list(a)
+    acc = Fraction(0) if all(isinstance(v, (int, Fraction)) for v in a) else 0
     out = []
-    if _exact_seq(a):
-        acc = Fraction(0)
-        for n, v in enumerate(a, start=1):
-            acc += v
-            out.append(acc / n)
-    else:
-        acc = 0.0
-        for n, v in enumerate(a, start=1):
-            acc = acc + v
-            out.append(acc / n)
+    for n, v in enumerate(a, start=1):
+        acc = acc + v
+        out.append(acc / n)
     return out
 
 

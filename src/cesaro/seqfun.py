@@ -18,18 +18,13 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 __all__ = [
-    "GridPoint",
     "SeriesTerms",
     "PiecewiseFn",
-    "decompose",
-    "psum",
     "psum_function",
     "embed_step",
     "ones",
@@ -57,31 +52,6 @@ TO_MONOMIAL = np.linalg.inv(_VANDER)
 # value row -> partial integrals int_0^{a_i} p, one per node
 _Q = NODES[:, None] * _VANDER / np.arange(1, NODES_PER_INTERVAL + 1)[None, :]
 PARTIAL_FROM_VALUES = _Q @ TO_MONOMIAL
-
-
-def _is_exactable(v) -> bool:
-    return isinstance(v, (int, Fraction))
-
-
-@dataclass(frozen=True)
-class GridPoint:
-    """Decomposition x = k + alpha with integer part k and alpha in [0, 1)."""
-
-    k: int
-    alpha: float
-
-    @property
-    def x(self) -> float:
-        return self.k + self.alpha
-
-
-def decompose(x: float) -> GridPoint:
-    """Split x >= 0 into its integer part and fractional remainder."""
-    x = float(x)
-    if not math.isfinite(x) or x < 0:
-        raise ValueError(f"decompose requires finite x >= 0, got {x!r}")
-    k = int(math.floor(x))
-    return GridPoint(k=k, alpha=x - k)
 
 
 class SeriesTerms:
@@ -123,11 +93,6 @@ class SeriesTerms:
         return np.complex128 if isinstance(probe, complex) else np.float64
 
 
-def psum(terms: SeriesTerms, k: int):
-    """Partial sum a_1 + ... + a_k (0 for k = 0); exact for exact terms."""
-    return terms.psum(k)
-
-
 class PiecewiseFn:
     """A function on [0, inf) with a per-unit-interval node representation.
 
@@ -152,7 +117,6 @@ class PiecewiseFn:
         self._step_term = step_term        # value on [k, k+1) for step kind
         self._vals: Optional[np.ndarray] = None      # (n, G) node values
         self._prefix: Optional[np.ndarray] = None    # cumulative at 0..n
-        self._exact_prefix: list = [0]               # step kind only
         self._averaged: Optional["PiecewiseFn"] = None
         self._lock = threading.Lock()
 
@@ -239,23 +203,6 @@ class PiecewiseFn:
                 coeffs = TO_MONOMIAL @ self._vals[k]
                 total = total + sum(c * a ** (j + 1) / (j + 1)
                                     for j, c in enumerate(coeffs))
-        return total
-
-    def cumulative_exact(self, K):
-        """Exact cumulative at a rational point (step kind only)."""
-        if self.kind != "step":
-            raise ValueError("exact cumulative is only defined for step kind")
-        frac = Fraction(K)
-        k = int(frac) if frac >= 0 else None
-        if k is None:
-            raise ValueError("cumulative requires X >= 0")
-        alpha = frac - k
-        while len(self._exact_prefix) <= k:
-            m = len(self._exact_prefix)
-            self._exact_prefix.append(self._exact_prefix[-1] + self._step_term(m - 1))
-        total = self._exact_prefix[k]
-        if alpha:
-            total = total + self._step_term(k) * alpha
         return total
 
     # -- constructors ------------------------------------------------------

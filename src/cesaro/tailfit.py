@@ -66,15 +66,18 @@ def _window_means(f, horizon: int):
     return xs, ys
 
 
+def relative_spread(ys) -> float:
+    """Spread of the real (and imaginary) parts over max(1, mean |y|)."""
+    spread = float(np.max(ys.real) - np.min(ys.real))
+    if np.iscomplexobj(ys):
+        spread = max(spread, float(np.max(ys.imag) - np.min(ys.imag)))
+    return spread / max(1.0, float(np.mean(np.abs(ys))))
+
+
 def decade_variation(f, horizon: int) -> float:
     """Relative spread of f over its last decade (the convergence test)."""
     _, ys = _window_values(f, horizon)
-    lo, hi = np.min(ys.real), np.max(ys.real)
-    spread = float(hi - lo)
-    if np.iscomplexobj(ys):
-        spread = max(spread, float(np.max(ys.imag) - np.min(ys.imag)))
-    scale = max(1.0, float(np.mean(np.abs(ys))))
-    return spread / scale
+    return relative_spread(ys)
 
 
 def fit_limit_nodes(f, horizon: int, *,
@@ -104,6 +107,37 @@ def fit_limit(f, horizon: int, *, extra_exponents: Sequence[complex] = (),
     return fit_limit_array(xs, ys, extra_exponents=extra_exponents,
                            with_log_over_x=with_log_over_x,
                            with_plain_log=with_plain_log)
+
+
+def power_column(xs: np.ndarray, e) -> np.ndarray:
+    """The column x^e: real when e is real, complex otherwise."""
+    ec = complex(e)
+    return xs.astype(complex) ** ec if ec.imag else xs ** ec.real
+
+
+def lstsq_columns(cols, ys):
+    """Least-squares fit of ys on the columns, each scaled to unit maximum.
+
+    Returns the coefficients of the unscaled columns, the residual rms, and
+    the standard error of the first coefficient from the normal-equation
+    inverse.
+    """
+    A = np.column_stack(cols)
+    if np.iscomplexobj(ys) and not np.iscomplexobj(A):
+        A = A.astype(complex)
+    norms = np.max(np.abs(A), axis=0)
+    An = A / norms
+    coef, *_ = np.linalg.lstsq(An, ys, rcond=None)
+    resid = ys - An @ coef
+    rms = float(np.sqrt(np.mean(np.abs(resid) ** 2)))
+    try:
+        cov = np.linalg.inv(An.conj().T @ An)
+        dof = max(1, len(ys) - len(coef))
+        stderr = float(np.sqrt(np.abs(cov[0, 0]) * rms**2 * len(ys) / dof)
+                       / norms[0])
+    except np.linalg.LinAlgError:
+        stderr = rms
+    return coef / norms, rms, stderr
 
 
 def fit_limit_array(xs, ys, *, extra_exponents: Sequence[complex] = (),
@@ -136,31 +170,27 @@ def fit_limit_array(xs, ys, *, extra_exponents: Sequence[complex] = (),
         ec = complex(e)
         if abs(ec) < 1e-13 or abs(ec.real) > 6:
             continue
-        cols.append(xs.astype(complex) ** ec if ec.imag else xs ** ec.real)
-    A = np.column_stack(cols)
-    if np.iscomplexobj(ys) and not np.iscomplexobj(A):
-        A = A.astype(complex)
-    norms = np.max(np.abs(A), axis=0)
-    An = A / norms
-    coef, *_ = np.linalg.lstsq(An, ys, rcond=None)
-    resid = ys - An @ coef
-    rms = float(np.sqrt(np.mean(np.abs(resid) ** 2)))
-    # standard error of the constant column from the normal-equation inverse
-    try:
-        cov = np.linalg.inv(An.conj().T @ An)
-        dof = max(1, len(xs) - len(coef))
-        stderr = float(np.sqrt(np.abs(cov[0, 0]) * rms**2 * len(xs) / dof)
-                       / norms[0])
-    except np.linalg.LinAlgError:
-        stderr = rms
-    limit = coef[0] / norms[0]
+        cols.append(power_column(xs, ec))
+    coef, rms, stderr = lstsq_columns(cols, ys)
+    limit = coef[0]
     if not np.iscomplexobj(ys):
         limit = float(np.real(limit))
     named = {"const": limit}
     if log_col is not None:
-        named["log"] = complex(coef[log_col] / norms[log_col])
+        named["log"] = complex(coef[log_col])
     return TailFit(limit=limit, stderr=stderr, residual_rms=rms,
                    window=(int(xs[0]), int(xs[-1])), coefficients=named)
+
+
+def fit_sequence_tail(seq, **model) -> TailFit:
+    """Tail model fitted to a_n, n = 1..N, over the last decade n > N/10.
+
+    model takes the keyword options of fit_limit_array.
+    """
+    seq = np.asarray(seq)
+    ns = np.arange(1, len(seq) + 1, dtype=np.float64)
+    lo = max(1, len(seq) // 10)
+    return fit_limit_array(ns[lo:], seq[lo:], **model)
 
 
 def snap_to_rational(value, tol: float = 1e-9,

@@ -37,9 +37,10 @@ from .climits import (CesaroResult, cesaro_limit_discrete, strong_cesaro_limit,
 from .config import DEFAULT_CONFIG, LimitConfig, SNAP_RADIUS
 from .errors import (CrossCheckMismatchError, MissingDerivativeTermError,
                      NonIntegerRhoError, PoleSignal, SAtPoleError, is_pole)
-from .operators import apply_P, build_regular_polynomial
+from .operators import apply_P, apply_P_D, build_regular_polynomial
 from .seqfun import PiecewiseFn, SeriesTerms, n_pow_minus_s, psum_function
-from .tailfit import fit_limit, fit_limit_array, snap_to_rational
+from .tailfit import (fit_limit, fit_limit_array, fit_sequence_tail,
+                      snap_to_rational)
 
 __all__ = [
     "ZetaEvaluation",
@@ -398,9 +399,7 @@ def _ext_mp(s, cfg: LimitConfig, horizon: int = 4000, dps: int = 30):
             ys = np.array([complex(v) for v in arr])
         else:
             ys = np.array([float(mpmath.re(v)) for v in arr])
-    xs = np.arange(1, horizon + 1, dtype=float)
-    lo = horizon // 10
-    fit = fit_limit_array(xs[lo:], ys[lo:])
+    fit = fit_sequence_tail(ys)
     return fit, [(complex(c), complex(e)) for c, e in removed]
 
 
@@ -463,27 +462,40 @@ def zeta_discrete_ext(s, cfg: LimitConfig = DEFAULT_CONFIG) -> ZetaEvaluation:
                           diagnostics=result.diagnostics)
 
 
-def _pd_exact(seq):
-    out = []
-    acc = Fraction(0)
-    for n, v in enumerate(seq, start=1):
-        acc += v
-        out.append(acc / n)
-    return out
+def _binomial_coefficients(poly: FaulhaberPoly) -> list:
+    """Coefficients a_j of p(k) = sum_j a_j C(k-1, j), j = 0..deg p.
+
+    a_j is the j-th forward difference of p at k = 1 (Newton's form).
+    """
+    diffs = [poly(k) for k in range(1, len(poly.coefficients) + 1)]
+    coeffs = []
+    while diffs:
+        coeffs.append(diffs[0])
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    return coeffs
 
 
-def _apply_factor_exact(seq, lam: Fraction):
-    avg = _pd_exact(seq)
-    return [a - lam * v for a, v in zip(avg, seq)]
+def _polynomial_branch(coeffs, lams, lam_primes, horizon: int) -> list:
+    """sum_i lam_i' * prod_{l != i} (P_D - lam_l)[p] at k = 1..horizon.
 
-
-def _apply_factor_mp(seq, lam):
-    acc = mpmath.mpf(0)
-    out = []
-    for n, v in enumerate(seq, start=1):
-        acc += v
-        out.append(acc / n - lam * v)
-    return out
+    p is given by its coefficients in the basis C(k-1, j).  The running
+    average maps C(k-1, j) to C(k-1, j)/(j+1), so there each factor
+    (P_D - lam) is the diagonal 1/(j+1) - lam, and the whole branch is one
+    coefficient vector evaluated once per k.  The full product must
+    annihilate p coefficient by coefficient, which is the vanishing at
+    every k that the derivative computation rests on.
+    """
+    weights = []
+    for j, a in enumerate(coeffs):
+        diag = [Fraction(1, j + 1) - lam for lam in lams]
+        if a * math.prod(diag) != 0:
+            raise MissingDerivativeTermError(
+                "factor product failed to annihilate the polynomial p-sum")
+        weights.append(a * sum(
+            lp * math.prod(d for m, d in enumerate(diag) if m != i)
+            for i, lp in enumerate(lam_primes)))
+    return [sum(w * math.comb(k - 1, j) for j, w in enumerate(weights))
+            for k in range(1, horizon + 1)]
 
 
 def zeta_discrete_corrected(s0: int, cfg: LimitConfig = DEFAULT_CONFIG):
@@ -494,8 +506,8 @@ def zeta_discrete_corrected(s0: int, cfg: LimitConfig = DEFAULT_CONFIG):
     1-s, -s, ..., and N(s) its normalization, both numerator and
     denominator vanish at the anomalous point (the factor product
     annihilates the polynomial p-sum exactly; that exact vanishing is
-    asserted, since the whole derivative computation is invalid without
-    it).  One derivative in s gives
+    checked on every basis coefficient, since the whole derivative
+    computation is invalid without it).  One derivative in s gives
 
       value = -c * lim_k ( A[u]_k - sum_i lam_i' * A_without_i[p]_k )
 
@@ -517,24 +529,9 @@ def zeta_discrete_corrected(s0: int, cfg: LimitConfig = DEFAULT_CONFIG):
             c *= Fraction(2 - s0 - i, 1 - s0 - i)
     lam_primes = [lam * lam for lam in lams]
 
-    # polynomial branch, exact: leave-one-out factor products on the p-sum
     horizon = min(cfg.horizon, 4000)
-    p_poly = faulhaber(-s0)
-    p_seq = [p_poly(k) for k in range(1, horizon + 1)]
-    full = p_seq
-    for lam in lams:
-        full = _apply_factor_exact(full, lam)
-    if any(v != 0 for v in full[:200]):
-        raise MissingDerivativeTermError(
-            "factor product failed to annihilate the polynomial p-sum")
-    poly_branch = [Fraction(0)] * horizon
-    for i in range(I + 1):
-        partial = p_seq
-        for j, lam in enumerate(lams):
-            if j != i:
-                partial = _apply_factor_exact(partial, lam)
-        w = lam_primes[i]
-        poly_branch = [acc + w * v for acc, v in zip(poly_branch, partial)]
+    poly_branch = _polynomial_branch(_binomial_coefficients(faulhaber(-s0)),
+                                     lams, lam_primes, horizon)
 
     # derivative-of-terms branch, high precision: u_k = -sum j^{-s0} ln j
     with mpmath.workdps(35):
@@ -544,15 +541,13 @@ def zeta_discrete_corrected(s0: int, cfg: LimitConfig = DEFAULT_CONFIG):
             acc -= mpmath.power(j, -s0) * mpmath.log(j)
             u.append(acc)
         for lam in lams:
-            u = _apply_factor_mp(u, mpmath.mpf(lam.numerator) / lam.denominator)
+            lam_mp = mpmath.mpf(lam.numerator) / lam.denominator
+            u = [a - lam_mp * v for a, v in zip(apply_P_D(u), u)]
         combined = [float(uv - mpmath.mpf(pv.numerator) / pv.denominator)
                     for uv, pv in zip(u, poly_branch)]
     seq = -float(c) * np.asarray(combined)
-    ns = np.arange(1, horizon + 1, dtype=float)
-    lo = horizon // 10
     # each of the I+2 factor passes can add a log to the 1/k-level residual
-    fit = fit_limit_array(ns[lo:], seq[lo:], max_log_power=I + 2,
-                          with_log_over_x2=True)
+    fit = fit_sequence_tail(seq, max_log_power=I + 2, with_log_over_x2=True)
     value = fit.limit
     snapped = snap_to_rational(value, tol=1e-5, max_denominator=2520)
     if cfg.exact_mode and snapped is not None:

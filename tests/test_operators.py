@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -76,6 +77,16 @@ def test_apply_P_D_exact_rationals():
     out = apply_P_D([1, 2, 3, 4])
     assert out == [1, Fraction(3, 2), 2, Fraction(5, 2)]
     assert all(isinstance(v, (int, Fraction)) for v in out)
+
+
+def test_apply_P_D_runs_in_the_input_arithmetic():
+    data = [0.1, 2.5, -3.25, 7.0, 1e-3, -0.7]
+    from_list = apply_P_D(data)
+    from_array = apply_P_D(np.array(data))
+    from_mpf = apply_P_D([mpmath.mpf(v) for v in data])
+    assert isinstance(from_array, np.ndarray)
+    assert all(isinstance(v, mpmath.mpf) for v in from_mpf)
+    assert list(from_array) == from_list == [float(v) for v in from_mpf]
 
 
 def test_apply_P_D_inverse_round_trip():

@@ -4,43 +4,32 @@ import numpy as np
 import pytest
 
 from cesaro.seqfun import (PiecewiseFn, SeriesTerms, alt_naturals, alt_ones,
-                           decompose, embed_step, n_pow_minus_s, naturals,
-                           ones, psum, psum_function, zero_padded)
-
-
-def test_decompose_splits_integer_and_fraction():
-    g = decompose(7.25)
-    assert g.k == 7
-    assert g.alpha == pytest.approx(0.25)
-
-
-def test_decompose_integer_point():
-    g = decompose(4.0)
-    assert g.k == 4 and g.alpha == 0.0
+                           embed_step, n_pow_minus_s, naturals, ones,
+                           psum_function, zero_padded)
 
 
 def test_psum_basic_and_exact():
     t = ones()
-    assert psum(t, 0) == 0
-    assert psum(t, 17) == 17
-    assert isinstance(psum(t, 17), int)
+    assert t.psum(0) == 0
+    assert t.psum(17) == 17
+    assert isinstance(t.psum(17), int)
 
 
 def test_psum_alt_ones():
     t = alt_ones()
-    assert [psum(t, k) for k in range(7)] == [0, 1, 0, 1, 0, 1, 0]
+    assert [t.psum(k) for k in range(7)] == [0, 1, 0, 1, 0, 1, 0]
 
 
 def test_psum_naturals_triangular():
     t = naturals()
     for k in (1, 2, 10, 50):
-        assert psum(t, k) == k * (k + 1) // 2
+        assert t.psum(k) == k * (k + 1) // 2
 
 
 def test_alt_naturals_partial_sums():
     t = alt_naturals()
     # 1, -2, 3, -4 -> 1, -1, 2, -2
-    assert [psum(t, k) for k in range(1, 7)] == [1, -1, 2, -2, 3, -3]
+    assert [t.psum(k) for k in range(1, 7)] == [1, -1, 2, -2, 3, -3]
 
 
 def test_n_pow_minus_s_real_and_complex():
@@ -66,7 +55,7 @@ def test_zero_padded_preserves_series_mass():
     t = zero_padded(naturals(), [1, 1, 0])
     # 1,2,0,3,4,0,...
     assert [t.term(n) for n in range(1, 7)] == [1, 2, 0, 3, 4, 0]
-    assert psum(t, 6) == 10
+    assert t.psum(6) == 10
 
 
 def test_zero_padded_rejects_bad_pattern():
@@ -104,17 +93,8 @@ def test_cumulative_matches_cellwise_sum():
     f = psum_function(t)
     for x in (1.0, 2.5, 7.75, 12.0):
         k = int(x)
-        want = sum(psum(t, j) for j in range(k)) + psum(t, k) * (x - k)
+        want = sum(t.psum(j) for j in range(k)) + t.psum(k) * (x - k)
         assert f.cumulative(x) == pytest.approx(want, abs=1e-12)
-
-
-def test_cumulative_exact_is_rational():
-    from fractions import Fraction
-    f = psum_function(naturals())
-    got = f.cumulative_exact(Fraction(7, 2))
-    want = sum(j * (j + 1) // 2 for j in range(3)) + Fraction(3 * 4, 2) \
-        * Fraction(1, 2)
-    assert got == want
 
 
 def test_node_values_agree_with_point_values():

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from cesaro.config import DEFAULT_CONFIG
-from cesaro.errors import SAtPoleError, is_pole
+from cesaro.errors import MissingDerivativeTermError, SAtPoleError, is_pole
 from cesaro.operators import apply_P_D, apply_P_D_inverse
-from cesaro.zeta import (FaulhaberPoly, discrete_eigensequence, eta,
+from cesaro.zeta import (FaulhaberPoly, _binomial_coefficients,
+                         _polynomial_branch, discrete_eigensequence, eta,
                          faulhaber, zeta, zeta_discrete_corrected,
                          zeta_discrete_ext, zeta_integral_rep,
                          zeta_residue_at_1)
@@ -174,6 +175,36 @@ def test_discrete_corrected_exact_mode():
 def test_discrete_corrected_rejects_positive():
     with pytest.raises(ValueError):
         zeta_discrete_corrected(1, CFG)
+
+
+def _factor_ladder(s0):
+    lams = [Fraction(1, 2 - s0 - i) for i in range(2 - s0)]
+    return lams, [lam * lam for lam in lams]
+
+
+@pytest.mark.parametrize("s0", range(0, -6, -1))
+def test_polynomial_branch_matches_factor_passes(s0):
+    # the binomial-basis branch against explicit running-average passes
+    lams, lam_primes = _factor_ladder(s0)
+    p = faulhaber(-s0)
+    p_seq = [p(k) for k in range(1, 61)]
+    want = [Fraction(0)] * 60
+    for i, lam_prime in enumerate(lam_primes):
+        part = p_seq
+        for m, lam in enumerate(lams):
+            if m != i:
+                part = [a - lam * v for a, v in zip(apply_P_D(part), part)]
+        want = [w + lam_prime * v for w, v in zip(want, part)]
+    got = _polynomial_branch(_binomial_coefficients(p), lams, lam_primes, 60)
+    assert got == want
+
+
+def test_polynomial_branch_rejects_unannihilated_content():
+    # C(k-1, 4) has eigenvalue 1/5, which no factor of the s0 = -2 ladder
+    # (eigenvalues 1/4, 1/3, 1/2, 1) removes
+    lams, lam_primes = _factor_ladder(-2)
+    with pytest.raises(MissingDerivativeTermError):
+        _polynomial_branch([0, 0, 0, 0, 1], lams, lam_primes, 10)
 
 
 def test_eigensequence_binomial_inverse_average():
