@@ -29,8 +29,9 @@ from .asymptotics import (AsymptoticExpansion, divergent_exponent,
                           eigensequence_lower_order, peel_ladder,
                           synthesize_annihilator)
 from .seqfun import PiecewiseFn
-from .tailfit import (decade_variation, fit_limit, fit_limit_nodes,
-                      fit_sequence_tail, relative_spread, snap_to_rational)
+from .tailfit import (decade_variation, fit_limit, fit_limit_array,
+                      fit_limit_nodes, relative_spread, sequence_tail,
+                      snap_to_rational)
 
 __all__ = [
     "CesaroResult",
@@ -344,8 +345,9 @@ def cesaro_limit_discrete(a, eigendecomposition: Sequence[tuple],
     applied_factors = False
     escalations = 0
     for stage in range(cfg.max_pure_power + 1):
-        variation = relative_spread(work[max(1, n_max // 10):])
-        fit = fit_sequence_tail(work, extra_exponents=extras)
+        ns_tail, tail = sequence_tail(work)
+        variation = relative_spread(tail)
+        fit = fit_limit_array(ns_tail, tail, extra_exponents=extras)
         scale = max(1.0, abs(complex(fit.limit)))
         if (variation <= cfg.detect_tolerance
                 or fit.residual_rms <= cfg.detect_tolerance * scale):

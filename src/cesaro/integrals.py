@@ -155,7 +155,7 @@ def _endpoint_samples(f, point: SingularPoint, anchor: float,
     return xs, np.asarray(out)
 
 
-def _endpoint_fit(xs: np.ndarray, ys, powers, log_powers=()):
+def _lstsq_fit(xs: np.ndarray, ys, powers, log_powers=()):
     """Least-squares endpoint model: a constant, X^e for each power,
     X^e ln^m X for each (e, m), and 1/X, 1/X^2, 1/X^3 decay columns.
 
@@ -198,7 +198,7 @@ def fit_endpoint_expansion(samples: Sequence, model_exponents: Sequence,
                 powers.append(e)
         else:
             powers.append(entry)
-    coef, names, rms = _endpoint_fit(xs, ys, powers, logs)
+    coef, names, rms = _lstsq_fit(xs, ys, powers, logs)
     scale = max(1.0, float(np.max(np.abs(ys))))
     if rms > tol * scale:
         raise FitFailureError(
@@ -254,7 +254,7 @@ def _analyze_endpoint(f, point: SingularPoint, anchor: float, cfg: LimitConfig,
         if log_flag:
             return None, tuple(removed), True, log_coeff
         # what is left should settle to the finite part
-        coef, _, rms = _endpoint_fit(xs, resid, [])
+        coef, _, rms = _lstsq_fit(xs, resid, [])
         if rms > max(cfg.tail_tolerance * scale, 1e-9):
             raise FitFailureError(
                 f"endpoint {point.label}: residual {rms:.3g} after removing "
@@ -264,7 +264,7 @@ def _analyze_endpoint(f, point: SingularPoint, anchor: float, cfg: LimitConfig,
         raise ValueError("expansion must be an AsymptoticExpansion or 'fit'")
     powers = [e for e in point.fit_exponents
               if abs(complex(e)) > cfg.snap_radius]
-    coef, names, rms = _endpoint_fit(xs, ys, powers)
+    coef, names, rms = _lstsq_fit(xs, ys, powers)
     if rms <= max(cfg.tail_tolerance * scale, 1e-8):
         removed = tuple((c, e, 0) for c, (kind, e, _m)
                         in zip(coef[1:], names[1:])
@@ -272,7 +272,7 @@ def _analyze_endpoint(f, point: SingularPoint, anchor: float, cfg: LimitConfig,
                         and abs(complex(c)) > cfg.tail_tolerance * scale)
         return coef[0], removed, False, 0.0
     # power model failed; a log column deciding the residual means a pole
-    coef2, names2, rms2 = _endpoint_fit(xs, ys, powers, [(0, 1)])
+    coef2, names2, rms2 = _lstsq_fit(xs, ys, powers, [(0, 1)])
     if rms2 <= max(cfg.tail_tolerance * scale, 1e-8):
         idx = [i for i, (kind, _e, _m) in enumerate(names2)
                if kind == "log"][0]

@@ -182,15 +182,11 @@ def fit_limit_array(xs, ys, *, extra_exponents: Sequence[complex] = (),
                    window=(int(xs[0]), int(xs[-1])), coefficients=named)
 
 
-def fit_sequence_tail(seq, **model) -> TailFit:
-    """Tail model fitted to a_n, n = 1..N, over the last decade n > N/10.
-
-    model takes the keyword options of fit_limit_array.
-    """
+def sequence_tail(seq):
+    """The last decade n > N/10 of a_n, n = 1..N, as (n, a_n) arrays."""
     seq = np.asarray(seq)
-    ns = np.arange(1, len(seq) + 1, dtype=np.float64)
     lo = max(1, len(seq) // 10)
-    return fit_limit_array(ns[lo:], seq[lo:], **model)
+    return np.arange(lo + 1, len(seq) + 1, dtype=np.float64), seq[lo:]
 
 
 def snap_to_rational(value, tol: float = 1e-9,

@@ -39,7 +39,7 @@ from .errors import (CrossCheckMismatchError, MissingDerivativeTermError,
                      NonIntegerRhoError, PoleSignal, SAtPoleError, is_pole)
 from .operators import apply_P, apply_P_D, build_regular_polynomial
 from .seqfun import PiecewiseFn, SeriesTerms, n_pow_minus_s, psum_function
-from .tailfit import (fit_limit, fit_limit_array, fit_sequence_tail,
+from .tailfit import (fit_limit, fit_limit_array, sequence_tail,
                       snap_to_rational)
 
 __all__ = [
@@ -399,7 +399,7 @@ def _ext_mp(s, cfg: LimitConfig, horizon: int = 4000, dps: int = 30):
             ys = np.array([complex(v) for v in arr])
         else:
             ys = np.array([float(mpmath.re(v)) for v in arr])
-    fit = fit_sequence_tail(ys)
+    fit = fit_limit_array(*sequence_tail(ys))
     return fit, [(complex(c), complex(e)) for c, e in removed]
 
 
@@ -475,6 +475,22 @@ def _binomial_coefficients(poly: FaulhaberPoly) -> list:
     return coeffs
 
 
+def _pd_exact(coeffs) -> list:
+    """P_D on sum_j a_j C(k-1, j): the eigenvalue diagonal a_j/(j+1)."""
+    return [a * Fraction(1, j + 1) for j, a in enumerate(coeffs)]
+
+
+def _apply_factor_exact(coeffs, lam) -> list:
+    """(P_D - lam) on a coefficient vector in the basis C(k-1, j)."""
+    return [b - lam * a for a, b in zip(coeffs, _pd_exact(coeffs))]
+
+
+def _apply_factor_mp(u, lam) -> list:
+    """(P_D - lam) on a list of mpmath values, lam a Fraction."""
+    lam_mp = mpmath.mpf(lam.numerator) / lam.denominator
+    return [a - lam_mp * v for a, v in zip(apply_P_D(u), u)]
+
+
 def _polynomial_branch(coeffs, lams, lam_primes, horizon: int) -> list:
     """sum_i lam_i' * prod_{l != i} (P_D - lam_l)[p] at k = 1..horizon.
 
@@ -485,15 +501,19 @@ def _polynomial_branch(coeffs, lams, lam_primes, horizon: int) -> list:
     annihilate p coefficient by coefficient, which is the vanishing at
     every k that the derivative computation rests on.
     """
-    weights = []
-    for j, a in enumerate(coeffs):
-        diag = [Fraction(1, j + 1) - lam for lam in lams]
-        if a * math.prod(diag) != 0:
-            raise MissingDerivativeTermError(
-                "factor product failed to annihilate the polynomial p-sum")
-        weights.append(a * sum(
-            lp * math.prod(d for m, d in enumerate(diag) if m != i)
-            for i, lp in enumerate(lam_primes)))
+    full = coeffs
+    for lam in lams:
+        full = _apply_factor_exact(full, lam)
+    if any(full):
+        raise MissingDerivativeTermError(
+            "factor product failed to annihilate the polynomial p-sum")
+    weights = [0] * len(coeffs)
+    for i, lp in enumerate(lam_primes):
+        v = coeffs
+        for m, lam in enumerate(lams):
+            if m != i:
+                v = _apply_factor_exact(v, lam)
+        weights = [w + lp * x for w, x in zip(weights, v)]
     return [sum(w * math.comb(k - 1, j) for j, w in enumerate(weights))
             for k in range(1, horizon + 1)]
 
@@ -541,13 +561,13 @@ def zeta_discrete_corrected(s0: int, cfg: LimitConfig = DEFAULT_CONFIG):
             acc -= mpmath.power(j, -s0) * mpmath.log(j)
             u.append(acc)
         for lam in lams:
-            lam_mp = mpmath.mpf(lam.numerator) / lam.denominator
-            u = [a - lam_mp * v for a, v in zip(apply_P_D(u), u)]
+            u = _apply_factor_mp(u, lam)
         combined = [float(uv - mpmath.mpf(pv.numerator) / pv.denominator)
                     for uv, pv in zip(u, poly_branch)]
     seq = -float(c) * np.asarray(combined)
     # each of the I+2 factor passes can add a log to the 1/k-level residual
-    fit = fit_sequence_tail(seq, max_log_power=I + 2, with_log_over_x2=True)
+    fit = fit_limit_array(*sequence_tail(seq), max_log_power=I + 2,
+                          with_log_over_x2=True)
     value = fit.limit
     snapped = snap_to_rational(value, tol=1e-5, max_denominator=2520)
     if cfg.exact_mode and snapped is not None:
