@@ -17,12 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
+import mpmath
 import numpy as np
 
 from .config import DEFAULT_CONFIG, LimitConfig, SNAP_RADIUS
-from .errors import NotConvergentError, PoleSignal, is_pole
+from .errors import NotConvergentError, is_pole
 from .operators import (RegularPolynomial, apply_P, apply_P_D,
                         apply_regular_polynomial, build_regular_polynomial)
 from .asymptotics import (AsymptoticExpansion, divergent_exponent,
@@ -233,66 +234,76 @@ def cdlim_power(rho):
     return 1 if _near_nonneg_int(rho) is not None else 0
 
 
-def _gamma_ratio_values(rho, ns: np.ndarray) -> np.ndarray:
-    """The sequence Gamma(n)/Gamma(n-rho), the exact eigensequence for
-    exponent rho: its running average is itself/(rho+1) plus an exact
-    boundary term proportional to 1/n (which vanishes at integer rho)."""
+def _gamma_ratio_values(rho, n_max: int):
+    """Gamma(n)/Gamma(n-rho), n = 1..n_max, in the arithmetic of rho.
+
+    The exact eigensequence for exponent rho: its running average is
+    itself/(rho+1) plus a boundary term proportional to 1/n that vanishes
+    at integer rho.  An int rho gives the falling factorial exactly; an
+    mpmath rho runs r_{n+1} = r_n n/(n-rho) from r_1 = 1/Gamma(1-rho);
+    any other rho gives doubles from scipy, where that product would drift.
+    """
+    if isinstance(rho, int):
+        return [math.perm(n - 1, rho) for n in range(1, n_max + 1)]
+    if isinstance(rho, (mpmath.mpf, mpmath.mpc)):
+        with mpmath.extraprec(16):      # for the rounding along the product
+            out = [mpmath.rgamma(1 - rho)]
+            for n in range(1, n_max):
+                out.append(out[-1] * n / (n - rho))
+        return out
     from scipy.special import loggamma, poch
+    ns = np.arange(1, n_max + 1, dtype=float)
     rc = complex(rho)
     if rc.imag:
         return np.exp(loggamma(ns.astype(complex)) - loggamma(ns - rc))
     return poch(ns - rc.real, rc.real)
 
 
-def _discrete_exact(vals, eigendecomposition, cfg: LimitConfig,
-                    extra_exponents) -> CesaroResult:
-    """Exact-rational ladder for integer-exponent decompositions.
+def _minus(arr, c, seq, kind: str):
+    """arr - c*seq, with c and seq cast to the arithmetic of arr.  Object
+    arrays (exact and mpmath entries) are updated in place, entry by entry,
+    so that no second set of those numbers is alive at once."""
+    if kind == "float":
+        return arr - float(complex(c).real) * np.real(seq)
+    if kind == "complex":
+        return arr - complex(c) * seq.astype(complex)
+    for i, g in enumerate(seq):
+        arr[i] -= c * g
+    return arr
 
-    Float subtraction of the large polynomial content would cancel
-    catastrophically; in rational arithmetic the residual closes exactly
-    (for polynomial inputs it is a constant at every index).  The horizon
-    is capped since exactness does not improve with length.
-    """
-    n_max = min(len(vals), 4000)
-    arr = [Fraction(v) for v in vals[:n_max]]
-    removed, _ = peel_ladder(
-        [(Fraction(c), int(e)) for c, e in eigendecomposition],
-        divergent_exponent, eigensequence_lower_order)
-    for c, e in removed:
-        # Gamma(n)/Gamma(n-e) = (n-1)(n-2)...(n-e), exactly
-        arr = [v - c * math.perm(n - 1, e) for n, v in enumerate(arr, 1)]
-    lo = max(1, n_max // 10)
-    tail = arr[lo:]
-    if all(v == tail[0] for v in tail):
-        return CesaroResult(
-            limit=tail[0] if cfg.exact_mode else float(tail[0]),
-            mechanism="generalised" if removed else "classical",
-            removed_terms=tuple(removed),
-            diagnostics={"horizon": n_max, "variation": 0.0, "exact": True})
-    inner = cesaro_limit_discrete([float(v) for v in arr], [],
-                                  cfg.with_(horizon=n_max),
-                                  extra_exponents=extra_exponents)
-    mech = "generalised" if removed else inner.mechanism
-    return CesaroResult(limit=inner.limit, mechanism=mech,
-                        q_used=inner.q_used,
-                        removed_terms=tuple(removed) + inner.removed_terms,
-                        diagnostics=inner.diagnostics)
+
+def _discrete_exact(arr, removed, cfg: LimitConfig) -> Optional[CesaroResult]:
+    """The limit of an exact residual whose last decade is one constant,
+    as it is for polynomial input; None otherwise."""
+    tail = arr[max(1, len(arr) // 10):]
+    if any(v != tail[0] for v in tail):
+        return None
+    return CesaroResult(
+        limit=tail[0] if cfg.exact_mode else float(tail[0]),
+        mechanism="generalised" if removed else "classical",
+        removed_terms=tuple(removed),
+        diagnostics={"horizon": len(arr), "variation": 0.0, "exact": True})
 
 
 def cesaro_limit_discrete(a, eigendecomposition: Sequence[tuple],
-                          cfg: LimitConfig = DEFAULT_CONFIG,
-                          extra_exponents: Sequence[complex] = ()) -> CesaroResult:
+                          cfg: LimitConfig = DEFAULT_CONFIG) -> CesaroResult:
     """Discrete generalised limit of a sequence a_1, a_2, ...
 
     eigendecomposition lists (coeff, rho) for the divergent power content
     of a.  Working top exponent first, the matching eigensequence
-    Gamma(n)/Gamma(n-rho) (the falling factorial at integer rho) is
-    subtracted and its lower-order terms are pushed back onto the pending
-    ledger, so the bookkeeping is exact.  Degree-zero pending content is
-    deliberately left in place: a constant sequence is its own discrete
-    limit, which is exactly how the integer-exponent anomalies show up.
-    If the residual still fails the classical test, annihilating factors
-    over the running-average operator are applied and escalated.
+    Gamma(n)/Gamma(n-rho) is subtracted and its lower-order terms are
+    pushed back onto the pending ledger, so the bookkeeping is exact; the
+    decaying content left on the ledger is subtracted outright.  Degree-zero
+    content is deliberately left in place: a constant sequence is its own
+    discrete limit, which is exactly how the integer-exponent anomalies
+    show up.
+
+    The subtraction runs in the arithmetic of the input: ints and Fractions
+    with nonnegative integer exponents stay exact on at most 4000 entries,
+    mpmath entries stay at the caller's working precision, anything else
+    runs in doubles.  The residual is judged in doubles; if its tail fails
+    the classical test, annihilating factors over the running-average
+    operator are applied and escalated.
     """
     n_max = cfg.horizon
     if callable(a):
@@ -302,80 +313,97 @@ def cesaro_limit_discrete(a, eigendecomposition: Sequence[tuple],
         n_max = len(vals)
     if n_max < 100:
         raise ValueError("need at least 100 sequence entries")
-    exact = (all(isinstance(v, (int, Fraction)) for v in vals)
-             and all(isinstance(c, (int, Fraction))
-                     and isinstance(e, (int, Fraction)) and
-                     Fraction(e).denominator == 1 and e >= 0
-                     for c, e in eigendecomposition))
-    if exact:
-        return _discrete_exact(vals, eigendecomposition, cfg, extra_exponents)
-    dtype = complex if any(isinstance(v, complex) for v in vals) else float
-    arr = np.asarray(vals, dtype=dtype)
-    ns = np.arange(1, n_max + 1, dtype=float)
+    pending = list(eigendecomposition)
+    types = set(map(type, vals))
+    if (all(issubclass(t, (int, Fraction)) for t in types)
+            and all(isinstance(c, (int, Fraction))
+                    and isinstance(e, (int, Fraction))
+                    and Fraction(e).denominator == 1 and e >= 0
+                    for c, e in pending)):
+        kind, n_max = "exact", min(n_max, 4000)
+        arr = np.array([Fraction(v) for v in vals[:n_max]], dtype=object)
+        pending = [(Fraction(c), int(e)) for c, e in pending]
+    elif any(issubclass(t, (mpmath.mpf, mpmath.mpc)) for t in types):
+        kind, arr = "mp", np.array(vals, dtype=object)
+        pending = [(mpmath.mpmathify(c), mpmath.mpmathify(e))
+                   for c, e in pending]
+    else:
+        kind = "complex" if any(issubclass(t, complex) for t in types) else (
+            "float")
+        arr = np.asarray(vals, dtype=complex if kind == "complex" else float)
+    del vals        # arr holds the entries now; keep one set of them alive
 
-    removed, pending = peel_ladder(
-        list(eigendecomposition), divergent_exponent,
-        eigensequence_lower_order)
+    removed, pending = peel_ladder(pending, divergent_exponent,
+                                   eigensequence_lower_order)
     for c, e in removed:
         n_int = _near_nonneg_int(e)
-        seq = _gamma_ratio_values(e if n_int is None else n_int, ns)
-        if dtype is complex:
-            arr = arr - complex(c) * seq.astype(complex)
-        else:
-            arr = arr - float(complex(c).real) * np.real(seq)
-
+        rho = e if n_int is None else n_int
+        seq = _gamma_ratio_values(
+            rho if kind in ("exact", "mp") else complex(rho), n_max)
+        arr = _minus(arr, c, seq, kind)
     # decaying content left on the ledger has exactly known coefficients,
     # so subtract it outright: a slowly decaying power like n^{-1/2} is far
     # too collinear with the constant over one decade to be fitted instead
+    ns = np.arange(1, n_max + 1, dtype=float)
     for c, e in pending:
         er = complex(e).real
         if -6 < er < -SNAP_RADIUS:
-            if dtype is complex:
-                arr = arr - complex(c) * ns.astype(complex) ** complex(e)
+            if kind == "float":
+                powers = ns ** er
+            elif kind == "complex":
+                powers = ns.astype(complex) ** complex(e)
             else:
-                arr = arr - float(complex(c).real) * ns ** er
+                powers = (mpmath.power(n, e) for n in range(1, n_max + 1))
+            arr = _minus(arr, c, powers, kind)
 
-    extras = []
-    for e in extra_exponents:
-        if all(abs(complex(e) - complex(d)) > 1e-9 for d in extras):
-            extras.append(e)
+    factor_terms = removed
+    if kind == "exact":
+        closed = _discrete_exact(arr, removed, cfg)
+        if closed is not None:
+            return closed
+        factor_terms = ()   # an exact subtraction leaves no eigencontent
+    if arr.dtype == object:
+        kind = "complex" if any(isinstance(v, mpmath.mpc) for v in arr) else (
+            "float")
+        arr = np.array([complex(v) if kind == "complex" else float(v)
+                        for v in arr])
 
-    work = arr
     q_factors = []
     applied_factors = False
     escalations = 0
     for stage in range(cfg.max_pure_power + 1):
-        ns_tail, tail = sequence_tail(work)
+        ns_tail, tail = sequence_tail(arr)
         variation = relative_spread(tail)
-        fit = fit_limit_array(ns_tail, tail, extra_exponents=extras)
+        fit = fit_limit_array(ns_tail, tail)
         scale = max(1.0, abs(complex(fit.limit)))
         if (variation <= cfg.detect_tolerance
                 or fit.residual_rms <= cfg.detect_tolerance * scale):
-            limit = _maybe_snap(fit.limit, cfg)
-            mech = "generalised" if (removed or applied_factors) else (
-                "classical" if escalations == 0 else f"strong({escalations})")
+            # the first failed stage sets applied_factors, so any escalated
+            # result is reported generalised, pure averaging included
+            mech = ("generalised" if (removed or applied_factors)
+                    else "classical")
             q_used = (build_regular_polynomial(q_factors, escalations)
                       if (q_factors or escalations) else None)
             return CesaroResult(
-                limit=limit, mechanism=mech, q_used=q_used,
-                removed_terms=tuple(removed),
+                limit=_maybe_snap(fit.limit, cfg), mechanism=mech,
+                q_used=q_used, removed_terms=tuple(removed),
                 diagnostics={"horizon": n_max, "variation": variation,
                              "stderr": fit.stderr, "escalations": escalations})
         if not applied_factors:
             applied_factors = True
-            for _, e in removed:
+            for _, e in factor_terms:
                 if abs(complex(e)) <= SNAP_RADIUS:
                     continue
                 lam = 1 / (e + 1)
                 if abs(complex(lam) - 1) <= SNAP_RADIUS:
                     continue
                 q_factors.append((lam, 1))
-                lam_n = complex(lam) if dtype is complex else float(
+                lam_n = complex(lam) if kind == "complex" else float(
                     complex(lam).real)
-                work = (apply_P_D(work) - lam_n * work) / (1 - lam_n)
+                arr = (apply_P_D(arr) - lam_n * arr) / (1 - lam_n)
             if q_factors:
                 continue
-        work = apply_P_D(work)
+        arr = apply_P_D(arr)
         escalations += 1
     raise NotConvergentError(
         "discrete escalation exhausted", diagnostics={"horizon": n_max})

@@ -39,8 +39,6 @@ class LimitConfig:
     detect_tolerance: float = 1e-3
     max_pure_power: int = 6
     exact_mode: bool = False
-    cross_check_tol: float = 1e-6
-    snap_radius: float = SNAP_RADIUS
 
     def __post_init__(self):
         if self.horizon < 10**2:

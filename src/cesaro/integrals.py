@@ -10,18 +10,17 @@ terms at distinct endpoints can never cancel against each other.
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.integrate import quad
 
 from .asymptotics import AsymptoticExpansion, ExpansionTerm
-from .config import DEFAULT_CONFIG, LimitConfig
-from .errors import (FitFailureError, IllegalCancellationError, PoleSignal,
-                     QuadratureError, is_pole)
+from .config import DEFAULT_CONFIG, LimitConfig, SNAP_RADIUS
+from .errors import (CesaroError, FitFailureError, IllegalCancellationError,
+                     PoleSignal, QuadratureError)
 from .tailfit import lstsq_columns, power_column
 
 __all__ = [
@@ -244,9 +243,9 @@ def _analyze_endpoint(f, point: SingularPoint, anchor: float, cfg: LimitConfig,
         resid = ys.astype(complex) if complex_valued else ys.copy()
         for t in point.expansion.terms:
             er = complex(t.exponent).real
-            if er > cfg.snap_radius or (abs(er) <= cfg.snap_radius
-                                        and t.log_power >= 1):
-                if t.log_power >= 1 and abs(er) <= cfg.snap_radius:
+            if er > SNAP_RADIUS or (abs(er) <= SNAP_RADIUS
+                                    and t.log_power >= 1):
+                if t.log_power >= 1 and abs(er) <= SNAP_RADIUS:
                     log_coeff = log_coeff + complex(t.coeff)
                 removed.append((t.coeff, t.exponent, t.log_power))
             resid = resid - _term_values(t, xs)
@@ -263,7 +262,7 @@ def _analyze_endpoint(f, point: SingularPoint, anchor: float, cfg: LimitConfig,
     if point.expansion != "fit":
         raise ValueError("expansion must be an AsymptoticExpansion or 'fit'")
     powers = [e for e in point.fit_exponents
-              if abs(complex(e)) > cfg.snap_radius]
+              if abs(complex(e)) > SNAP_RADIUS]
     coef, names, rms = _lstsq_fit(xs, ys, powers)
     if rms <= max(cfg.tail_tolerance * scale, 1e-8):
         removed = tuple((c, e, 0) for c, (kind, e, _m)
@@ -404,7 +403,7 @@ def cesaro_integral(f: Callable, spec: DomainSpec,
 # ---------------------------------------------------------------------------
 # Mellin transform of 1/(1+x)
 
-def _mellin_expansions(sc, snap: float):
+def _mellin_expansions(sc):
     """Registered cutoff expansions of the Mellin integrand x^{s-1}/(1+x).
 
     Near zero the geometric series 1 - x + x^2 - ... integrates term by
@@ -421,7 +420,7 @@ def _mellin_expansions(sc, snap: float):
     terms0 = []
     for n in range(N + 1):
         d = sc + n
-        if abs(d) <= snap:
+        if abs(d) <= SNAP_RADIUS:
             terms0.append(ExpansionTerm(coeff=scal(complex((-1) ** n)),
                                         exponent=0, log_power=1, variable="X"))
         else:
@@ -431,7 +430,7 @@ def _mellin_expansions(sc, snap: float):
     terms_inf = []
     for m in range(M + 1):
         d = sc - 1 - m
-        if abs(d) <= snap:
+        if abs(d) <= SNAP_RADIUS:
             terms_inf.append(ExpansionTerm(coeff=scal(complex((-1) ** m)),
                                            exponent=0, log_power=1,
                                            variable="X"))
@@ -455,7 +454,7 @@ def mellin_1_over_1px(s, cfg: LimitConfig = DEFAULT_CONFIG):
     """
     sc = complex(s)
     n0 = round(sc.real)
-    if abs(sc - n0) <= cfg.snap_radius:
+    if abs(sc - n0) <= SNAP_RADIUS:
         delta = 1e-4
         try:
             lo = mellin_1_over_1px(n0 - delta, cfg)
@@ -463,13 +462,13 @@ def mellin_1_over_1px(s, cfg: LimitConfig = DEFAULT_CONFIG):
             residue = complex(delta * (complex(hi) - complex(lo)) / 2)
             if abs(residue.imag) < 1e-6:
                 residue = residue.real
-        except Exception:
+        except CesaroError:
             residue = None
         return PoleSignal(origin="mellin-1/(1+x)", log_power=1,
                           residue=residue,
                           detail=f"simple pole of the Mellin transform "
                                  f"at s={n0}")
-    e0, einf = _mellin_expansions(sc, cfg.snap_radius)
+    e0, einf = _mellin_expansions(sc)
     if sc.imag:
         def f(x):
             return complex(x) ** (sc - 1) / (1 + x)

@@ -11,7 +11,7 @@ while still preserving every classical limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -20,8 +20,7 @@ import numpy as np
 from .config import LAMBDA_EPS
 from .errors import (CrossCheckMismatchError, LambdaIsOneError,
                      VanishingMassError)
-from .seqfun import (NODES, PARTIAL_FROM_VALUES, PiecewiseFn, TO_MONOMIAL,
-                     WEIGHTS)
+from .seqfun import NODES, PARTIAL_FROM_VALUES, PiecewiseFn
 
 __all__ = [
     "apply_P",
@@ -46,14 +45,8 @@ def apply_P(f: PiecewiseFn) -> PiecewiseFn:
         return f._averaged
 
     def gen(k0, k1):
-        vals = f.node_values(k1)[k0:k1]
-        pre = f.prefix(k1)[k0:k1]
-        if f.kind == "step":
-            partial = vals[:, :1] * NODES[None, :]
-        else:
-            partial = vals @ PARTIAL_FROM_VALUES.T
-        ks = np.arange(k0, k1, dtype=np.float64)[:, None]
-        return (pre[:, None] + partial) / (ks + NODES[None, :])
+        return average_nodes(f.node_values(k1)[k0:k1], f.prefix(k1)[k0:k1],
+                             k0, step=f.kind == "step")
 
     def pv(x):
         x = float(x)
@@ -65,6 +58,18 @@ def apply_P(f: PiecewiseFn) -> PiecewiseFn:
                     label=f"P[{f.label}]")
     f._averaged = g
     return g
+
+
+def average_nodes(vals, pre, k0: int = 0, step: bool = False):
+    """Node values of (1/x) * integral_0^x f on cells k0, k0+1, ..., from
+    f's node values there and its integral up to each cell's start (step: f
+    is constant on each cell).  Float, complex or mpmath object arrays."""
+    if step:
+        partial = vals[:, :1] * NODES[None, :]
+    else:
+        partial = vals @ PARTIAL_FROM_VALUES.T
+    ks = np.arange(k0, k0 + len(vals), dtype=np.float64)[:, None]
+    return (pre[:, None] + partial) / (ks + NODES[None, :])
 
 
 def P_on_term(rho, m: int):

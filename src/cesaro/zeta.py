@@ -13,31 +13,36 @@ continued value.  Two independent routes compute it:
 Route (a) is the precision workhorse, route (b) the structural validator;
 they must agree or the evaluation raises, never guesses.
 
-The discrete-operator variant of the same computation goes anomalous at
-nonpositive integer s, where the p-sum is a polynomial whose every power
-carries discrete limit 1; the corrected evaluation recovers the true value
-by differentiating the factored annihilator at the anomaly (a L'Hopital
-computation in s at fixed index, then the limit in the index).
+The discrete-operator variant hands the p-sums and their divergence model
+to the one discrete driver, climits.cesaro_limit_discrete, which peels the
+model's eigensequences in the arithmetic of the p-sums: exact integers at
+nonpositive integer s, 30-digit mpmath numbers below Re(s) = -0.5, doubles
+elsewhere.  It goes anomalous at nonpositive integer s, where the p-sum is
+a polynomial whose every power carries discrete limit 1; the corrected
+evaluation recovers the true value by differentiating the factored
+annihilator at the anomaly (a L'Hopital computation in s at fixed index,
+then the limit in the index).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
 
 import mpmath
 import numpy as np
 
-from .asymptotics import (bernoulli, eigensequence_lower_order, peel_ladder,
-                          zeta_psum_expansion)
-from .climits import (CesaroResult, cesaro_limit_discrete, strong_cesaro_limit,
-                      _near_nonneg_int)
+from .asymptotics import bernoulli, zeta_psum_expansion
+from .climits import (cesaro_limit_discrete, strong_cesaro_limit,
+                      _gamma_ratio_values, _near_nonneg_int)
 from .config import DEFAULT_CONFIG, LimitConfig, SNAP_RADIUS
-from .errors import (CrossCheckMismatchError, MissingDerivativeTermError,
-                     NonIntegerRhoError, PoleSignal, SAtPoleError, is_pole)
-from .operators import apply_P, apply_P_D, build_regular_polynomial
+from .errors import (CrossCheckMismatchError, LambdaIsOneError,
+                     MissingDerivativeTermError, NonIntegerRhoError,
+                     PoleSignal, SAtPoleError, is_pole)
+from .operators import (apply_P, apply_P_D, average_nodes,
+                        build_regular_polynomial)
 from .seqfun import PiecewiseFn, SeriesTerms, n_pow_minus_s, psum_function
 from .tailfit import (fit_limit, fit_limit_array, sequence_tail,
                       snap_to_rational)
@@ -183,7 +188,7 @@ def _route_b_mp(s, cfg: LimitConfig, horizon: int = 1000, dps: int = 35):
     horizon.  numpy object arrays carry the mpmath scalars through the
     usual matrix products.
     """
-    from .seqfun import NODES, PARTIAL_FROM_VALUES, WEIGHTS
+    from .seqfun import NODES, WEIGHTS
     sc = complex(s)
     r = int(math.floor(-sc.real)) + 1
     with mpmath.workdps(dps):
@@ -199,11 +204,9 @@ def _route_b_mp(s, cfg: LimitConfig, horizon: int = 1000, dps: int = 35):
                 x = mpmath.mpf(k) + a
                 vals[k, i] = base - mpmath.power(x, g) / g
         for _ in range(max(0, r)):
-            integrals = vals @ WEIGHTS
-            prefix = np.concatenate([[mpmath.mpf(0)], np.cumsum(integrals)])
-            partial = vals @ PARTIAL_FROM_VALUES.T
-            ks = np.arange(horizon, dtype=float)[:, None]
-            vals = (prefix[:-1, None] + partial) / (ks + NODES[None, :])
+            cumulative = np.cumsum(vals @ WEIGHTS)
+            vals = average_nodes(vals, np.concatenate([[mpmath.mpf(0)],
+                                                       cumulative[:-1]]))
         means = vals @ WEIGHTS
         if sc.imag:
             ys = np.array([complex(v) for v in means])
@@ -220,7 +223,11 @@ def _route_b_mp(s, cfg: LimitConfig, horizon: int = 1000, dps: int = 35):
     return fit, r
 
 
-def _route_b_tol(s, cfg: LimitConfig) -> float:
+#: agreement window of the two routes for Re(s) >= -1
+CROSS_CHECK_TOL = 1e-6
+
+
+def _route_b_tol(s) -> float:
     """Honest agreement tolerance for the averaging validator.
 
     The averaged residual after subtracting the leading power carries
@@ -229,7 +236,7 @@ def _route_b_tol(s, cfg: LimitConfig) -> float:
     cross-check window widens with depth instead of pretending otherwise.
     """
     depth = max(0.0, -complex(s).real - 1.0)
-    return cfg.cross_check_tol * 10.0 ** depth
+    return CROSS_CHECK_TOL * 10.0 ** depth
 
 
 def _route_b(s, cfg: LimitConfig):
@@ -272,7 +279,7 @@ def _report_annihilator(s, r: int):
     lam = 1 / (2 - s)
     try:
         return build_regular_polynomial([(lam, 1)], pure_power=r)
-    except Exception:
+    except LambdaIsOneError:
         return None
 
 
@@ -285,7 +292,7 @@ def zeta(s, cfg: LimitConfig = DEFAULT_CONFIG) -> ZetaEvaluation:
     At s = 1 the outcome is a pole signal carrying residue 1.
     """
     sc = complex(s)
-    if abs(sc - 1) <= cfg.snap_radius:
+    if abs(sc - 1) <= SNAP_RADIUS:
         return ZetaEvaluation(
             s=s, value=PoleSignal(origin="dirichlet-series", log_power=1,
                                   residue=1), path="pole")
@@ -295,7 +302,7 @@ def zeta(s, cfg: LimitConfig = DEFAULT_CONFIG) -> ZetaEvaluation:
         value = _exact_constant(s_int)
         fit_b, r = (_route_b_mp(s_int, cfg) if s_int < 0
                     else _route_b(s_int, cfg))
-        if abs(complex(fit_b.limit) - complex(value)) > _route_b_tol(s_int, cfg):
+        if abs(complex(fit_b.limit) - complex(value)) > _route_b_tol(s_int):
             raise CrossCheckMismatchError(
                 f"continuation routes disagree at s={s}",
                 value_a=value, value_b=fit_b.limit)
@@ -314,7 +321,7 @@ def zeta(s, cfg: LimitConfig = DEFAULT_CONFIG) -> ZetaEvaluation:
         fit_b, r = _route_b_mp(s, cfg)
     else:
         fit_b, r = _route_b(s, cfg)
-    tol = max(_route_b_tol(sc, cfg), 30 * fit_b.stderr, 10 * trunc_err)
+    tol = max(_route_b_tol(sc), 30 * fit_b.stderr, 10 * trunc_err)
     if abs(complex(fit_b.limit) - complex(C)) > tol:
         raise CrossCheckMismatchError(
             f"continuation routes disagree at s={s}",
@@ -361,90 +368,56 @@ def eta(s, cfg: LimitConfig = DEFAULT_CONFIG):
 # ---------------------------------------------------------------------------
 # Discrete framework
 
-def _ext_mp(s, cfg: LimitConfig, horizon: int = 4000, dps: int = 30):
-    """Discrete evaluation in software floats for deep Re(s) < 0.
+def _psum_content(s) -> list:
+    """The p-sum's divergence model as (coeff, exponent), arithmetic of s."""
+    return [(t.coeff, t.exponent) for t in zeta_psum_expansion(s).terms]
 
-    Same eigensequence ladder as the generic discrete driver: subtract
-    gamma-ratio eigensequences for the divergent exponents top-down,
-    push their lower-order asymptotic content onto the ledger, subtract
-    the decaying remainder outright, then fit the tail of the residual.
+
+def _ext_mp(s, cfg: LimitConfig, horizon: int = 4000, dps: int = 30):
+    """The discrete evaluation on 30-digit p-sums, for deep Re(s) < 0.
 
     The subtraction cancels ~|1-Re(s)| leading digits of the p-sum, so
     exponents need working precision as much as coefficients do: a double
     holds 1-s only to ~1e-16, and at n = 4000 that error times ln n times
-    a p-sum of ~1e14 is an error of order 1 in the value.  The model, the
-    ledger and the eigensequences therefore all stay in mpmath numbers.
+    a p-sum of ~1e14 is an error of order 1 in the value.  So the p-sums
+    and the model are built at an mpmath s, and the discrete driver peels
+    them in that arithmetic, at the same working precision.
     """
     sc = complex(s)
-    order = max(2, int(math.floor(-sc.real + 1)) + 3)
     with mpmath.workdps(dps):
         smp = mpmath.mpmathify(sc) if sc.imag else mpmath.mpf(sc.real)
-        arr = []
-        acc = mpmath.mpf(0)
-        for n in range(1, horizon + 1):
-            acc += mpmath.power(n, -smp)
-            arr.append(acc)
-        model = zeta_psum_expansion(smp, order)
-        removed, pend = peel_ladder(
-            [(t.coeff, t.exponent) for t in model.terms],
-            lambda e: e.real > SNAP_RADIUS, eigensequence_lower_order)
-        for c, e in removed:
-            for n in range(1, horizon + 1):
-                arr[n - 1] -= c * mpmath.gamma(n) / mpmath.gamma(n - e)
-        for c, e in pend:
-            if -8 < e.real < -SNAP_RADIUS:
-                for n in range(1, horizon + 1):
-                    arr[n - 1] -= c * mpmath.power(n, e)
-        if sc.imag:
-            ys = np.array([complex(v) for v in arr])
-        else:
-            ys = np.array([float(mpmath.re(v)) for v in arr])
-    fit = fit_limit_array(*sequence_tail(ys))
-    return fit, [(complex(c), complex(e)) for c, e in removed]
+        psums = itertools.accumulate(
+            mpmath.power(n, -smp) for n in range(1, horizon + 1))
+        return cesaro_limit_discrete(psums, _psum_content(smp),
+                                     cfg.with_(horizon=horizon))
 
 
 def zeta_discrete_ext(s, cfg: LimitConfig = DEFAULT_CONFIG) -> ZetaEvaluation:
     """Discrete-operator evaluation; anomalous at nonpositive integers.
 
-    At integer s <= 0 the p-sum is a polynomial in the index; every power
-    has discrete limit 1, so the value collapses to the polynomial at 1,
-    which is always 1.  The anomaly flag marks these points.
+    Only the arithmetic of the p-sums is chosen here (see the module
+    docstring).  At integer s <= 0 the p-sum is a polynomial in the index;
+    every power has discrete limit 1, so the value collapses to the
+    polynomial at 1, which is always 1.  The anomaly flag marks these points.
     """
     sc = complex(s)
-    if abs(sc - 1) <= cfg.snap_radius:
+    if abs(sc - 1) <= SNAP_RADIUS:
         raise SAtPoleError("the discrete evaluation shares the pole at s = 1")
     s0 = _near_nonneg_int(-sc)
-    if s0 is None and sc.real < -0.5:
-        # deep strip: double precision cannot carry the subtraction, see
-        # _ext_mp; run the same ladder in software floats
-        fit, removed = _ext_mp(s, cfg)
-        value = fit.limit
-        return ZetaEvaluation(s=s, value=value, path="discrete-cesaro",
-                              anomaly=False,
-                              diagnostics={"stderr": fit.stderr,
-                                           "removed": tuple(removed),
-                                           "precision": "mp"})
-    exp = zeta_psum_expansion(-s0 if s0 is not None else
-                              (sc if sc.imag else sc.real))
-    decomposition = [(t.coeff, t.exponent) for t in exp.terms
-                     if complex(t.exponent).real > -6]
-    extras = []
-    horizon = min(cfg.horizon, 10**5)
-    if s0 is not None:
-        # exact integer partial sums; the driver takes its exact path and
-        # the polynomial residual closes without float cancellation
-        psums = []
-        acc = 0
-        for n in range(1, min(horizon, 4000) + 1):
-            acc += n ** s0
-            psums.append(acc)
-    else:
-        series = n_pow_minus_s(sc if sc.imag else sc.real)
-        psums = series.psum_array(horizon)[1:]
-    result = cesaro_limit_discrete(psums, decomposition,
-                                   cfg.with_(horizon=horizon),
-                                   extra_exponents=extras)
     anomaly = s0 is not None
+    horizon = min(cfg.horizon, 10**5)
+    if not anomaly and sc.real < -0.5:
+        result = _ext_mp(s, cfg)
+    else:
+        if anomaly:
+            s_num = -s0
+            psums = itertools.accumulate(
+                n ** s0 for n in range(1, min(horizon, 4000) + 1))
+        else:
+            s_num = sc if sc.imag else sc.real
+            psums = n_pow_minus_s(s_num).psum_array(horizon)[1:]
+        result = cesaro_limit_discrete(psums, _psum_content(s_num),
+                                       cfg.with_(horizon=horizon))
     value = result.limit
     if anomaly:
         snapped = snap_to_rational(value, tol=1e-6)
@@ -453,10 +426,7 @@ def zeta_discrete_ext(s, cfg: LimitConfig = DEFAULT_CONFIG) -> ZetaEvaluation:
             raise CrossCheckMismatchError(
                 f"integer-point evaluation expected the anomalous value 1, "
                 f"got {value}")
-        if cfg.exact_mode:
-            value = Fraction(1)
-        else:
-            value = 1.0
+        value = Fraction(1) if cfg.exact_mode else 1.0
     return ZetaEvaluation(s=s, value=value, path="discrete-cesaro",
                           q_used=result.q_used, anomaly=anomaly,
                           diagnostics=result.diagnostics)
@@ -606,8 +576,6 @@ def discrete_eigensequence(rho, kind: str, length: int = 50):
     if kind == "asymptotic-strip":
         if complex(rho).real < 0:
             raise ValueError("requires Re(rho) >= 0")
-        from .climits import _gamma_ratio_values
-        ns = np.arange(1, length + 1, dtype=float)
-        seq = _gamma_ratio_values(rho, ns)
+        seq = _gamma_ratio_values(complex(rho), length)
         return seq if complex(rho).imag else np.real(seq)
     raise ValueError(f"unknown kind {kind!r}")

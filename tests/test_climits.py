@@ -4,6 +4,7 @@ closed-form mixed-coordinate tables."""
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -182,6 +183,17 @@ def test_discrete_limit_exact_arithmetic():
     cfg = FAST.with_(exact_mode=True)
     res = cesaro_limit_discrete([Fraction(5)] * 500, [], cfg)
     assert res.limit == Fraction(5)
+
+
+def test_discrete_limit_runs_in_mpmath_arithmetic():
+    # n^3.5 + 1/3 cancels ~12 digits at n = 2000; 30-digit entries keep
+    # them through the subtraction, where doubles are left with ~1e-4
+    with mpmath.workdps(30):
+        rho = mpmath.mpf("3.5")
+        vals = [mpmath.mpf(n) ** rho + mpmath.mpf(1) / 3
+                for n in range(1, 2001)]
+        res = cesaro_limit_discrete(vals, [(1, rho)], FAST)
+    assert res.limit == pytest.approx(1 / 3, abs=1e-12)
 
 
 def test_discrete_limit_needs_enough_entries():

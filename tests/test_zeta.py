@@ -3,9 +3,11 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
+from cesaro.climits import _gamma_ratio_values
 from cesaro.config import DEFAULT_CONFIG
 from cesaro.errors import MissingDerivativeTermError, SAtPoleError, is_pole
 from cesaro.operators import apply_P_D, apply_P_D_inverse
@@ -151,6 +153,17 @@ def test_discrete_ext_off_integers_matches_continuation():
         assert complex(ev.value).real == pytest.approx(oracle[s], abs=tol)
 
 
+@pytest.mark.parametrize("s", [complex(-1, 2), complex(-2, 1),
+                               complex(-1, -0.5), complex(-3, 0.3)])
+def test_discrete_ext_integer_real_part(s):
+    # at Re s = -m the model carries a purely imaginary exponent, a bounded
+    # oscillation n^{-i Im s} that has to be peeled like any divergence
+    with mpmath.workdps(30):
+        want = complex(mpmath.zeta(mpmath.mpc(s)))
+    ev = zeta_discrete_ext(s, CFG)
+    assert abs(complex(ev.value) - want) <= 1e-8 * abs(want)
+
+
 def test_discrete_ext_complex_point():
     s = complex(-1.2, 0.7)
     ev = zeta_discrete_ext(s, CFG)
@@ -243,6 +256,15 @@ def test_eigensequence_strip_residual_is_boundary_term():
     resid = avg - v / (rho + 1) - boundary
     rel = np.abs(resid) / np.maximum(1.0, np.abs(v))
     assert np.max(rel[5:]) < 1e-12
+
+
+def test_gamma_ratio_values_in_each_arithmetic():
+    assert _gamma_ratio_values(3, 6) == [0, 0, 0, 6, 24, 60]
+    with mpmath.workdps(30):
+        for rho in (mpmath.mpf("4.1"), mpmath.mpc("1.9", "-1.6")):
+            got = _gamma_ratio_values(rho, 4000)[-1]
+            want = mpmath.gamma(4000) / mpmath.gamma(4000 - rho)
+            assert abs(got - want) <= mpmath.mpf("1e-25") * abs(want)
 
 
 def test_eigensequence_rejects_bad_kind():
