@@ -378,10 +378,10 @@ def cesaro_limit_discrete(a, eigendecomposition: Sequence[tuple],
         scale = max(1.0, abs(complex(fit.limit)))
         if (variation <= cfg.detect_tolerance
                 or fit.residual_rms <= cfg.detect_tolerance * scale):
-            # the first failed stage sets applied_factors, so any escalated
-            # result is reported generalised, pure averaging included
-            mech = ("generalised" if (removed or applied_factors)
-                    else "classical")
+            if removed or q_factors:
+                mech = "generalised"
+            else:
+                mech = f"strong({escalations})" if escalations else "classical"
             q_used = (build_regular_polynomial(q_factors, escalations)
                       if (q_factors or escalations) else None)
             return CesaroResult(

@@ -113,7 +113,7 @@ def _quad_piece(f, a: float, b: float, complex_valued: bool):
             return re + 1j * im
         val, _ = quad(f, a, b, **opts)
         return val
-    except Exception as exc:
+    except (ArithmeticError, ValueError, TypeError) as exc:
         raise QuadratureError(f"quadrature failed on [{a}, {b}]: {exc}",
                               interval=(a, b)) from exc
 
@@ -305,7 +305,7 @@ def cesaro_integral(f: Callable, spec: DomainSpec,
     points = spec.points
     try:
         probe = f(1.0)
-    except Exception:
+    except (TypeError, AttributeError):
         probe = f(np.float64(1.0))
     complex_valued = isinstance(probe, complex)
 

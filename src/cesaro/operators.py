@@ -63,7 +63,8 @@ def apply_P(f: PiecewiseFn) -> PiecewiseFn:
 def average_nodes(vals, pre, k0: int = 0, step: bool = False):
     """Node values of (1/x) * integral_0^x f on cells k0, k0+1, ..., from
     f's node values there and its integral up to each cell's start (step: f
-    is constant on each cell).  Float, complex or mpmath object arrays."""
+    is constant on each cell).  Float or complex arrays, or double-double
+    arrays (cesaro.dd.DDArray) for the smooth kind."""
     if step:
         partial = vals[:, :1] * NODES[None, :]
     else:

@@ -16,12 +16,12 @@ they must agree or the evaluation raises, never guesses.
 The discrete-operator variant hands the p-sums and their divergence model
 to the one discrete driver, climits.cesaro_limit_discrete, which peels the
 model's eigensequences in the arithmetic of the p-sums: exact integers at
-nonpositive integer s, 30-digit mpmath numbers below Re(s) = -0.5, doubles
-elsewhere.  It goes anomalous at nonpositive integer s, where the p-sum is
-a polynomial whose every power carries discrete limit 1; the corrected
-evaluation recovers the true value by differentiating the factored
-annihilator at the anomaly (a L'Hopital computation in s at fixed index,
-then the limit in the index).
+nonpositive integer s, mpmath numbers of at least 30 digits below
+Re(s) = -0.5, doubles elsewhere.  It goes anomalous at nonpositive integer
+s, where the p-sum is a polynomial whose every power carries discrete
+limit 1; the corrected evaluation recovers the true value by
+differentiating the factored annihilator at the anomaly (a L'Hopital
+computation in s at fixed index, then the limit in the index).
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .asymptotics import bernoulli, zeta_psum_expansion
 from .climits import (cesaro_limit_discrete, strong_cesaro_limit,
                       _gamma_ratio_values, _near_nonneg_int)
 from .config import DEFAULT_CONFIG, LimitConfig, SNAP_RADIUS
+from .dd import DDArray
 from .errors import (CrossCheckMismatchError, LambdaIsOneError,
                      MissingDerivativeTermError, NonIntegerRhoError,
                      PoleSignal, SAtPoleError, is_pole)
@@ -184,9 +185,10 @@ def _route_b_mp(s, cfg: LimitConfig, horizon: int = 1000, dps: int = 35):
 
     The subtraction p-sum minus x^{1-s}/(1-s) cancels ~|1-Re(s)| leading
     digits pointwise, which exhausts double precision once Re(s) < -1, so
-    the same node/average algorithm runs in software floats on a reduced
-    horizon.  numpy object arrays carry the mpmath scalars through the
-    usual matrix products.
+    the node values are made in 35-digit mpmath on a reduced horizon and
+    rounded once to double-double (about 32 digits), in which the usual
+    node/average passes run.  Every pass is real-linear with real
+    coefficients, so complex s runs them on the real and imaginary parts.
     """
     from .seqfun import NODES, WEIGHTS
     sc = complex(s)
@@ -197,21 +199,21 @@ def _route_b_mp(s, cfg: LimitConfig, horizon: int = 1000, dps: int = 35):
         psum = [mpmath.mpf(0)]
         for n in range(1, horizon + 1):
             psum.append(psum[-1] + mpmath.power(n, -smp))
-        vals = np.empty((horizon, 8), dtype=object)
+        vals = []
         for k in range(horizon):
             base = psum[k]
-            for i, a in enumerate(NODES):
+            for a in NODES:
                 x = mpmath.mpf(k) + a
-                vals[k, i] = base - mpmath.power(x, g) / g
-        for _ in range(max(0, r)):
-            cumulative = np.cumsum(vals @ WEIGHTS)
-            vals = average_nodes(vals, np.concatenate([[mpmath.mpf(0)],
-                                                       cumulative[:-1]]))
-        means = vals @ WEIGHTS
-        if sc.imag:
-            ys = np.array([complex(v) for v in means])
-        else:
-            ys = np.array([float(mpmath.re(v)) for v in means])
+                vals.append(base - mpmath.power(x, g) / g)
+        parts = ([[v.real for v in vals], [v.imag for v in vals]]
+                 if sc.imag else [vals])
+        means = []
+        for part in parts:
+            dd = DDArray.from_values(part, (horizon, len(NODES)))
+            for _ in range(max(0, r)):
+                dd = average_nodes(dd, (dd @ WEIGHTS).exclusive_cumsum())
+            means.append((dd @ WEIGHTS).to_float())
+    ys = means[0] + 1j * means[1] if sc.imag else means[0]
     xs = np.arange(horizon, dtype=float) + 0.5
     lo = horizon // 10
     extras = []
@@ -373,17 +375,20 @@ def _psum_content(s) -> list:
     return [(t.coeff, t.exponent) for t in zeta_psum_expansion(s).terms]
 
 
-def _ext_mp(s, cfg: LimitConfig, horizon: int = 4000, dps: int = 30):
-    """The discrete evaluation on 30-digit p-sums, for deep Re(s) < 0.
+def _ext_mp(s, cfg: LimitConfig, horizon: int = 4000):
+    """The discrete evaluation on mpmath p-sums, for deep Re(s) < 0.
 
     The subtraction cancels ~|1-Re(s)| leading digits of the p-sum, so
     exponents need working precision as much as coefficients do: a double
     holds 1-s only to ~1e-16, and at n = 4000 that error times ln n times
     a p-sum of ~1e14 is an error of order 1 in the value.  So the p-sums
     and the model are built at an mpmath s, and the discrete driver peels
-    them in that arithmetic, at the same working precision.
+    them in that arithmetic, at the same working precision.  The p-sum
+    reaches horizon^{1-Re s}, so the precision grows with depth to keep
+    15 digits after the cancellation, and is never below 30.
     """
     sc = complex(s)
+    dps = max(30, math.ceil(15 + (1 - sc.real) * math.log10(horizon)))
     with mpmath.workdps(dps):
         smp = mpmath.mpmathify(sc) if sc.imag else mpmath.mpf(sc.real)
         psums = itertools.accumulate(

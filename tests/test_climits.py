@@ -153,6 +153,15 @@ def test_nonempty_removed_terms_never_reports_strong():
     assert res.removed_terms and "strong" not in res.mechanism
 
 
+def test_discrete_pure_averaging_reports_strong():
+    # 1, -1, 1, ... needs one running average and nothing removed
+    res = cesaro_limit_discrete(lambda n: 1 if n % 2 else -1, [], FAST)
+    assert res.mechanism == "strong(1)"
+    assert res.removed_terms == () and res.diagnostics["escalations"] == 1
+    assert res.q_used.degree == 1 and not res.q_used.factors
+    assert res.limit == pytest.approx(0.0, abs=1e-4)
+
+
 def test_cdlim_power_values():
     assert cdlim_power(0) == 1
     assert cdlim_power(3) == 1

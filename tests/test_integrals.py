@@ -236,3 +236,16 @@ def test_mellin_outside_strip_matches_reflection_formula():
         want = math.pi / math.sin(math.pi * s)
         got = complex(mellin_1_over_1px(s, CFG)).real
         assert got == pytest.approx(want, abs=1e-4)
+
+
+@pytest.mark.parametrize("bad_at_one", [True, False])
+def test_integrand_runtime_error_propagates(bad_at_one):
+    # a fault of the integrand itself is not a quadrature failure: it
+    # leaves the scalar probe (at x = 1) or the quadrature unchanged
+    def f(x):
+        if bad_at_one or x != 1.0:
+            raise RuntimeError("integrand fault")
+        return 1.0
+
+    with pytest.raises(RuntimeError, match="integrand fault"):
+        cesaro_integral(f, DomainSpec(points=()), CFG)

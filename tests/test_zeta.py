@@ -12,10 +12,10 @@ from cesaro.config import DEFAULT_CONFIG
 from cesaro.errors import MissingDerivativeTermError, SAtPoleError, is_pole
 from cesaro.operators import apply_P_D, apply_P_D_inverse
 from cesaro.zeta import (FaulhaberPoly, _binomial_coefficients,
-                         _polynomial_branch, discrete_eigensequence, eta,
-                         faulhaber, zeta, zeta_discrete_corrected,
-                         zeta_discrete_ext, zeta_integral_rep,
-                         zeta_residue_at_1)
+                         _polynomial_branch, _route_b_mp,
+                         discrete_eigensequence, eta, faulhaber, zeta,
+                         zeta_discrete_corrected, zeta_discrete_ext,
+                         zeta_integral_rep, zeta_residue_at_1)
 
 CFG = DEFAULT_CONFIG
 
@@ -82,6 +82,23 @@ def test_zeta_dual_route_diagnostics_present():
     assert "route_b" in ev.diagnostics
     # the two routes agreed within the configured tolerance by construction
     assert abs(ev.diagnostics["route_b"] - complex(ev.value)) < 1e-4
+
+
+# route (b)'s limits as its averaging passes gave them in 35-digit mpmath
+# object arrays; the double-double passes reproduce them
+ROUTE_B_PINNED = {
+    -2: -8.719143122851894e-06,
+    -6: -0.0019066408954588276,
+    complex(-1.801101, 0.453996): complex(0.0009965596553875317,
+                                          -0.018950921088313824),
+}
+
+
+@pytest.mark.parametrize("s", list(ROUTE_B_PINNED))
+def test_route_b_mp_limit_pinned(s):
+    fit, _ = _route_b_mp(s, CFG)
+    want = ROUTE_B_PINNED[s]
+    assert abs(complex(fit.limit) - want) <= 1e-12 * abs(want)
 
 
 def test_zeta_residue_at_one():
@@ -151,6 +168,16 @@ def test_discrete_ext_off_integers_matches_continuation():
         ev = zeta_discrete_ext(s, CFG)
         assert not ev.anomaly
         assert complex(ev.value).real == pytest.approx(oracle[s], abs=tol)
+
+
+@pytest.mark.parametrize("s", [-4.496, -5.5])
+def test_discrete_ext_deep_real_points(s):
+    # the working precision grows with depth: at a fixed 30 digits the
+    # cancellation against a p-sum of ~1e20 left 3e-9 and 1e-5 relative
+    with mpmath.workdps(30):
+        want = float(mpmath.zeta(s))
+    ev = zeta_discrete_ext(s, CFG)
+    assert abs(complex(ev.value) - want) <= 1e-10 * abs(want)
 
 
 @pytest.mark.parametrize("s", [complex(-1, 2), complex(-2, 1),
