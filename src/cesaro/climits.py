@@ -299,11 +299,12 @@ def cesaro_limit_discrete(a, eigendecomposition: Sequence[tuple],
     show up.
 
     The subtraction runs in the arithmetic of the input: ints and Fractions
-    with nonnegative integer exponents stay exact on at most 4000 entries,
-    mpmath entries stay at the caller's working precision, anything else
-    runs in doubles.  The residual is judged in doubles; if its tail fails
-    the classical test, annihilating factors over the running-average
-    operator are applied and escalated.
+    with nonnegative integer exponents are first tried exact on at most 4000
+    entries, and if the residual does not close there, the whole input runs
+    in doubles as float input would; mpmath entries stay at the caller's
+    working precision, anything else runs in doubles.  The residual is
+    judged in doubles; if its tail fails the classical test, annihilating
+    factors over the running-average operator are applied and escalated.
     """
     n_max = cfg.horizon
     if callable(a):
@@ -331,7 +332,8 @@ def cesaro_limit_discrete(a, eigendecomposition: Sequence[tuple],
         kind = "complex" if any(issubclass(t, complex) for t in types) else (
             "float")
         arr = np.asarray(vals, dtype=complex if kind == "complex" else float)
-    del vals        # arr holds the entries now; keep one set of them alive
+    if kind != "exact":
+        del vals    # arr holds the entries now; keep one set of them alive
 
     removed, pending = peel_ladder(pending, divergent_exponent,
                                    eigensequence_lower_order)
@@ -356,12 +358,12 @@ def cesaro_limit_discrete(a, eigendecomposition: Sequence[tuple],
                 powers = (mpmath.power(n, e) for n in range(1, n_max + 1))
             arr = _minus(arr, c, powers, kind)
 
-    factor_terms = removed
     if kind == "exact":
         closed = _discrete_exact(arr, removed, cfg)
         if closed is not None:
             return closed
-        factor_terms = ()   # an exact subtraction leaves no eigencontent
+        return cesaro_limit_discrete([float(v) for v in vals],
+                                     eigendecomposition, cfg)
     if arr.dtype == object:
         kind = "complex" if any(isinstance(v, mpmath.mpc) for v in arr) else (
             "float")
@@ -391,7 +393,7 @@ def cesaro_limit_discrete(a, eigendecomposition: Sequence[tuple],
                              "stderr": fit.stderr, "escalations": escalations})
         if not applied_factors:
             applied_factors = True
-            for _, e in factor_terms:
+            for _, e in removed:
                 if abs(complex(e)) <= SNAP_RADIUS:
                     continue
                 lam = 1 / (e + 1)

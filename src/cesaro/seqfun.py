@@ -99,15 +99,15 @@ class PiecewiseFn:
     kind is one of:
 
     ``step``          constant a_k on [k, k+1); exact cumulative.
-    ``poly-in-alpha`` smooth on each interval, represented by node values.
-    ``generic``       backed by an arbitrary callable, sampled at the nodes.
+    ``poly-in-alpha`` smooth on each interval, represented by node values
+                      (sampled from a callable, or made by an operator).
     """
 
     def __init__(self, kind: str, gen, *, label: str = "",
                  point_value: Optional[Callable[[float], complex]] = None,
                  closed_cumulative: Optional[Callable] = None,
                  step_term: Optional[Callable[[int], complex]] = None):
-        if kind not in ("step", "poly-in-alpha", "generic"):
+        if kind not in ("step", "poly-in-alpha"):
             raise ValueError(f"unknown kind {kind!r}")
         self.kind = kind
         self.label = label
@@ -226,7 +226,7 @@ class PiecewiseFn:
         def gen(k0, k1):
             ks = np.arange(k0, k1, dtype=np.float64)[:, None]
             return np.asarray(fn(ks + NODES[None, :]))
-        return PiecewiseFn("generic", gen, label=label,
+        return PiecewiseFn("poly-in-alpha", gen, label=label,
                            point_value=lambda x: fn(np.array([float(x)]))[0],
                            closed_cumulative=closed_cumulative)
 

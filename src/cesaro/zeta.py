@@ -8,7 +8,7 @@ continued value.  Two independent routes compute it:
       the exact partial sums at moderate k (high-precision arithmetic, the
       truncation error is the first omitted correction term);
   (b) averaging: subtract the single divergent x-power analytically and
-      drive the remainder with pure averaging at the full horizon.
+      drive the remainder with pure averaging on a fixed grid of cells.
 
 Route (a) is the precision workhorse, route (b) the structural validator;
 they must agree or the evaluation raises, never guesses.
@@ -44,7 +44,8 @@ from .errors import (CrossCheckMismatchError, LambdaIsOneError,
                      PoleSignal, SAtPoleError, is_pole)
 from .operators import (apply_P, apply_P_D, average_nodes,
                         build_regular_polynomial)
-from .seqfun import PiecewiseFn, SeriesTerms, n_pow_minus_s, psum_function
+from .seqfun import (NODES, WEIGHTS, PiecewiseFn, SeriesTerms, n_pow_minus_s,
+                     psum_function)
 from .tailfit import (fit_limit, fit_limit_array, sequence_tail,
                       snap_to_rational)
 
@@ -146,21 +147,26 @@ def zeta_integral_rep(s0: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # Route (a): constant extraction at high precision
 
-def _psum_constant_mp(s, K: int = 400, order: int = 12, dps: int = 40):
+#: route (a)'s direct terms, Euler-Maclaurin order and working digits
+ROUTE_A_TERMS, ROUTE_A_ORDER, ROUTE_A_DPS = 400, 12, 40
+
+
+def _psum_constant_mp(s):
     """Unknown constant of the p-sum model, by high-precision subtraction.
 
-    Computes sum_{n<=K} n^{-s} minus the p-sum model evaluated at K, both
-    at working precision; the truncation error is on the order of the
-    first omitted Bernoulli term, reported as a diagnostic bound.
+    Computes sum_{n<=K} n^{-s}, K = ROUTE_A_TERMS, minus the p-sum model
+    evaluated at K, both at working precision; the truncation error is on
+    the order of the first omitted Bernoulli term, reported as a
+    diagnostic bound.
     """
-    with mpmath.workdps(dps):
+    with mpmath.workdps(ROUTE_A_DPS):
         sc = mpmath.mpmathify(complex(s)) if complex(s).imag else mpmath.mpf(
             complex(s).real)
         total = mpmath.mpf(0)
-        for n in range(1, K + 1):
+        for n in range(1, ROUTE_A_TERMS + 1):
             total += mpmath.power(n, -sc)
-        k = mpmath.mpf(K)
-        model = zeta_psum_expansion(sc, order)
+        k = mpmath.mpf(ROUTE_A_TERMS)
+        model = zeta_psum_expansion(sc, ROUTE_A_ORDER)
         C = total - model.evaluate(k)
         err = float(abs(model.terms[-1].evaluate(k)))
         if abs(complex(s).imag) > 0:
@@ -178,49 +184,72 @@ def _exact_constant(s0: int):
 
 
 # ---------------------------------------------------------------------------
-# Route (b): subtract the x-divergence, average at the horizon
+# Route (b): subtract the x-divergence, average the remainder
 
-def _route_b_mp(s, cfg: LimitConfig, horizon: int = 1000, dps: int = 35):
-    """High-precision variant of the averaging route for deep Re(s) < 0.
+#: cells of route (b)'s node grid, the same for every s: float p-sums over
+#: 10^5 cells lose about 1e-6 to rounding, over 1000 cells about 1e-8
+ROUTE_B_CELLS = 1000
+
+
+def _route_b_mp(s) -> list:
+    """Route (b)'s node values made in 35-digit mpmath, for Re(s) < -0.3.
 
     The subtraction p-sum minus x^{1-s}/(1-s) cancels ~|1-Re(s)| leading
     digits pointwise, which exhausts double precision once Re(s) < -1, so
-    the node values are made in 35-digit mpmath on a reduced horizon and
-    rounded once to double-double (about 32 digits), in which the usual
-    node/average passes run.  Every pass is real-linear with real
-    coefficients, so complex s runs them on the real and imaginary parts.
+    each value is made at 35 digits and rounded once to double-double
+    (about 32 digits).  Returns the real part, and the imaginary part for
+    complex s, as (cells, nodes) DDArrays.
     """
-    from .seqfun import NODES, WEIGHTS
     sc = complex(s)
-    r = int(math.floor(-sc.real)) + 1
-    with mpmath.workdps(dps):
+    with mpmath.workdps(35):
         smp = mpmath.mpmathify(sc) if sc.imag else mpmath.mpf(sc.real)
         g = 1 - smp
         psum = [mpmath.mpf(0)]
-        for n in range(1, horizon + 1):
+        for n in range(1, ROUTE_B_CELLS):
             psum.append(psum[-1] + mpmath.power(n, -smp))
         vals = []
-        for k in range(horizon):
+        for k in range(ROUTE_B_CELLS):
             base = psum[k]
             for a in NODES:
                 x = mpmath.mpf(k) + a
                 vals.append(base - mpmath.power(x, g) / g)
         parts = ([[v.real for v in vals], [v.imag for v in vals]]
                  if sc.imag else [vals])
-        means = []
-        for part in parts:
-            dd = DDArray.from_values(part, (horizon, len(NODES)))
-            for _ in range(max(0, r)):
-                dd = average_nodes(dd, (dd @ WEIGHTS).exclusive_cumsum())
-            means.append((dd @ WEIGHTS).to_float())
+        return [DDArray.from_values(part, (ROUTE_B_CELLS, len(NODES)))
+                for part in parts]
+
+
+def _route_b(s):
+    """Route (b): average p-sum - x^{1-s}/(1-s) r = floor(-Re s) + 1 times
+    and fit the limit on the last decade of cells.
+
+    The node values come in doubles or, below Re(s) = -0.3, from
+    _route_b_mp; the passes run in double-double either way.  Every pass
+    is real-linear with real coefficients, so complex s runs them on the
+    real and imaginary parts.
+    """
+    sc = complex(s)
+    r = int(math.floor(-sc.real)) + 1
+    if sc.real < -0.3:
+        parts = _route_b_mp(sc)
+    else:
+        s_num, dtype = (sc, complex) if sc.imag else (sc.real, float)
+        ns = np.arange(1, ROUTE_B_CELLS, dtype=dtype)
+        xs = np.arange(ROUTE_B_CELLS, dtype=dtype)[:, None] + NODES
+        psum = np.concatenate([[0.0], np.cumsum(ns ** -s_num)])
+        vals = psum[:, None] - xs ** (1 - s_num) / (1 - s_num)
+        parts = [vals.real, vals.imag] if sc.imag else [vals]
+        parts = [DDArray(v, np.zeros_like(v)) for v in parts]
+    means = []
+    for dd in parts:
+        for _ in range(r):
+            dd = average_nodes(dd, (dd @ WEIGHTS).exclusive_cumsum())
+        means.append((dd @ WEIGHTS).to_float())
     ys = means[0] + 1j * means[1] if sc.imag else means[0]
-    xs = np.arange(horizon, dtype=float) + 0.5
-    lo = horizon // 10
-    extras = []
-    for j in range(0, 8):
-        e = -sc - j
-        if -4 < e.real < -0.05:
-            extras.append(e if sc.imag else e.real)
+    xs = np.arange(ROUTE_B_CELLS, dtype=float) + 0.5
+    lo = ROUTE_B_CELLS // 10
+    extras = [e if sc.imag else e.real for e in (-sc - j for j in range(8))
+              if -4 < e.real < -0.05]
     fit = fit_limit_array(xs[lo:], ys[lo:], extra_exponents=extras)
     return fit, r
 
@@ -239,42 +268,6 @@ def _route_b_tol(s) -> float:
     """
     depth = max(0.0, -complex(s).real - 1.0)
     return CROSS_CHECK_TOL * 10.0 ** depth
-
-
-def _route_b(s, cfg: LimitConfig):
-    sc = complex(s)
-    f = psum_function(n_pow_minus_s(sc if sc.imag else sc.real))
-    gamma = 1 - sc
-    coeff = 1 / (1 - sc)
-    if gamma.imag == 0:
-        gamma_r = gamma.real
-
-        def power(x):
-            return np.asarray(x, dtype=float) ** gamma_r
-
-        def cumulative(X):
-            return X ** (gamma_r + 1) / (gamma_r + 1)
-    else:
-        def power(x):
-            return np.asarray(x, dtype=complex) ** gamma
-
-        def cumulative(X):
-            return complex(X) ** (gamma + 1) / (gamma + 1)
-    xp = PiecewiseFn.from_callable(power, closed_cumulative=cumulative,
-                                   label="leading-power")
-    coeff_s = coeff.real if coeff.imag == 0 else coeff
-    h = PiecewiseFn.linear_combination([(1, f), (-coeff_s, xp)])
-    r = int(math.floor(-sc.real)) + 1
-    g = h
-    for _ in range(max(0, r)):
-        g = apply_P(g)
-    extras = []
-    for j in range(0, 4):
-        e = -sc - j
-        if -4 < e.real < -0.05:
-            extras.append(e if sc.imag else e.real)
-    fit = fit_limit(g, cfg.horizon, extra_exponents=extras)
-    return fit, r
 
 
 def _report_annihilator(s, r: int):
@@ -302,8 +295,7 @@ def zeta(s, cfg: LimitConfig = DEFAULT_CONFIG) -> ZetaEvaluation:
     if s0 is not None:
         s_int = -s0
         value = _exact_constant(s_int)
-        fit_b, r = (_route_b_mp(s_int, cfg) if s_int < 0
-                    else _route_b(s_int, cfg))
+        fit_b, r = _route_b(s_int)
         if abs(complex(fit_b.limit) - complex(value)) > _route_b_tol(s_int):
             raise CrossCheckMismatchError(
                 f"continuation routes disagree at s={s}",
@@ -319,10 +311,7 @@ def zeta(s, cfg: LimitConfig = DEFAULT_CONFIG) -> ZetaEvaluation:
         return ZetaEvaluation(s=s, value=C, path="classical-sum",
                               C_constant=C,
                               diagnostics={"truncation": trunc_err})
-    if sc.real < -0.3:
-        fit_b, r = _route_b_mp(s, cfg)
-    else:
-        fit_b, r = _route_b(s, cfg)
+    fit_b, r = _route_b(s)
     tol = max(_route_b_tol(sc), 30 * fit_b.stderr, 10 * trunc_err)
     if abs(complex(fit_b.limit) - complex(C)) > tol:
         raise CrossCheckMismatchError(
@@ -375,7 +364,11 @@ def _psum_content(s) -> list:
     return [(t.coeff, t.exponent) for t in zeta_psum_expansion(s).terms]
 
 
-def _ext_mp(s, cfg: LimitConfig, horizon: int = 4000):
+#: p-sums of the mpmath discrete evaluation
+EXT_MP_HORIZON = 4000
+
+
+def _ext_mp(s, cfg: LimitConfig):
     """The discrete evaluation on mpmath p-sums, for deep Re(s) < 0.
 
     The subtraction cancels ~|1-Re(s)| leading digits of the p-sum, so
@@ -384,17 +377,17 @@ def _ext_mp(s, cfg: LimitConfig, horizon: int = 4000):
     a p-sum of ~1e14 is an error of order 1 in the value.  So the p-sums
     and the model are built at an mpmath s, and the discrete driver peels
     them in that arithmetic, at the same working precision.  The p-sum
-    reaches horizon^{1-Re s}, so the precision grows with depth to keep
-    15 digits after the cancellation, and is never below 30.
+    reaches EXT_MP_HORIZON^{1-Re s}, so the precision grows with depth to
+    keep 15 digits after the cancellation, and is never below 30.
     """
     sc = complex(s)
-    dps = max(30, math.ceil(15 + (1 - sc.real) * math.log10(horizon)))
+    dps = max(30, math.ceil(15 + (1 - sc.real) * math.log10(EXT_MP_HORIZON)))
     with mpmath.workdps(dps):
         smp = mpmath.mpmathify(sc) if sc.imag else mpmath.mpf(sc.real)
         psums = itertools.accumulate(
-            mpmath.power(n, -smp) for n in range(1, horizon + 1))
+            mpmath.power(n, -smp) for n in range(1, EXT_MP_HORIZON + 1))
         return cesaro_limit_discrete(psums, _psum_content(smp),
-                                     cfg.with_(horizon=horizon))
+                                     cfg.with_(horizon=EXT_MP_HORIZON))
 
 
 def zeta_discrete_ext(s, cfg: LimitConfig = DEFAULT_CONFIG) -> ZetaEvaluation:

@@ -162,6 +162,16 @@ def test_discrete_pure_averaging_reports_strong():
     assert res.limit == pytest.approx(0.0, abs=1e-4)
 
 
+def test_discrete_integer_input_uses_the_whole_horizon():
+    # the exact attempt does not close for 1, -1, 1, ..., so the integers
+    # run in doubles on every entry, exactly as the same floats do
+    ints = cesaro_limit_discrete(lambda n: 1 if n % 2 else -1, [], FAST)
+    floats = cesaro_limit_discrete(lambda n: 1.0 if n % 2 else -1.0, [], FAST)
+    assert ints.limit == floats.limit
+    assert ints.diagnostics["horizon"] == floats.diagnostics["horizon"]
+    assert ints.diagnostics["horizon"] == FAST.horizon
+
+
 def test_cdlim_power_values():
     assert cdlim_power(0) == 1
     assert cdlim_power(3) == 1

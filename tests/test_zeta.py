@@ -12,7 +12,7 @@ from cesaro.config import DEFAULT_CONFIG
 from cesaro.errors import MissingDerivativeTermError, SAtPoleError, is_pole
 from cesaro.operators import apply_P_D, apply_P_D_inverse
 from cesaro.zeta import (FaulhaberPoly, _binomial_coefficients,
-                         _polynomial_branch, _route_b_mp,
+                         _polynomial_branch, _route_b,
                          discrete_eigensequence, eta, faulhaber, zeta,
                          zeta_discrete_corrected, zeta_discrete_ext,
                          zeta_integral_rep, zeta_residue_at_1)
@@ -96,9 +96,21 @@ ROUTE_B_PINNED = {
 
 @pytest.mark.parametrize("s", list(ROUTE_B_PINNED))
 def test_route_b_mp_limit_pinned(s):
-    fit, _ = _route_b_mp(s, CFG)
+    fit, _ = _route_b(s)
     want = ROUTE_B_PINNED[s]
     assert abs(complex(fit.limit) - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("s", [0.06, 0.10, 0.12, 0.14, complex(0.12, 0.3),
+                               -0.2, complex(0.5, 1.0)])
+def test_zeta_shallow_strip(s):
+    # route (b) on doubles: over 10^5 cells the float p-sums lost ~1e-6,
+    # which broke the cross-check at these points; 1000 cells keep ~1e-8
+    with mpmath.workdps(30):
+        want = complex(mpmath.zeta(s))
+    ev = zeta(s, CFG)
+    assert abs(complex(ev.value) - want) <= 1e-12 * abs(want)
+    assert abs(ev.diagnostics["route_b"] - want) <= 1e-7
 
 
 def test_zeta_residue_at_one():
