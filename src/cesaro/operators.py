@@ -44,9 +44,9 @@ def apply_P(f: PiecewiseFn) -> PiecewiseFn:
     if f._averaged is not None:
         return f._averaged
 
-    def gen(k0, k1):
-        return average_nodes(f.node_values(k1)[k0:k1], f.prefix(k1)[k0:k1],
-                             k0, step=f.kind == "step")
+    def gen(n):
+        return average_nodes(f.node_values(n), f.prefix(n)[:-1],
+                             step=f.kind == "step")
 
     def pv(x):
         x = float(x)
@@ -60,16 +60,16 @@ def apply_P(f: PiecewiseFn) -> PiecewiseFn:
     return g
 
 
-def average_nodes(vals, pre, k0: int = 0, step: bool = False):
-    """Node values of (1/x) * integral_0^x f on cells k0, k0+1, ..., from
-    f's node values there and its integral up to each cell's start (step: f
-    is constant on each cell).  Float or complex arrays, or double-double
+def average_nodes(vals, pre, step: bool = False):
+    """Node values of (1/x) * integral_0^x f on cells 0, 1, ..., from f's
+    node values there and its integral up to each cell's start (step: f is
+    constant on each cell).  Float or complex arrays, or double-double
     arrays (cesaro.dd.DDArray) for the smooth kind."""
     if step:
         partial = vals[:, :1] * NODES[None, :]
     else:
         partial = vals @ PARTIAL_FROM_VALUES.T
-    ks = np.arange(k0, k0 + len(vals), dtype=np.float64)[:, None]
+    ks = np.arange(len(vals), dtype=np.float64)[:, None]
     return (pre[:, None] + partial) / (ks + NODES[None, :])
 
 
@@ -259,21 +259,20 @@ def apply_P_mu(f: PiecewiseFn, scheme: MeasureScheme) -> PiecewiseFn:
     The weighted integrand is carried on the same per-interval node grid as
     f, so with mu identically 1 this reproduces the plain average.
     """
-    def wgen(k0, k1):
-        ks = np.arange(k0, k1, dtype=np.float64)[:, None]
-        pts = ks + NODES[None, :]
-        return f.node_values(k1)[k0:k1] * scheme.mu(pts)
+    def wgen(n):
+        pts = np.arange(n, dtype=np.float64)[:, None] + NODES[None, :]
+        return f.node_values(n) * scheme.mu(pts)
 
     weighted = PiecewiseFn("poly-in-alpha", wgen,
                            point_value=lambda x: f.value(x) * scheme.mu(
                                np.array([float(x)]))[0],
                            label=f"{f.label}*mu")
 
-    def gen(k0, k1):
-        vals = weighted.node_values(k1)[k0:k1]
-        pre = weighted.prefix(k1)[k0:k1]
+    def gen(n):
+        vals = weighted.node_values(n)
+        pre = weighted.prefix(n)[:-1]
         partial = vals @ PARTIAL_FROM_VALUES.T
-        ks = np.arange(k0, k1, dtype=np.float64)[:, None]
+        ks = np.arange(n, dtype=np.float64)[:, None]
         mass = np.asarray([[scheme.F_mu(x) for x in row]
                            for row in ks + NODES[None, :]])
         if np.any(mass <= 0):

@@ -10,14 +10,15 @@ integrals, partial-interval integrals and interpolated point values are all
 obtained by small dense matrix products.  Step pieces are handled exactly;
 smooth pieces through the degree-7 interpolant per interval.
 
-All values are immutable after construction; the node/prefix caches are
-grow-only and idempotent, so instances are safe to share between threads.
+A function's cells are built in one pass from cell 0 when first needed, and
+rebuilt from cell 0 if a later query reaches past them.  Nothing here is
+locked: instances are not meant to be shared between threads.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-import threading
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -57,40 +58,50 @@ PARTIAL_FROM_VALUES = _Q @ TO_MONOMIAL
 class SeriesTerms:
     """A series given by a pure, deterministic term map n -> a_n (n >= 1).
 
-    Partial sums are memoized; the cache is append-only and idempotent.
+    Nothing is cached: each call sums the terms afresh, left to right from
+    the int 0, so int terms give exact partial sums.
     """
 
     def __init__(self, term: Callable[[int], complex], label: str = ""):
         self.term = term
         self.label = label
-        self._psums = [0]            # _psums[k] = a_1 + ... + a_k
-        self._lock = threading.Lock()
 
     def __repr__(self):
         return f"SeriesTerms({self.label or self.term!r})"
 
     def psum(self, k: int):
-        if k < 0:
-            raise ValueError("partial-sum index must be >= 0")
-        if k >= len(self._psums):
-            with self._lock:
-                while len(self._psums) <= k:
-                    n = len(self._psums)
-                    self._psums.append(self._psums[-1] + self.term(n))
-        return self._psums[k]
+        """The partial sum a_1 + ... + a_k."""
+        return _partial_sums(self.term, k)[-1]
 
     def psum_array(self, k_max: int) -> np.ndarray:
         """Partial sums s_0..s_{k_max} as a float/complex vector."""
-        self.psum(k_max)
-        return np.asarray(self._psums[: k_max + 1], dtype=self._dtype(k_max))
+        return _as_array(_partial_sums(self.term, k_max))
 
     def term_array(self, k_max: int) -> np.ndarray:
-        return np.asarray([self.term(n) for n in range(1, k_max + 1)],
-                          dtype=self._dtype(k_max))
+        return _as_array([self.term(n) for n in range(1, k_max + 1)])
 
-    def _dtype(self, k_probe: int):
-        probe = self.term(max(1, min(3, k_probe)))
-        return np.complex128 if isinstance(probe, complex) else np.float64
+
+def _partial_sums(term: Callable[[int], complex], k: int) -> list:
+    """[s_0, ..., s_k] with s_k = term(1) + ... + term(k), summed left to right.
+
+    itertools.accumulate, not sum(): sum() of floats is compensated on
+    Python 3.12 and later, and these sums must keep the same bits everywhere.
+    """
+    if k < 0:
+        raise ValueError("partial-sum index must be >= 0")
+    return list(itertools.accumulate((term(n) for n in range(1, k + 1)),
+                                     initial=0))
+
+
+def _as_array(values) -> np.ndarray:
+    """complex128 if any value is complex, float64 otherwise."""
+    complex_ = any(isinstance(v, complex) for v in values)
+    return np.asarray(values, dtype=np.complex128 if complex_ else np.float64)
+
+
+def _step_cells(values) -> np.ndarray:
+    """Node rows of the step function with value values[k] on [k, k+1)."""
+    return np.repeat(_as_array(values)[:, None], NODES_PER_INTERVAL, axis=1)
 
 
 class PiecewiseFn:
@@ -98,15 +109,16 @@ class PiecewiseFn:
 
     kind is one of:
 
-    ``step``          constant a_k on [k, k+1); exact cumulative.
+    ``step``          constant on each [k, k+1); exact cumulative.
     ``poly-in-alpha`` smooth on each interval, represented by node values
                       (sampled from a callable, or made by an operator).
+
+    gen(n) returns the (n, G) node values of cells 0..n-1.
     """
 
     def __init__(self, kind: str, gen, *, label: str = "",
                  point_value: Optional[Callable[[float], complex]] = None,
-                 closed_cumulative: Optional[Callable] = None,
-                 step_term: Optional[Callable[[int], complex]] = None):
+                 closed_cumulative: Optional[Callable] = None):
         if kind not in ("step", "poly-in-alpha"):
             raise ValueError(f"unknown kind {kind!r}")
         self.kind = kind
@@ -114,11 +126,9 @@ class PiecewiseFn:
         self._gen = gen
         self._point_value = point_value
         self._closed_cumulative = closed_cumulative
-        self._step_term = step_term        # value on [k, k+1) for step kind
         self._vals: Optional[np.ndarray] = None      # (n, G) node values
         self._prefix: Optional[np.ndarray] = None    # cumulative at 0..n
         self._averaged: Optional["PiecewiseFn"] = None
-        self._lock = threading.Lock()
 
     def __repr__(self):
         n = 0 if self._vals is None else len(self._vals)
@@ -127,32 +137,20 @@ class PiecewiseFn:
     # -- materialization ---------------------------------------------------
 
     def materialize(self, n: int) -> None:
-        """Ensure node values and integer-point cumulatives exist up to x=n."""
-        if self._vals is not None and len(self._vals) >= n:
+        """Ensure node values and integer-point cumulatives exist up to x=n.
+
+        Cells are always built from cell 0 in one gen call, so the values
+        do not depend on earlier queries; a rebuild at least doubles the
+        cell count, which keeps one-cell-at-a-time growth linear overall.
+        """
+        have = 0 if self._vals is None else len(self._vals)
+        if have >= n:
             return
-        with self._lock:
-            have = 0 if self._vals is None else len(self._vals)
-            if have >= n:
-                return
-            new = np.asarray(self._gen(have, n))
-            if self._vals is None:
-                self._vals = new
-            else:
-                if new.dtype != self._vals.dtype:
-                    common = np.result_type(new.dtype, self._vals.dtype)
-                    self._vals = self._vals.astype(common)
-                    new = new.astype(common)
-                self._vals = np.concatenate([self._vals, new])
-            if self.kind == "step":
-                integrals = self._vals[have:n, 0]
-            else:
-                integrals = self._vals[have:n] @ WEIGHTS
-            base = 0.0 if self._prefix is None else self._prefix[-1]
-            tail = base + np.cumsum(integrals)
-            if self._prefix is None:
-                self._prefix = np.concatenate([[0.0 * tail.dtype.type(0)], tail])
-            else:
-                self._prefix = np.concatenate([self._prefix.astype(tail.dtype), tail])
+        vals = np.asarray(self._gen(max(n, 2 * have)))
+        integrals = vals[:, 0] if self.kind == "step" else vals @ WEIGHTS
+        self._prefix = np.concatenate([np.zeros(1, integrals.dtype),
+                                       np.cumsum(integrals)])
+        self._vals = vals
 
     def node_values(self, n: int) -> np.ndarray:
         self.materialize(n)
@@ -171,16 +169,15 @@ class PiecewiseFn:
         x = float(x)
         if x < 0 or not math.isfinite(x):
             raise ValueError("value requires finite x >= 0")
-        if self.kind == "step":
-            k = int(math.floor(x))
-            a = x - k
-            if a == 0.0 and k >= 1:
-                return (self._step_term(k - 1) + self._step_term(k)) / 2
-            return self._step_term(k)
-        if self._point_value is not None:
-            return self._point_value(x)
         k = int(math.floor(x))
         a = x - k
+        if self.kind == "step":
+            steps = self.node_values(k + 1)[:, 0]
+            if a == 0.0 and k >= 1:
+                return (steps[k - 1] + steps[k]) / 2
+            return steps[k]
+        if self._point_value is not None:
+            return self._point_value(x)
         row = self.node_values(k + 1)[k]
         coeffs = TO_MONOMIAL @ row
         return sum(c * a**j for j, c in enumerate(coeffs))
@@ -198,7 +195,7 @@ class PiecewiseFn:
         total = pre[k]
         if a > 0.0:
             if self.kind == "step":
-                total = total + self._step_term(k) * a
+                total = total + self._vals[k, 0] * a
             else:
                 coeffs = TO_MONOMIAL @ self._vals[k]
                 total = total + sum(c * a ** (j + 1) / (j + 1)
@@ -210,21 +207,17 @@ class PiecewiseFn:
     @staticmethod
     def from_step_term(term: Callable[[int], complex], label: str = "") -> "PiecewiseFn":
         """Step function with value term(k) on [k, k+1)."""
-        def gen(k0, k1):
-            vals = [term(k) for k in range(k0, k1)]
-            dtype = np.complex128 if any(isinstance(v, complex) for v in vals) \
-                else np.float64
-            col = np.asarray(vals, dtype=dtype)
-            return np.repeat(col[:, None], NODES_PER_INTERVAL, axis=1)
-        return PiecewiseFn("step", gen, label=label, step_term=term)
+        return PiecewiseFn("step",
+                           lambda n: _step_cells([term(k) for k in range(n)]),
+                           label=label)
 
     @staticmethod
     def from_callable(fn: Callable[[np.ndarray], np.ndarray], *,
                       closed_cumulative: Optional[Callable] = None,
                       label: str = "") -> "PiecewiseFn":
         """Wrap a vectorized callable; optional exact antiderivative."""
-        def gen(k0, k1):
-            ks = np.arange(k0, k1, dtype=np.float64)[:, None]
+        def gen(n):
+            ks = np.arange(n, dtype=np.float64)[:, None]
             return np.asarray(fn(ks + NODES[None, :]))
         return PiecewiseFn("poly-in-alpha", gen, label=label,
                            point_value=lambda x: fn(np.array([float(x)]))[0],
@@ -235,10 +228,10 @@ class PiecewiseFn:
         """sum_i c_i * f_i over shared node grids."""
         parts = [(c, f) for c, f in parts]
 
-        def gen(k0, k1):
+        def gen(n):
             acc = None
             for c, f in parts:
-                contrib = c * f.node_values(k1)[k0:k1]
+                contrib = c * f.node_values(n)
                 acc = contrib if acc is None else acc + contrib
             return acc
 
@@ -251,7 +244,9 @@ class PiecewiseFn:
 
 def psum_function(terms: SeriesTerms) -> PiecewiseFn:
     """The p-sum function s(k + alpha) = a_1 + ... + a_k of a series."""
-    f = PiecewiseFn.from_step_term(terms.psum, label=f"psum({terms.label})")
+    f = PiecewiseFn("step",
+                    lambda n: _step_cells(_partial_sums(terms.term, n - 1)),
+                    label=f"psum({terms.label})")
     f.series = terms
     return f
 

@@ -36,16 +36,18 @@ class TailFit:
         return float(np.real(self.limit))
 
 
-def tail_points(horizon: int, cells: int = SAMPLE_CELLS) -> np.ndarray:
-    """Integer cell indices log-spaced over the last decade of the horizon."""
+def tail_points(horizon: int) -> np.ndarray:
+    """SAMPLE_CELLS integer cell indices, log-spaced over the last decade of
+    the horizon (fewer where rounding merges neighbours)."""
     lo = max(1, horizon // 10)
-    ks = np.unique(np.round(np.geomspace(lo, horizon - 1, cells)).astype(int))
+    ks = np.unique(np.round(np.geomspace(lo, horizon - 1,
+                                         SAMPLE_CELLS)).astype(int))
     return ks
 
 
-def _window_values(f, horizon: int, cells: int = SAMPLE_CELLS):
+def _window_values(f, horizon: int):
     from .seqfun import NODES
-    ks = tail_points(horizon, cells)
+    ks = tail_points(horizon)
     rows = f.node_values(horizon)[ks]
     xs = (ks[:, None] + NODES[None, :]).ravel()
     return xs, rows.ravel()
@@ -95,7 +97,6 @@ def fit_limit_nodes(f, horizon: int, *,
 
 
 def fit_limit(f, horizon: int, *, extra_exponents: Sequence[complex] = (),
-              with_log_over_x: bool = True,
               with_plain_log: bool = False) -> TailFit:
     """Fit  y(x) = L + a/x + b*ln(x)/x + c/x^2 (+ caller terms)  on the tail.
 
@@ -105,7 +106,6 @@ def fit_limit(f, horizon: int, *, extra_exponents: Sequence[complex] = (),
     """
     xs, ys = _window_means(f, horizon)
     return fit_limit_array(xs, ys, extra_exponents=extra_exponents,
-                           with_log_over_x=with_log_over_x,
                            with_plain_log=with_plain_log)
 
 
@@ -141,7 +141,6 @@ def lstsq_columns(cols, ys):
 
 
 def fit_limit_array(xs, ys, *, extra_exponents: Sequence[complex] = (),
-                    with_log_over_x: bool = True,
                     max_log_power: int = 1,
                     with_log_over_x2: bool = False,
                     with_plain_log: bool = False) -> TailFit:
@@ -161,9 +160,8 @@ def fit_limit_array(xs, ys, *, extra_exponents: Sequence[complex] = (),
     if with_plain_log:
         log_col = len(cols)
         cols.append(np.log(xs))
-    if with_log_over_x:
-        for m in range(1, max(1, max_log_power) + 1):
-            cols.append(np.log(xs) ** m / xs)
+    for m in range(1, max(1, max_log_power) + 1):
+        cols.append(np.log(xs) ** m / xs)
     if with_log_over_x2:
         cols.append(np.log(xs) / xs**2)
     for e in extra_exponents:

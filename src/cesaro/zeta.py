@@ -345,8 +345,13 @@ def zeta_residue_at_1(cfg: LimitConfig = DEFAULT_CONFIG):
 
 
 def eta(s, cfg: LimitConfig = DEFAULT_CONFIG):
-    """Alternating series by pure averaging: no divergences are removed,
-    one extra averaging per unit strip of Re(s) below 1."""
+    """Alternating series by pure averaging: no divergences are removed.
+
+    strong_cesaro_limit escalates up to cfg.max_pure_power averagings of the
+    p-sum function (6 by default).  That budget does not reach every s: at
+    s = -3.5 no classical limit appears within it and NotConvergentError is
+    raised.
+    """
     sc = complex(s)
     terms = SeriesTerms(
         lambda n: (1 if n % 2 else -1) * (n ** (-sc) if sc.imag

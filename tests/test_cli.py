@@ -106,6 +106,13 @@ def test_limit_constant_series(capsys):
     assert _value(doc) == pytest.approx(1.0, abs=1e-8)
 
 
+def test_limit_complex_terms_behind_a_zero_slot(capsys):
+    # the third term is a padded 0; the series is still complex
+    code = run(["limit", "zero_padded(n_pow(-0.5,1),0,1)"])
+    capsys.readouterr()
+    assert code == 0
+
+
 # -- zeta / eta ------------------------------------------------------------
 
 def test_zeta_value_with_fused_flag(capsys):

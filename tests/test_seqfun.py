@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cesaro.operators import apply_P
 from cesaro.seqfun import (PiecewiseFn, SeriesTerms, alt_naturals, alt_ones,
                            embed_step, n_pow_minus_s, naturals, ones,
                            psum_function, zero_padded)
@@ -56,6 +57,41 @@ def test_zero_padded_preserves_series_mass():
     # 1,2,0,3,4,0,...
     assert [t.term(n) for n in range(1, 7)] == [1, 2, 0, 3, 4, 0]
     assert t.psum(6) == 10
+
+
+def test_complex_terms_behind_zero_slots_stay_complex():
+    t = zero_padded(n_pow_minus_s(0.5 - 1j), [0, 1])
+    want = [complex(t.term(n)) for n in range(1, 11)]
+    got = t.term_array(10)
+    assert got.dtype == np.complex128
+    assert list(got) == want
+    assert t.psum_array(10).dtype == np.complex128
+    assert psum_function(t).node_values(10).dtype == np.complex128
+
+
+def test_psum_function_cells_are_the_partial_sums():
+    t = n_pow_minus_s(0.5 - 0.3j)
+    cells = psum_function(t).node_values(500)
+    assert np.array_equal(cells[:, 0], t.psum_array(499))
+    assert np.array_equal(cells, cells[:, :1].repeat(cells.shape[1], axis=1))
+
+
+def _order_probe(first_x=None):
+    f = psum_function(n_pow_minus_s(0.5 - 0.3j))
+    g = apply_P(apply_P(f))
+    if first_x is not None:
+        for h in (f, g):
+            h.value(first_x)
+            h.cumulative(first_x)
+    horizon = 2 * 10**4
+    return f.prefix(horizon), g.node_values(horizon), g.prefix(horizon)
+
+
+@pytest.mark.parametrize("x", [7.5, 30.25, 15000.5])
+def test_values_do_not_depend_on_query_order(x):
+    # 15000.5 builds 15001 cells first, so the horizon forces a rebuild
+    for want, got in zip(_order_probe(), _order_probe(x)):
+        assert np.array_equal(want, got)
 
 
 def test_zero_padded_rejects_bad_pattern():
