@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Every value printed here is produced by the library API with the same
-configuration; the CLI only parses arguments, formats output, and maps
+configuration.  Each verb only parses its arguments and returns its
+outcome: a record, a pole record, or the header and rows of a table.
+``run`` alone builds the configuration, prints the outcome, and maps
 outcomes onto exit codes:
 
   0  success (including sweeps that contain pole rows)
@@ -15,26 +17,22 @@ from __future__ import annotations
 
 import argparse
 import csv as csv_mod
-import io
 import json
 import math
 import sys
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
-from .climits import CesaroResult, cesaro_limit, cesaro_limit_discrete
+from .climits import (CesaroResult, _near_nonneg_int, cesaro_limit,
+                      cesaro_limit_discrete, clim_k_alpha, clim_x_alpha)
 from .config import DEFAULT_CONFIG, LimitConfig
-from .errors import (CesaroError, NotConvergentError, PoleSignal,
-                     SAtPoleError, is_pole)
-from .integrals import DomainSpec, SingularPoint, cesaro_integral, \
-    mellin_1_over_1px
+from .errors import CesaroError, SAtPoleError, is_pole
+from .integrals import (DomainSpec, SingularPoint, cesaro_integral,
+                        mellin_1_over_1px, mellin_integrand)
 from .seqfun import (alt_naturals, alt_ones, n_pow_minus_s, naturals, ones,
                      psum_function, zero_padded)
-from .zeta import (eta, zeta, zeta_discrete_corrected, zeta_discrete_ext,
-                   zeta_residue_at_1)
-from .climits import clim_k_alpha, clim_x_alpha
+from .zeta import eta, zeta, zeta_discrete_corrected, zeta_discrete_ext
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -46,16 +44,21 @@ EXIT_POLE = 3
 # Series grammar
 
 def parse_series(text: str):
-    """ones | alt_ones | n | alt_n | n_pow(re[,im]) | zero_padded(series,p,...)"""
+    """ones | alt_ones | n | alt_n | n_pow(re[,im]) | zero_padded(series,p,...)
+
+    Returns the terms and the Dirichlet exponent s such that the terms are
+    n^{-s}.  The exponent is None for the alternating and padded series,
+    which are summed by pure averaging alone.
+    """
     text = text.strip()
     if text == "ones":
-        return ones()
+        return ones(), 0.0
     if text == "alt_ones":
-        return alt_ones()
+        return alt_ones(), None
     if text == "n":
-        return naturals()
+        return naturals(), -1.0
     if text == "alt_n":
-        return alt_naturals()
+        return alt_naturals(), None
     if text.startswith("n_pow(") and text.endswith(")"):
         body = text[len("n_pow("):-1]
         parts = [p.strip() for p in body.split(",")]
@@ -63,8 +66,8 @@ def parse_series(text: str):
             raise ValueError(f"n_pow takes (re) or (re,im), got {body!r}")
         re = float(parts[0])
         im = float(parts[1]) if len(parts) == 2 else 0.0
-        s = re + 1j * im if im else re
-        return n_pow_minus_s(-s)
+        return (n_pow_minus_s(-(re + 1j * im if im else re)),
+                complex(-re, -im) if im else -re)
     if text.startswith("zero_padded(") and text.endswith(")"):
         body = text[len("zero_padded("):-1]
         depth = 0
@@ -79,33 +82,13 @@ def parse_series(text: str):
                 break
         if split_at is None:
             raise ValueError("zero_padded needs a series and a 0/1 pattern")
-        inner = parse_series(body[:split_at])
+        inner, _ = parse_series(body[:split_at])
         bits = [p.strip() for p in body[split_at + 1:].split(",")]
         if not bits or any(b not in ("0", "1") for b in bits):
             raise ValueError(f"pattern must be a comma list of 0/1, got "
                              f"{body[split_at + 1:]!r}")
-        return zero_padded(inner, tuple(int(b) for b in bits))
+        return zero_padded(inner, tuple(int(b) for b in bits)), None
     raise ValueError(f"unknown series {text!r}")
-
-
-def series_dirichlet_s(text: str) -> Optional[complex]:
-    """Dirichlet exponent such that the series terms are n^{-s}, if known.
-
-    Power series have a known partial-sum expansion, which is what lets
-    the generalised driver assign them a value; alternating and padded
-    series are handled by pure averaging instead and return None here.
-    """
-    text = text.strip()
-    if text == "ones":
-        return 0.0
-    if text == "n":
-        return -1.0
-    if text.startswith("n_pow(") and text.endswith(")"):
-        parts = [p.strip() for p in text[len("n_pow("):-1].split(",")]
-        re = float(parts[0])
-        im = float(parts[1]) if len(parts) == 2 else 0.0
-        return complex(-re, -im) if im else -re
-    return None
 
 
 def parse_scalar(text: str):
@@ -222,9 +205,13 @@ def add_common(p: argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# Verbs
+# Verbs: each takes (args, cfg) and returns a record dict, which is a pole
+# record when its status is "pole", or the (header, rows) of a table
 
-def _pole_record(value: PoleSignal) -> dict:
+def _record(value, **fields) -> dict:
+    """{"value": value, **fields}, or the pole record if value is a pole."""
+    if not is_pole(value):
+        return {"value": value, **fields}
     rec = {"status": "pole", "log_power": value.log_power}
     if value.residue is not None:
         rec["residue"] = value.residue
@@ -233,91 +220,64 @@ def _pole_record(value: PoleSignal) -> dict:
     return rec
 
 
-def cmd_sum(args) -> int:
-    cfg = build_cfg(args)
-    series = parse_series(args.series)
-    f = psum_function(series)
-    try:
-        result = cesaro_limit(f, None, cfg)
-    except NotConvergentError:
-        # pure power series: their value is the zeta continuation, which
-        # carries its own dual-route cross-check
-        s_dir = series_dirichlet_s(args.series)
-        if s_dir is None:
-            raise
+def cmd_sum(args, cfg: LimitConfig) -> dict:
+    series, s_dir = parse_series(args.series)
+    if s_dir is None:
+        result = cesaro_limit(psum_function(series), None, cfg)
+    else:
+        # a power series sums to its zeta continuation, which carries its
+        # own dual-route cross-check; averaging alone cannot reach it for
+        # Re s < 1, where x^{1-s}/(1-s) is an eigenfunction of averaging
         ev = zeta(s_dir, cfg)
-        if is_pole(ev.value):
-            emit_record(_pole_record(ev.value), args.format, args.digits)
-            return EXIT_POLE
         result = CesaroResult(limit=ev.value, mechanism=ev.path,
                               q_used=ev.q_used, diagnostics=ev.diagnostics)
-    if is_pole(result.limit):
-        emit_record(_pole_record(result.limit), args.format, args.digits)
-        return EXIT_POLE
-    rec = {"value": result.limit, "mechanism": result.mechanism}
+    dump = {}
     if args.dump_expansion:
-        rec["removed_terms"] = repr(result.removed_terms)
-        rec["q"] = result.q_used.describe() if result.q_used else ""
-        rec["diagnostics"] = repr(result.diagnostics)
-    emit_record(rec, args.format, args.digits)
-    return EXIT_OK
+        dump = {"removed_terms": repr(result.removed_terms),
+                "q": result.q_used.describe() if result.q_used else "",
+                "diagnostics": repr(result.diagnostics)}
+    return _record(result.limit, mechanism=result.mechanism, **dump)
 
 
-def cmd_limit(args) -> int:
-    cfg = build_cfg(args)
-    series = parse_series(args.series)
+def cmd_limit(args, cfg: LimitConfig) -> dict:
+    series, s_dir = parse_series(args.series)
     terms = [complex(v) for v in series.term_array(min(cfg.horizon, 10 ** 5))]
     if all(abs(t.imag) < 1e-15 for t in terms):
         terms = [t.real for t in terms]
-    s_dir = series_dirichlet_s(args.series)
     # a pure power sequence is its own (known-coefficient) divergent content
     decomposition = [] if s_dir is None else [(1.0, -complex(s_dir))]
     result = cesaro_limit_discrete(terms, decomposition, cfg)
-    if is_pole(result.limit):
-        emit_record(_pole_record(result.limit), args.format, args.digits)
-        return EXIT_POLE
-    rec = {"value": result.limit, "mechanism": result.mechanism}
+    dump = {}
     if args.dump_expansion:
-        rec["removed_terms"] = repr(result.removed_terms)
-        rec["diagnostics"] = repr(result.diagnostics)
-    emit_record(rec, args.format, args.digits)
-    return EXIT_OK
+        dump = {"removed_terms": repr(result.removed_terms),
+                "diagnostics": repr(result.diagnostics)}
+    return _record(result.limit, mechanism=result.mechanism, **dump)
 
 
-def cmd_zeta(args) -> int:
-    cfg = build_cfg(args)
+def cmd_zeta(args, cfg: LimitConfig) -> dict:
     s = parse_scalar(args.s)
     if args.corrected:
-        s_int = int(round(complex(s).real))
-        value = zeta_discrete_corrected(s_int, cfg)
-        emit_record({"value": value, "path": "discrete-corrected"},
-                    args.format, args.digits)
-        return EXIT_OK
-    fn = zeta_discrete_ext if args.discrete else zeta
+        n = _near_nonneg_int(-complex(s))
+        if n is None or complex(s).imag:
+            raise ValueError(f"--corrected needs an integer s <= 0, got "
+                             f"{args.s!r}")
+        return {"value": zeta_discrete_corrected(-n, cfg),
+                "path": "discrete-corrected"}
     try:
-        ev = fn(s, cfg)
+        ev = (zeta_discrete_ext if args.discrete else zeta)(s, cfg)
     except SAtPoleError:
-        rec = {"status": "pole", "residue": 1, "detail": "pole at s = 1"}
-        emit_record(rec, args.format, args.digits)
-        return EXIT_POLE
-    if is_pole(ev.value):
-        emit_record(_pole_record(ev.value), args.format, args.digits)
-        return EXIT_POLE
-    rec = {"value": ev.value, "path": ev.path}
+        return {"status": "pole", "residue": 1, "detail": "pole at s = 1"}
+    rec = {"path": ev.path}
     if args.discrete:
         rec["anomaly"] = ev.anomaly
     if args.dump_expansion:
         rec["q"] = ev.q_used.describe() if ev.q_used else ""
         rec["diagnostics"] = repr(ev.diagnostics)
-    emit_record(rec, args.format, args.digits)
-    return EXIT_OK
+    return _record(ev.value, **rec)
 
 
-def cmd_eta(args) -> int:
-    cfg = build_cfg(args)
-    value = eta(parse_scalar(args.s), cfg)
-    emit_record({"value": value}, args.format, args.digits)
-    return EXIT_OK
+def cmd_eta(args, cfg: LimitConfig) -> dict:
+    return {"value": eta(parse_scalar(args.s), cfg)}
 
 
 FUNCTION_REGISTRY = {
@@ -331,11 +291,7 @@ def _registry_fn(name: str):
     if name in FUNCTION_REGISTRY:
         return FUNCTION_REGISTRY[name][0]
     if name.startswith("mellin(") and name.endswith(")"):
-        s = parse_scalar(name[len("mellin("):-1])
-        sc = complex(s)
-        if sc.imag:
-            return lambda x: complex(x) ** (sc - 1) / (1 + x)
-        return lambda x: x ** (sc.real - 1) / (1 + x)
+        return mellin_integrand(parse_scalar(name[len("mellin("):-1]))
     raise ValueError(f"unknown builtin function {name!r}; have "
                      + ", ".join(sorted(FUNCTION_REGISTRY)) + ", mellin(s)")
 
@@ -350,39 +306,37 @@ def _spec_from_json(doc) -> DomainSpec:
     return DomainSpec(points=tuple(points))
 
 
-def cmd_integral(args) -> int:
-    cfg = build_cfg(args)
+def cmd_integral(args, cfg: LimitConfig) -> dict:
     f = _registry_fn(args.f)
-    doc = json.loads(args.spec)
-    spec = _spec_from_json(doc)
+    spec = _spec_from_json(json.loads(args.spec))
     out = cesaro_integral(f, spec, cfg, strict_cutoffs=args.strict_cutoffs)
     if is_pole(out.value):
-        rec = _pole_record(out.value)
-        rec["log_flags"] = ",".join(out.log_flags)
-        emit_record(rec, args.format, args.digits)
-        return EXIT_POLE
+        return {**_record(out.value), "log_flags": ",".join(out.log_flags)}
     rec = {"value": out.value, "cutoff_variables": out.cutoff_variables}
     if args.dump_expansion:
         rec["per_endpoint"] = repr(out.per_endpoint)
-    emit_record(rec, args.format, args.digits)
-    return EXIT_OK
+    return rec
 
 
-def cmd_mellin(args) -> int:
-    cfg = build_cfg(args)
-    value = mellin_1_over_1px(parse_scalar(args.s), cfg)
-    if is_pole(value):
-        emit_record(_pole_record(value), args.format, args.digits)
-        return EXIT_POLE
-    emit_record({"value": value}, args.format, args.digits)
-    return EXIT_OK
+def cmd_mellin(args, cfg: LimitConfig) -> dict:
+    return _record(mellin_1_over_1px(parse_scalar(args.s), cfg))
 
 
-SWEEPABLE = ("zeta", "zeta-discrete", "eta", "mellin")
+def _ev_row(ev, removed: bool = False):
+    return ev.value, ev.path, ev.q_used.degree if removed and ev.q_used else 0
 
 
-def cmd_sweep(args) -> int:
-    cfg = build_cfg(args)
+#: sweep target -> (s, cfg) -> (value, path, removed); the lambdas look the
+#: library functions up at call time
+SWEEP_TARGETS = {
+    "zeta": lambda s, cfg: _ev_row(zeta(s, cfg), removed=True),
+    "zeta-discrete": lambda s, cfg: _ev_row(zeta_discrete_ext(s, cfg)),
+    "eta": lambda s, cfg: (eta(s, cfg), "", 0),
+    "mellin": lambda s, cfg: (mellin_1_over_1px(s, cfg), "", 0),
+}
+
+
+def cmd_sweep(args, cfg: LimitConfig):
     if args.count < 1:
         raise ValueError("sweep needs a nonempty grid (count >= 1)")
     if args.count == 1:
@@ -392,50 +346,28 @@ def cmd_sweep(args) -> int:
         grid = [args.start + i * step for i in range(args.count)]
     rows = []
     for s in grid:
-        path = ""
-        removed = 0
-        status = "ok"
-        value = None
+        value, path, removed, status = None, "", 0, "ok"
         try:
-            if args.target == "zeta":
-                ev = zeta(s, cfg)
-                value, path = ev.value, ev.path
-                removed = ev.q_used.degree if ev.q_used else 0
-            elif args.target == "zeta-discrete":
-                ev = zeta_discrete_ext(s, cfg)
-                value, path = ev.value, ev.path
-            elif args.target == "eta":
-                value = eta(s, cfg)
-            else:
-                value = mellin_1_over_1px(s, cfg)
+            value, path, removed = SWEEP_TARGETS[args.target](s, cfg)
         except SAtPoleError:
             status = "pole"
         except CesaroError as exc:
             status = f"error: {exc}"
-        if value is not None and is_pole(value):
-            status = "pole"
-            value = None
+        if is_pole(value):
+            status, value = "pole", None
         if value is None:
             rows.append((s, None, None, path, removed, status))
         else:
             vc = complex(value)
             rows.append((s, vc.real, vc.imag, path, removed, status))
-    emit_rows(("s", "value_re", "value_im", "path", "removed", "status"),
-              rows, args.format, args.digits)
-    return EXIT_OK
+    return ("s", "value_re", "value_im", "path", "removed", "status"), rows
 
 
-def cmd_table(args) -> int:
-    rows = []
-    for delta in range(0, args.max_delta + 1):
-        for r in range(0, args.max_r + 1):
-            if args.kind == "k":
-                v = clim_k_alpha(delta, r)
-            else:
-                v = clim_x_alpha(delta, r)
-            rows.append((delta, r, v))
-    emit_rows(("delta", "r", "limit"), rows, args.format, args.digits)
-    return EXIT_OK
+def cmd_table(args, cfg: LimitConfig):
+    clim = clim_k_alpha if args.kind == "k" else clim_x_alpha
+    rows = [(delta, r, clim(delta, r)) for delta in range(args.max_delta + 1)
+            for r in range(args.max_r + 1)]
+    return ("delta", "r", "limit"), rows
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_mellin)
 
     p = sub.add_parser("sweep", help="evaluate over a real parameter grid")
-    p.add_argument("target", choices=SWEEPABLE)
+    p.add_argument("target", choices=tuple(SWEEP_TARGETS))
     p.add_argument("--start", type=float, required=True)
     p.add_argument("--stop", type=float, required=True)
     p.add_argument("--count", type=int, required=True)
@@ -526,6 +458,7 @@ def _fuse_numeric_flags(argv):
 
 
 def run(argv=None) -> int:
+    """Parse, evaluate one verb, print its outcome; the exit code."""
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
@@ -535,11 +468,16 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        outcome = args.fn(args, build_cfg(args))
+        if isinstance(outcome, dict):
+            emit_record(outcome, args.format, args.digits)
+            return EXIT_POLE if outcome.get("status") == "pole" else EXIT_OK
+        emit_rows(*outcome, args.format, args.digits)
+        return EXIT_OK
     except CesaroError as exc:
         print(f"failed: {exc}", file=sys.stderr)
         return EXIT_FAILED
-    except (ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:       # json.JSONDecodeError included
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -22,7 +22,8 @@ from typing import Optional, Sequence
 import mpmath
 import numpy as np
 
-from .config import DEFAULT_CONFIG, LimitConfig, SNAP_RADIUS
+from .config import (DEFAULT_CONFIG, DETECT_TOLERANCE, LimitConfig,
+                     SNAP_RADIUS)
 from .errors import NotConvergentError, is_pole
 from .operators import (RegularPolynomial, apply_P, apply_P_D,
                         apply_regular_polynomial, build_regular_polynomial)
@@ -80,13 +81,13 @@ def classical_limit(f: PiecewiseFn, cfg: LimitConfig = DEFAULT_CONFIG,
                     extra_exponents: Sequence[complex] = ()):
     """Classical limit at infinity, or NotConvergentError.
 
-    Classification is the decade tail-variation test at detect_tolerance
+    Classification is the decade tail-variation test at DETECT_TOLERANCE
     (scale free for the power/log divergences arising here); the returned
     value is then refined by the tail-model fit, which removes the known
     residual shapes left behind by averaging.
     """
     variation = decade_variation(f, cfg.horizon)
-    if variation > cfg.detect_tolerance:
+    if variation > DETECT_TOLERANCE:
         raise NotConvergentError(
             "tail variation above threshold",
             diagnostics={"variation": variation, "horizon": cfg.horizon})
@@ -104,23 +105,23 @@ def _convergence_gate(g, cfg: LimitConfig, extras: Sequence[complex] = ()):
     """
     variation = decade_variation(g, cfg.horizon)
     fit = fit_limit(g, cfg.horizon, extra_exponents=extras)
-    if variation <= cfg.detect_tolerance:
+    if variation <= DETECT_TOLERANCE:
         return True, variation, fit
     scale = max(1.0, abs(complex(fit.limit)))
-    if fit.residual_rms > cfg.detect_tolerance * scale:
+    if fit.residual_rms > DETECT_TOLERANCE * scale:
         return False, variation, fit
     # cell means can stabilize while the function still swings inside each
     # interval (a growing oscillation has constant interval averages), so
     # acceptance additionally requires the raw node samples to fit the
     # same decaying model
     node_fit = fit_limit_nodes(g, cfg.horizon, extra_exponents=extras)
-    if node_fit.residual_rms > cfg.detect_tolerance * scale:
+    if node_fit.residual_rms > DETECT_TOLERANCE * scale:
         return False, variation, fit
     # the model columns all decay, so a large constant can hide a slowly
     # growing log inside the accepted residual; probe for one explicitly
     probe = fit_limit(g, cfg.horizon, extra_exponents=extras,
                       with_plain_log=True)
-    if abs(probe.coefficients["log"]) > cfg.detect_tolerance * scale:
+    if abs(probe.coefficients["log"]) > DETECT_TOLERANCE * scale:
         return False, variation, fit
     return True, variation, fit
 
@@ -193,10 +194,10 @@ def cesaro_limit(f: PiecewiseFn,
         diagnostics={"horizon": cfg.horizon, "q": q.describe()})
 
 
-def _near_nonneg_int(value, radius: float = SNAP_RADIUS) -> Optional[int]:
+def _near_nonneg_int(value) -> Optional[int]:
     v = complex(value)
     n = round(v.real)
-    if n >= 0 and abs(v - n) <= radius:
+    if n >= 0 and abs(v - n) <= SNAP_RADIUS:
         return int(n)
     return None
 
@@ -378,8 +379,8 @@ def cesaro_limit_discrete(a, eigendecomposition: Sequence[tuple],
         variation = relative_spread(tail)
         fit = fit_limit_array(ns_tail, tail)
         scale = max(1.0, abs(complex(fit.limit)))
-        if (variation <= cfg.detect_tolerance
-                or fit.residual_rms <= cfg.detect_tolerance * scale):
+        if (variation <= DETECT_TOLERANCE
+                or fit.residual_rms <= DETECT_TOLERANCE * scale):
             if removed or q_factors:
                 mech = "generalised"
             else:

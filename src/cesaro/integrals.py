@@ -353,11 +353,11 @@ def cesaro_integral(f: Callable, spec: DomainSpec,
                                     max((m for _c, _e, m in removed), default=1))
             else:
                 total = total + fp
-    # classical integrals over the pieces between anchors, skipping pieces
-    # that butt against a singular location (those belong to the endpoints)
+    # classical integrals out to a regular end of (0, inf); every piece
+    # between two anchors holds a singular location and belongs to its
+    # endpoint analyses
     cut = sorted(set(a for pts in anchors.values() for a in pts))
     if not cut:
-        cut = [1.0]
         total = total + _quad_piece(f, 0.0, 1.0, complex_valued)
         total = total + _quad_piece(f, 1.0, np.inf, complex_valued)
     else:
@@ -366,10 +366,6 @@ def cesaro_integral(f: Callable, spec: DomainSpec,
             total = total + _quad_piece(f, 0.0, cut[0], complex_valued)
         if "infinity" not in kinds:
             total = total + _quad_piece(f, cut[-1], np.inf, complex_valued)
-    for a, b in zip(cut, cut[1:]):
-        if any(a < l < b for l in finite_locs):
-            continue
-        total = total + _quad_piece(f, a, b, complex_valued)
 
     n_interior = sum(1 for p in points if p.kind == "interior")
     cutoffs = 1
@@ -444,6 +440,15 @@ def _mellin_expansions(sc):
     return e0, einf
 
 
+def mellin_integrand(s) -> Callable:
+    """x^{s-1}/(1+x): complex-valued for complex s, float for real s."""
+    sc = complex(s)
+    if sc.imag:
+        return lambda x: complex(x) ** (sc - 1) / (1 + x)
+    sr = sc.real
+    return lambda x: x ** (sr - 1) / (1 + x)
+
+
 def mellin_1_over_1px(s, cfg: LimitConfig = DEFAULT_CONFIG):
     """Generalised Mellin transform of 1/(1+x) at s.
 
@@ -469,16 +474,7 @@ def mellin_1_over_1px(s, cfg: LimitConfig = DEFAULT_CONFIG):
                           detail=f"simple pole of the Mellin transform "
                                  f"at s={n0}")
     e0, einf = _mellin_expansions(sc)
-    if sc.imag:
-        def f(x):
-            return complex(x) ** (sc - 1) / (1 + x)
-    else:
-        sr = sc.real
-
-        def f(x):
-            return x ** (sr - 1) / (1 + x)
     spec = DomainSpec(points=(
         SingularPoint(kind="zero", expansion=e0),
         SingularPoint(kind="infinity", expansion=einf)))
-    out = cesaro_integral(f, spec, cfg)
-    return out.value
+    return cesaro_integral(mellin_integrand(s), spec, cfg).value

@@ -170,8 +170,7 @@ class RegularPolynomial:
     def describe(self) -> str:
         bits = []
         for lam, mult in self.factors:
-            lam_s = f"{lam}" if not isinstance(lam, complex) or lam.imag else f"{lam}"
-            piece = f"(A-{lam_s})"
+            piece = f"(A-{lam})"
             bits.append(piece if mult == 1 else piece + f"^{mult}")
         if self.pure_power:
             bits.append("A" if self.pure_power == 1 else f"A^{self.pure_power}")

@@ -111,7 +111,8 @@ class PiecewiseFn:
 
     ``step``          constant on each [k, k+1); exact cumulative.
     ``poly-in-alpha`` smooth on each interval, represented by node values
-                      (sampled from a callable, or made by an operator).
+                      (sampled from a callable, or made by an operator);
+                      point_value evaluates it anywhere.
 
     gen(n) returns the (n, G) node values of cells 0..n-1.
     """
@@ -121,6 +122,8 @@ class PiecewiseFn:
                  closed_cumulative: Optional[Callable] = None):
         if kind not in ("step", "poly-in-alpha"):
             raise ValueError(f"unknown kind {kind!r}")
+        if kind == "poly-in-alpha" and point_value is None:
+            raise ValueError("a poly-in-alpha function needs point_value")
         self.kind = kind
         self.label = label
         self._gen = gen
@@ -169,18 +172,13 @@ class PiecewiseFn:
         x = float(x)
         if x < 0 or not math.isfinite(x):
             raise ValueError("value requires finite x >= 0")
-        k = int(math.floor(x))
-        a = x - k
-        if self.kind == "step":
-            steps = self.node_values(k + 1)[:, 0]
-            if a == 0.0 and k >= 1:
-                return (steps[k - 1] + steps[k]) / 2
-            return steps[k]
-        if self._point_value is not None:
+        if self.kind != "step":
             return self._point_value(x)
-        row = self.node_values(k + 1)[k]
-        coeffs = TO_MONOMIAL @ row
-        return sum(c * a**j for j, c in enumerate(coeffs))
+        k = int(math.floor(x))
+        steps = self.node_values(k + 1)[:, 0]
+        if x == k and k >= 1:
+            return (steps[k - 1] + steps[k]) / 2
+        return steps[k]
 
     def cumulative(self, X: float):
         """Integral of the function over [0, X]."""

@@ -31,10 +31,6 @@ class TailFit:
     window: tuple
     coefficients: dict = field(default_factory=dict)
 
-    @property
-    def real_limit(self) -> float:
-        return float(np.real(self.limit))
-
 
 def tail_points(horizon: int) -> np.ndarray:
     """SAMPLE_CELLS integer cell indices, log-spaced over the last decade of

@@ -3,11 +3,12 @@
 import csv
 import io
 import json
+import math
 
 import pytest
 
 import cesaro.cli
-from cesaro.cli import parse_scalar, parse_series, run, series_dirichlet_s
+from cesaro.cli import parse_scalar, parse_series, run
 from cesaro.errors import CrossCheckMismatchError
 
 
@@ -33,8 +34,8 @@ def test_parse_series_names():
     for text in ("ones", "alt_ones", "n", "alt_n", "n_pow(-0.5)",
                  "n_pow(0.3,0.4)", "zero_padded(alt_ones,1,0,1)",
                  "zero_padded(zero_padded(ones,1,0),1,1,0)"):
-        s = parse_series(text)
-        assert s.term_array(10).shape == (10,)
+        terms, _ = parse_series(text)
+        assert terms.term_array(10).shape == (10,)
 
 
 def test_parse_series_rejects_garbage():
@@ -45,11 +46,11 @@ def test_parse_series_rejects_garbage():
 
 
 def test_series_dirichlet_exponent():
-    assert series_dirichlet_s("ones") == 0.0
-    assert series_dirichlet_s("n") == -1.0
-    assert series_dirichlet_s("n_pow(-0.5)") == 0.5
-    assert series_dirichlet_s("alt_ones") is None
-    assert series_dirichlet_s("zero_padded(ones,1,0)") is None
+    assert parse_series("ones")[1] == 0.0
+    assert parse_series("n")[1] == -1.0
+    assert parse_series("n_pow(-0.5)")[1] == 0.5
+    assert parse_series("alt_ones")[1] is None
+    assert parse_series("zero_padded(ones,1,0)")[1] is None
 
 
 def test_parse_scalar():
@@ -89,6 +90,12 @@ def test_sum_harmonic_is_a_pole(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert code == 3
     assert doc["status"] == "pole"
+
+
+def test_sum_of_a_convergent_power_series_is_its_zeta_value(capsys):
+    doc = _json_out(capsys, ["sum", "n_pow(-2)"])
+    assert _value(doc) == pytest.approx(math.pi ** 2 / 6, abs=1e-15)
+    assert doc["mechanism"] == "classical-sum"
 
 
 def test_sum_exact_mode(capsys):
@@ -156,6 +163,13 @@ def test_zeta_corrected_exact(capsys):
     doc = _json_out(capsys, ["zeta", "--s", "-3,0", "--corrected",
                              "--exact"])
     assert _value(doc) == "1/120"
+
+
+@pytest.mark.parametrize("s", ["0.4", "-2.6", "-1,2", "1"])
+def test_zeta_corrected_needs_an_integer_s_at_most_zero(capsys, s):
+    # rounding s would print the value at another point
+    assert run(["zeta", "--s", s, "--corrected"]) == 2
+    assert capsys.readouterr().err.startswith("usage error: ")
 
 
 def test_eta_value(capsys):
@@ -262,6 +276,59 @@ def test_table_verb_exact_entries(capsys):
     assert by_key[(0, 0)] == "1"
     assert by_key[(1, 0)] == "-1/2"
     assert by_key[(2, 1)] == "1/4"
+
+
+# -- one outcome path: the same exit code and fields in every format -------
+
+FORMAT_QUERIES = [
+    (["sum", "alt_ones"], 0),
+    (["sum", "n_pow(-1)"], 3),
+    (["limit", "ones"], 0),
+    (["zeta", "--s", "-1,0"], 0),
+    (["zeta", "--s", "1,0"], 3),
+    (["zeta", "--s", "1", "--discrete"], 3),
+    (["eta", "--s", "0.3,1"], 0),
+    (["mellin", "--s", "0.5"], 0),
+    (["mellin", "--s", "1"], 3),
+    (["integral", "--f", "exp", "--spec", "[]"], 0),
+    (["integral", "--f", "one_over_x", "--spec",
+      '[{"kind":"zero"},{"kind":"infinity"}]'], 3),
+    (["sweep", "zeta", "--start", "-2", "--stop", "0", "--count", "3"], 0),
+    (["table", "--max-delta", "1", "--max-r", "1"], 0),
+]
+
+
+def _csv_cell_matches(text, value):
+    if value is None:
+        return text == ""
+    if isinstance(value, dict):
+        return complex(text) == complex(value["re"], value["im"])
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(text) == value
+    return text == str(value)
+
+
+@pytest.mark.parametrize("argv, code", FORMAT_QUERIES,
+                         ids=[" ".join(q[:4]) for q, _ in FORMAT_QUERIES])
+def test_every_format_carries_the_same_outcome(capsys, argv, code):
+    outs = {}
+    for fmt in ("table", "csv", "json"):
+        assert run(argv + ["--format", fmt]) == code, fmt
+        outs[fmt] = capsys.readouterr().out
+    doc = json.loads(outs["json"])
+    docs = doc["rows"] if "rows" in doc else [doc]
+    csv_rows = list(csv.DictReader(io.StringIO(outs["csv"])))
+    assert len(csv_rows) == len(docs)
+    for row, d in zip(csv_rows, docs):
+        assert list(row) == list(d)
+        for key in d:
+            assert _csv_cell_matches(row[key], d[key]), (key, row[key], d[key])
+    lines = outs["table"].splitlines()
+    if "rows" in doc:
+        assert lines[0].split() == list(docs[0])
+        assert len(lines) == 1 + len(docs)
+    else:
+        assert [ln.split()[0] for ln in lines] == list(doc)
 
 
 # -- dispatch and exit codes -----------------------------------------------

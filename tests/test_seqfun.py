@@ -148,3 +148,8 @@ def test_linear_combination_pointwise():
     h = PiecewiseFn.linear_combination([(2.0, f), (-1.0, g)])
     for x in (0.3, 1.7, 5.5):
         assert h.value(x) == pytest.approx(2 * f.value(x) - g.value(x))
+
+
+def test_smooth_kind_needs_a_point_value():
+    with pytest.raises(ValueError):
+        PiecewiseFn("poly-in-alpha", lambda n: np.zeros((n, 8)))
