@@ -27,7 +27,7 @@ import numpy as np
 from .climits import (CesaroResult, _near_nonneg_int, cesaro_limit,
                       cesaro_limit_discrete, clim_k_alpha, clim_x_alpha)
 from .config import DEFAULT_CONFIG, LimitConfig
-from .errors import CesaroError, SAtPoleError, is_pole
+from .errors import CesaroError, PoleSignal, SAtPoleError, is_pole
 from .integrals import (DomainSpec, SingularPoint, cesaro_integral,
                         mellin_1_over_1px, mellin_integrand)
 from .seqfun import (alt_naturals, alt_ones, n_pow_minus_s, naturals, ones,
@@ -266,7 +266,8 @@ def cmd_zeta(args, cfg: LimitConfig) -> dict:
     try:
         ev = (zeta_discrete_ext if args.discrete else zeta)(s, cfg)
     except SAtPoleError:
-        return {"status": "pole", "residue": 1, "detail": "pole at s = 1"}
+        return _record(PoleSignal(origin="dirichlet-series", log_power=1,
+                                  residue=1, detail="pole at s = 1"))
     rec = {"path": ev.path}
     if args.discrete:
         rec["anomaly"] = ev.anomaly

@@ -25,8 +25,8 @@ import numpy as np
 from .config import (DEFAULT_CONFIG, DETECT_TOLERANCE, LimitConfig,
                      SNAP_RADIUS)
 from .errors import NotConvergentError, is_pole
-from .operators import (RegularPolynomial, apply_P, apply_P_D,
-                        apply_regular_polynomial, build_regular_polynomial)
+from .operators import (RegularPolynomial, apply_P_D, apply_q_nodes,
+                        average_pass, build_regular_polynomial)
 from .asymptotics import (AsymptoticExpansion, divergent_exponent,
                           eigensequence_lower_order, peel_ladder,
                           synthesize_annihilator)
@@ -86,25 +86,26 @@ def classical_limit(f: PiecewiseFn, cfg: LimitConfig = DEFAULT_CONFIG,
     value is then refined by the tail-model fit, which removes the known
     residual shapes left behind by averaging.
     """
-    variation = decade_variation(f, cfg.horizon)
+    rows = f.node_values(cfg.horizon)
+    variation = decade_variation(rows)
     if variation > DETECT_TOLERANCE:
         raise NotConvergentError(
             "tail variation above threshold",
             diagnostics={"variation": variation, "horizon": cfg.horizon})
-    fit = fit_limit(f, cfg.horizon, extra_exponents=extra_exponents)
+    fit = fit_limit(rows, extra_exponents=extra_exponents)
     return _maybe_snap(fit.limit, cfg)
 
 
-def _convergence_gate(g, cfg: LimitConfig, extras: Sequence[complex] = ()):
-    """Tail-variation test, with the tail-model fit as a second chance.
+def _convergence_gate(rows, extras: Sequence[complex] = ()):
+    """Tail-variation test on node rows, the tail-model fit a second chance.
 
     Slowly decaying o(1) content (x^rho with -1 < Re(rho) < 0) fails the
     raw variation test yet is amplified, not tamed, by further averaging;
     the fit recognizes it because every model column decays.  A genuine
     divergence is not in the model and leaves a large fit residual.
     """
-    variation = decade_variation(g, cfg.horizon)
-    fit = fit_limit(g, cfg.horizon, extra_exponents=extras)
+    variation = decade_variation(rows)
+    fit = fit_limit(rows, extra_exponents=extras)
     if variation <= DETECT_TOLERANCE:
         return True, variation, fit
     scale = max(1.0, abs(complex(fit.limit)))
@@ -114,13 +115,12 @@ def _convergence_gate(g, cfg: LimitConfig, extras: Sequence[complex] = ()):
     # interval (a growing oscillation has constant interval averages), so
     # acceptance additionally requires the raw node samples to fit the
     # same decaying model
-    node_fit = fit_limit_nodes(g, cfg.horizon, extra_exponents=extras)
+    node_fit = fit_limit_nodes(rows, extra_exponents=extras)
     if node_fit.residual_rms > DETECT_TOLERANCE * scale:
         return False, variation, fit
     # the model columns all decay, so a large constant can hide a slowly
     # growing log inside the accepted residual; probe for one explicitly
-    probe = fit_limit(g, cfg.horizon, extra_exponents=extras,
-                      with_plain_log=True)
+    probe = fit_limit(rows, extra_exponents=extras, with_plain_log=True)
     if abs(probe.coefficients["log"]) > DETECT_TOLERANCE * scale:
         return False, variation, fit
     return True, variation, fit
@@ -129,19 +129,7 @@ def _convergence_gate(g, cfg: LimitConfig, extras: Sequence[complex] = ()):
 def strong_cesaro_limit(f: PiecewiseFn,
                         cfg: LimitConfig = DEFAULT_CONFIG) -> CesaroResult:
     """Escalate pure averaging powers until the result converges classically."""
-    g = f
-    for r in range(cfg.max_pure_power + 1):
-        ok, variation, fit = _convergence_gate(g, cfg)
-        if ok:
-            mech = "classical" if r == 0 else f"strong({r})"
-            return CesaroResult(
-                limit=_maybe_snap(fit.limit, cfg), mechanism=mech,
-                diagnostics={"horizon": cfg.horizon, "variation": variation,
-                             "stderr": fit.stderr, "escalations": r})
-        g = apply_P(g)
-    raise NotConvergentError(
-        f"no classical limit within {cfg.max_pure_power} averagings",
-        diagnostics={"horizon": cfg.horizon})
+    return cesaro_limit(f, None, cfg)
 
 
 def _residual_ladder(expansion: AsymptoticExpansion) -> list:
@@ -166,29 +154,39 @@ def cesaro_limit(f: PiecewiseFn,
     With no expansion this is the strong driver.  A pure-log or constant
     eigencomponent in the expansion yields a pole outcome rather than a
     value.  The known constant part of the expansion is genuine limit
-    content and is not removed.
+    content and is not removed.  Each level is one array of node rows.
     """
-    if expansion is None or not expansion.terms:
-        return strong_cesaro_limit(f, cfg)
-    if expansion.variable == "k":
-        from .asymptotics import invert_to_x_expansion
-        expansion = invert_to_x_expansion(expansion)
-    q = synthesize_annihilator(expansion, 0)
-    if is_pole(q):
-        return CesaroResult(limit=q, mechanism="pole",
-                            removed_terms=expansion.terms)
-    g = apply_regular_polynomial(q, f)
-    extras = _residual_ladder(expansion)
+    q, extras, removed = None, (), ()
+    if expansion is not None and expansion.terms:
+        if expansion.variable == "k":
+            from .asymptotics import invert_to_x_expansion
+            expansion = invert_to_x_expansion(expansion)
+        q, removed = synthesize_annihilator(expansion, 0), expansion.terms
+        if is_pole(q):
+            return CesaroResult(limit=q, mechanism="pole",
+                                removed_terms=removed)
+        extras = _residual_ladder(expansion)
+    rows, step = f.node_values(cfg.horizon), f.kind == "step"
+    if q is not None and q.degree:
+        rows, step = apply_q_nodes(q, rows, step), False
     for r in range(cfg.max_pure_power + 1):
-        ok, variation, fit = _convergence_gate(g, cfg, extras)
+        if r:
+            rows, step = average_pass(rows, step), False
+        ok, variation, fit = _convergence_gate(rows, extras)
         if ok:
-            q_final = build_regular_polynomial(q.factors, q.pure_power + r)
+            strong = "classical" if r == 0 else f"strong({r})"
             return CesaroResult(
-                limit=_maybe_snap(fit.limit, cfg), mechanism="generalised",
-                q_used=q_final, removed_terms=expansion.terms,
+                limit=_maybe_snap(fit.limit, cfg),
+                mechanism=strong if q is None else "generalised",
+                q_used=None if q is None else build_regular_polynomial(
+                    q.factors, q.pure_power + r),
+                removed_terms=removed,
                 diagnostics={"horizon": cfg.horizon, "variation": variation,
                              "stderr": fit.stderr, "escalations": r})
-        g = apply_P(g)
+    if q is None:
+        raise NotConvergentError(
+            f"no classical limit within {cfg.max_pure_power} averagings",
+            diagnostics={"horizon": cfg.horizon})
     raise NotConvergentError(
         "annihilation plus escalation did not reach classical convergence",
         diagnostics={"horizon": cfg.horizon, "q": q.describe()})

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .asymptotics import AsymptoticExpansion, ExpansionTerm
 from .config import DEFAULT_CONFIG, LimitConfig, SNAP_RADIUS
@@ -103,6 +102,7 @@ class RegularizedIntegral:
 
 
 def _quad_piece(f, a: float, b: float, complex_valued: bool):
+    from scipy.integrate import quad     # most of the cost of import cesaro
     if a == b:
         return 0.0
     opts = dict(limit=200, epsabs=1e-12, epsrel=1e-11)

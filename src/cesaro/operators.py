@@ -20,7 +20,7 @@ import numpy as np
 from .config import LAMBDA_EPS
 from .errors import (CrossCheckMismatchError, LambdaIsOneError,
                      VanishingMassError)
-from .seqfun import NODES, PARTIAL_FROM_VALUES, PiecewiseFn
+from .seqfun import NODES, PARTIAL_FROM_VALUES, PiecewiseFn, cell_prefix
 
 __all__ = [
     "apply_P",
@@ -39,25 +39,19 @@ def apply_P(f: PiecewiseFn) -> PiecewiseFn:
     """Average f over [0, x]: g(x) = (1/x) * integral_0^x f.
 
     g(0) is defined as f(0), the x -> 0+ limit for piecewise-continuous f.
-    Results are memoized on f, so repeated powers share cumulative caches.
+    Point values come from f's cumulative, not from interpolation.  Nothing
+    is memoized on f, so g is freed once the caller drops it.
     """
-    if f._averaged is not None:
-        return f._averaged
-
-    def gen(n):
-        return average_nodes(f.node_values(n), f.prefix(n)[:-1],
-                             step=f.kind == "step")
-
     def pv(x):
         x = float(x)
         if x == 0.0:
             return f.value(0.0)
         return f.cumulative(x) / x
 
-    g = PiecewiseFn("poly-in-alpha", gen, point_value=pv,
-                    label=f"P[{f.label}]")
-    f._averaged = g
-    return g
+    return PiecewiseFn(
+        "poly-in-alpha",
+        lambda n: average_pass(f.node_values(n), f.kind == "step"),
+        point_value=pv, label=f"P[{f.label}]")
 
 
 def average_nodes(vals, pre, step: bool = False):
@@ -71,6 +65,11 @@ def average_nodes(vals, pre, step: bool = False):
         partial = vals @ PARTIAL_FROM_VALUES.T
     ks = np.arange(len(vals), dtype=np.float64)[:, None]
     return (pre[:, None] + partial) / (ks + NODES[None, :])
+
+
+def average_pass(vals, step: bool = False):
+    """One averaging pass over float or complex node rows of cells 0..n-1."""
+    return average_nodes(vals, cell_prefix(vals, step)[:-1], step)
 
 
 def P_on_term(rho, m: int):
@@ -197,29 +196,32 @@ def build_regular_polynomial(factors, pure_power: int = 0) -> RegularPolynomial:
     return RegularPolynomial(factors=tuple(frozen), pure_power=pure_power)
 
 
-def _apply_factor(f: PiecewiseFn, lam) -> PiecewiseFn:
-    """(A - lam)/(1 - lam) applied once, continuous operator."""
-    scale = 1.0 / (1.0 - lam)
-    return PiecewiseFn.linear_combination([(scale, apply_P(f)),
-                                           (-lam * scale, f)])
+def apply_q_nodes(q: RegularPolynomial, vals, step: bool = False):
+    """q(A) on node rows of cells 0..n-1: each factor (A - lam)/(1 - lam) as
+    scale*P(v) + (-lam*scale)*v, then the pure power; step: the rows are a
+    step function's, which the first pass averages by the step rule."""
+    for lam, mult in q.factors:
+        scale = 1.0 / (1.0 - lam)
+        for _ in range(mult):
+            # named: numpy would multiply a temporary in place, and its
+            # in-place complex loop rounds differently in the last bit
+            averaged, step = average_pass(vals, step), False
+            vals = scale * averaged + (-lam * scale) * vals
+    for _ in range(q.pure_power):
+        vals, step = average_pass(vals, step), False
+    return vals
 
 
 def apply_regular_polynomial(q: RegularPolynomial, f: PiecewiseFn, *,
                              cross_check_at: Sequence[float] = (),
                              cross_check_tol: float = 1e-8) -> PiecewiseFn:
-    """Apply q to f by sequential factor application.
-
-    Sequential application reuses each intermediate's cumulative cache, which
-    is what makes power escalation cheap.  When cross_check_at points are
-    given, the result is also evaluated through the expanded monomial form
-    and the two (commuting) orders must agree there.
+    """Apply q to f's node rows factor by factor; a point value interpolates
+    its cell's row.  When cross_check_at points are given, the result is
+    also evaluated through the expanded monomial form, whose apply_P powers
+    integrate f, and the two (commuting) orders must agree there.
     """
-    g = f
-    for lam, mult in q.factors:
-        for _ in range(mult):
-            g = _apply_factor(g, lam)
-    for _ in range(q.pure_power):
-        g = apply_P(g)
+    g = PiecewiseFn("poly-in-alpha", lambda n: apply_q_nodes(
+        q, f.node_values(n), f.kind == "step"), label=f"q[{f.label}]")
     if cross_check_at:
         coeffs = q.monomial_coefficients()
         powers = [f]
@@ -262,10 +264,7 @@ def apply_P_mu(f: PiecewiseFn, scheme: MeasureScheme) -> PiecewiseFn:
         pts = np.arange(n, dtype=np.float64)[:, None] + NODES[None, :]
         return f.node_values(n) * scheme.mu(pts)
 
-    weighted = PiecewiseFn("poly-in-alpha", wgen,
-                           point_value=lambda x: f.value(x) * scheme.mu(
-                               np.array([float(x)]))[0],
-                           label=f"{f.label}*mu")
+    weighted = PiecewiseFn("poly-in-alpha", wgen, label=f"{f.label}*mu")
 
     def gen(n):
         vals = weighted.node_values(n)

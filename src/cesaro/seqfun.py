@@ -11,8 +11,9 @@ obtained by small dense matrix products.  Step pieces are handled exactly;
 smooth pieces through the degree-7 interpolant per interval.
 
 A function's cells are built in one pass from cell 0 when first needed, and
-rebuilt from cell 0 if a later query reaches past them.  Nothing here is
-locked: instances are not meant to be shared between threads.
+rebuilt from cell 0 if a later query reaches past them; the limit drivers
+read node rows once and average plain arrays.  Nothing here is locked:
+instances are not meant to be shared between threads.
 """
 
 from __future__ import annotations
@@ -99,6 +100,12 @@ def _as_array(values) -> np.ndarray:
     return np.asarray(values, dtype=np.complex128 if complex_ else np.float64)
 
 
+def cell_prefix(vals, step: bool = False) -> np.ndarray:
+    """Integrals to the integer points 0..n from node rows of cells 0..n-1."""
+    integrals = vals[:, 0] if step else vals @ WEIGHTS
+    return np.concatenate([np.zeros(1, integrals.dtype), np.cumsum(integrals)])
+
+
 def _step_cells(values) -> np.ndarray:
     """Node rows of the step function with value values[k] on [k, k+1)."""
     return np.repeat(_as_array(values)[:, None], NODES_PER_INTERVAL, axis=1)
@@ -112,7 +119,8 @@ class PiecewiseFn:
     ``step``          constant on each [k, k+1); exact cumulative.
     ``poly-in-alpha`` smooth on each interval, represented by node values
                       (sampled from a callable, or made by an operator);
-                      point_value evaluates it anywhere.
+                      point_value, or else the node interpolant,
+                      evaluates it anywhere.
 
     gen(n) returns the (n, G) node values of cells 0..n-1.
     """
@@ -122,8 +130,6 @@ class PiecewiseFn:
                  closed_cumulative: Optional[Callable] = None):
         if kind not in ("step", "poly-in-alpha"):
             raise ValueError(f"unknown kind {kind!r}")
-        if kind == "poly-in-alpha" and point_value is None:
-            raise ValueError("a poly-in-alpha function needs point_value")
         self.kind = kind
         self.label = label
         self._gen = gen
@@ -131,7 +137,6 @@ class PiecewiseFn:
         self._closed_cumulative = closed_cumulative
         self._vals: Optional[np.ndarray] = None      # (n, G) node values
         self._prefix: Optional[np.ndarray] = None    # cumulative at 0..n
-        self._averaged: Optional["PiecewiseFn"] = None
 
     def __repr__(self):
         n = 0 if self._vals is None else len(self._vals)
@@ -150,9 +155,7 @@ class PiecewiseFn:
         if have >= n:
             return
         vals = np.asarray(self._gen(max(n, 2 * have)))
-        integrals = vals[:, 0] if self.kind == "step" else vals @ WEIGHTS
-        self._prefix = np.concatenate([np.zeros(1, integrals.dtype),
-                                       np.cumsum(integrals)])
+        self._prefix = cell_prefix(vals, step=self.kind == "step")
         self._vals = vals
 
     def node_values(self, n: int) -> np.ndarray:
@@ -167,18 +170,25 @@ class PiecewiseFn:
     # -- evaluation --------------------------------------------------------
 
     def value(self, x: float):
-        """Point evaluation.  Step kind uses the midpoint convention at
+        """Point evaluation: point_value if there is one, else the cell's
+        step value or node interpolant, with the midpoint convention at
         interior integer points (the convention never affects cumulatives)."""
         x = float(x)
         if x < 0 or not math.isfinite(x):
             raise ValueError("value requires finite x >= 0")
-        if self.kind != "step":
+        if self._point_value is not None:
             return self._point_value(x)
         k = int(math.floor(x))
-        steps = self.node_values(k + 1)[:, 0]
+        rows = self.node_values(k + 1)
+
+        def side(j, a):
+            if self.kind == "step":
+                return rows[j, 0]
+            return np.polynomial.polynomial.polyval(a, TO_MONOMIAL @ rows[j])
+
         if x == k and k >= 1:
-            return (steps[k - 1] + steps[k]) / 2
-        return steps[k]
+            return (side(k - 1, 1.0) + side(k, 0.0)) / 2
+        return side(k, x - k)
 
     def cumulative(self, X: float):
         """Integral of the function over [0, X]."""

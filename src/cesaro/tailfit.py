@@ -16,7 +16,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-__all__ = ["TailFit", "tail_points", "decade_variation", "fit_limit",
+from .seqfun import NODES, WEIGHTS
+
+__all__ = ["TailFit", "decade_variation", "fit_limit",
            "fit_limit_nodes", "snap_to_rational"]
 
 #: sampled integer cells per decade window
@@ -32,34 +34,26 @@ class TailFit:
     coefficients: dict = field(default_factory=dict)
 
 
-def tail_points(horizon: int) -> np.ndarray:
-    """SAMPLE_CELLS integer cell indices, log-spaced over the last decade of
-    the horizon (fewer where rounding merges neighbours)."""
-    lo = max(1, horizon // 10)
-    ks = np.unique(np.round(np.geomspace(lo, horizon - 1,
+def _window_values(rows):
+    """Node samples of SAMPLE_CELLS cells, log-spaced over the last decade
+    of the rows (fewer where rounding merges neighbours)."""
+    horizon = len(rows)
+    ks = np.unique(np.round(np.geomspace(max(1, horizon // 10), horizon - 1,
                                          SAMPLE_CELLS)).astype(int))
-    return ks
-
-
-def _window_values(f, horizon: int):
-    from .seqfun import NODES
-    ks = tail_points(horizon)
-    rows = f.node_values(horizon)[ks]
     xs = (ks[:, None] + NODES[None, :]).ravel()
-    return xs, rows.ravel()
+    return xs, rows[ks].ravel()
 
 
-def _window_means(f, horizon: int):
+def _window_means(rows):
     """Per-cell integral means over every cell of the last decade.
 
     Using all consecutive cells (not a sparse sample) is essential: the
     residuals are often periodic in the cell index, and a contiguous window
     balances any period to one part in the window length.
     """
-    from .seqfun import WEIGHTS
+    horizon = len(rows)
     lo = max(1, horizon // 10)
-    rows = f.node_values(horizon)[lo:horizon]
-    ys = rows @ WEIGHTS
+    ys = rows[lo:horizon] @ WEIGHTS
     xs = np.arange(lo, horizon, dtype=np.float64) + 0.5
     return xs, ys
 
@@ -72,13 +66,13 @@ def relative_spread(ys) -> float:
     return spread / max(1.0, float(np.mean(np.abs(ys))))
 
 
-def decade_variation(f, horizon: int) -> float:
-    """Relative spread of f over its last decade (the convergence test)."""
-    _, ys = _window_values(f, horizon)
+def decade_variation(rows) -> float:
+    """Relative spread of node rows over their last decade (the test)."""
+    _, ys = _window_values(rows)
     return relative_spread(ys)
 
 
-def fit_limit_nodes(f, horizon: int, *,
+def fit_limit_nodes(rows, *,
                     extra_exponents: Sequence[complex] = ()) -> TailFit:
     """Tail model fitted to raw node samples instead of cell means.
 
@@ -88,11 +82,11 @@ def fit_limit_nodes(f, horizon: int, *,
     the honest convergence check while the mean-based one supplies the
     better-conditioned value.
     """
-    xs, ys = _window_values(f, horizon)
+    xs, ys = _window_values(rows)
     return fit_limit_array(xs, ys, extra_exponents=extra_exponents)
 
 
-def fit_limit(f, horizon: int, *, extra_exponents: Sequence[complex] = (),
+def fit_limit(rows, *, extra_exponents: Sequence[complex] = (),
               with_plain_log: bool = False) -> TailFit:
     """Fit  y(x) = L + a/x + b*ln(x)/x + c/x^2 (+ caller terms)  on the tail.
 
@@ -100,7 +94,7 @@ def fit_limit(f, horizon: int, *, extra_exponents: Sequence[complex] = (),
     about (for instance the fractional exponents left after annihilation).
     Returns the constant L with a standard error from the fit covariance.
     """
-    xs, ys = _window_means(f, horizon)
+    xs, ys = _window_means(rows)
     return fit_limit_array(xs, ys, extra_exponents=extra_exponents,
                            with_plain_log=with_plain_log)
 

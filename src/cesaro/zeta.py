@@ -42,10 +42,9 @@ from .dd import DDArray
 from .errors import (CrossCheckMismatchError, LambdaIsOneError,
                      MissingDerivativeTermError, NonIntegerRhoError,
                      PoleSignal, SAtPoleError, is_pole)
-from .operators import (apply_P, apply_P_D, average_nodes,
+from .operators import (apply_P_D, average_nodes, average_pass,
                         build_regular_polynomial)
-from .seqfun import (NODES, WEIGHTS, PiecewiseFn, SeriesTerms, n_pow_minus_s,
-                     psum_function)
+from .seqfun import NODES, WEIGHTS, SeriesTerms, n_pow_minus_s, psum_function
 from .tailfit import (fit_limit, fit_limit_array, sequence_tail,
                       snap_to_rational)
 
@@ -338,10 +337,8 @@ def zeta_residue_at_1(cfg: LimitConfig = DEFAULT_CONFIG):
     by exactly -1 and fixes the rest, so the difference tends to -1 and
     the residue to 1.
     """
-    f = psum_function(n_pow_minus_s(1.0))
-    g = PiecewiseFn.linear_combination([(-1.0, apply_P(f)), (1.0, f)])
-    fit = fit_limit(g, cfg.horizon)
-    return fit.limit
+    rows = psum_function(n_pow_minus_s(1.0)).node_values(cfg.horizon)
+    return fit_limit(rows - average_pass(rows, step=True)).limit
 
 
 def eta(s, cfg: LimitConfig = DEFAULT_CONFIG):

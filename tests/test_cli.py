@@ -153,6 +153,13 @@ def test_zeta_cross_check_failure_exits_one(capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("failed: ")
 
 
+def test_zeta_discrete_pole_record_matches_the_continuous_one(capsys):
+    want = _json_out(capsys, ["zeta", "--s", "1"], expect_code=3)
+    got = _json_out(capsys, ["zeta", "--s", "1", "--discrete"], expect_code=3)
+    assert got == {**want, "detail": "pole at s = 1"}
+    assert got["log_power"] == 1
+
+
 def test_zeta_discrete_anomaly(capsys):
     doc = _json_out(capsys, ["zeta", "--s", "-1,0", "--discrete"])
     assert _value(doc) == pytest.approx(1.0, abs=1e-6)

@@ -1,6 +1,7 @@
 """Limit drivers: classical, strong, generalised, discrete, and the
 closed-form mixed-coordinate tables."""
 
+import gc
 import math
 from fractions import Fraction
 
@@ -8,7 +9,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from cesaro.asymptotics import AsymptoticExpansion, ExpansionTerm
+from cesaro.asymptotics import (AsymptoticExpansion, ExpansionTerm,
+                                zeta_psum_expansion)
 from cesaro.climits import (cdlim_power, cesaro_limit, cesaro_limit_discrete,
                             classical_limit, clim_k_alpha, clim_x_alpha,
                             strong_cesaro_limit)
@@ -16,6 +18,7 @@ from cesaro.config import DEFAULT_CONFIG
 from cesaro.errors import NotConvergentError, is_pole
 from cesaro.seqfun import (PiecewiseFn, alt_naturals, alt_ones, naturals,
                            ones, psum_function, zero_padded)
+from cesaro.zeta import eta
 
 CFG = DEFAULT_CONFIG
 FAST = DEFAULT_CONFIG.with_(horizon=2 * 10 ** 4)
@@ -71,6 +74,34 @@ def test_generalised_limit_of_step_ramp():
     assert res.mechanism == "generalised"
     assert res.removed_terms
     assert res.q_used is not None and res.q_used.eval_scalar(1) == 1
+
+
+def test_continuous_drivers_pinned_values():
+    res = strong_cesaro_limit(psum_function(alt_naturals()), CFG)
+    assert res.limit == pytest.approx(0.2499999982757418, rel=1e-12)
+    assert res.mechanism == "strong(2)"
+    res = cesaro_limit(psum_function(naturals()), zeta_psum_expansion(-1), CFG)
+    assert res.limit == pytest.approx(-0.08333328452724058, rel=1e-12)
+    assert res.q_used.describe() == "3/2*(A-1/3)A^2"
+    assert res.diagnostics["escalations"] == 2
+
+
+@pytest.mark.parametrize("call", [
+    lambda cfg: strong_cesaro_limit(psum_function(alt_naturals()), cfg),
+    lambda cfg: cesaro_limit(psum_function(naturals()),
+                             zeta_psum_expansion(-1), cfg),
+    lambda cfg: eta(-1.5, cfg),
+], ids=["strong", "generalised", "eta"])
+def test_continuous_drivers_leave_no_cyclic_garbage(call):
+    cfg = CFG.with_(horizon=2000)
+    call(cfg)                   # warm-up: lazy imports and module caches
+    gc.collect()
+    gc.disable()
+    try:
+        call(cfg)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_generalised_limit_pole_on_log_content():

@@ -1,11 +1,15 @@
 """Regularized integrals, endpoint analysis, and the Mellin showcase."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import cesaro
 from cesaro.asymptotics import AsymptoticExpansion, ExpansionTerm
 from cesaro.config import DEFAULT_CONFIG
 from cesaro.errors import (FitFailureError, IllegalCancellationError,
@@ -23,6 +27,17 @@ def _classical(f):
     v1, _ = quad(f, 0, 1, limit=200, epsabs=1e-12, epsrel=1e-11)
     v2, _ = quad(f, 1, np.inf, limit=200, epsabs=1e-12, epsrel=1e-11)
     return v1 + v2
+
+
+def test_import_defers_scipy_integrate():
+    # scipy.integrate is most of the import's cost; only quadrature needs it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cesaro.__file__)))
+    code = "import sys, cesaro.cli; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_spec_validation():

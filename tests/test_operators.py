@@ -1,5 +1,6 @@
 """Averaging operators: continuous, discrete, and measure-weighted."""
 
+import weakref
 from fractions import Fraction
 
 import mpmath
@@ -38,9 +39,14 @@ def test_apply_P_eigenfunction_relation():
                                                rel=1e-9)
 
 
-def test_apply_P_memoizes():
+def test_apply_P_is_freed_when_the_caller_drops_it():
+    # f keeps no reference to its average, so no cycle outlives the caller
     f = psum_function(alt_ones())
-    assert apply_P(f) is apply_P(f)
+    g = apply_P(f)
+    g.node_values(10)
+    ref = weakref.ref(g)
+    del g
+    assert ref() is None
 
 
 def test_P_on_term_log_powers():
@@ -139,7 +145,7 @@ def test_apply_regular_polynomial_cross_check():
     q = build_regular_polynomial([(0.5, 1), (1.0 / 3.0, 1)])
     f = psum_function(alt_ones())
     # factored and expanded application must agree where requested
-    apply_regular_polynomial(q, f, cross_check_at=(10.5, 50.25))
+    apply_regular_polynomial(q, f, cross_check_at=(10.5, 20.0, 50.25))
 
 
 def test_P_mu_unit_weight_matches_plain_average():

@@ -150,6 +150,17 @@ def test_linear_combination_pointwise():
         assert h.value(x) == pytest.approx(2 * f.value(x) - g.value(x))
 
 
-def test_smooth_kind_needs_a_point_value():
-    with pytest.raises(ValueError):
-        PiecewiseFn("poly-in-alpha", lambda n: np.zeros((n, 8)))
+def test_smooth_kind_without_a_point_value_interpolates_its_nodes():
+    # the degree-7 node interpolant reproduces any polynomial of degree <= 7
+    from cesaro.seqfun import NODES
+    coeffs = [0.3, -1.2, 0.5, 0.2, -0.05, 0.01, -0.003, 0.0004]
+
+    def poly(x):
+        return np.polynomial.polynomial.polyval(x, coeffs)
+
+    def gen(n):
+        return poly(np.arange(n, dtype=float)[:, None] + NODES[None, :])
+
+    f = PiecewiseFn("poly-in-alpha", gen)
+    for x in (0.0, 0.37, 0.999, 1.0, 1.5, 1.999):
+        assert f.value(x) == pytest.approx(poly(x), rel=1e-12, abs=1e-12)

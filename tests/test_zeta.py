@@ -115,11 +115,19 @@ def test_zeta_shallow_strip(s):
 
 def test_zeta_residue_at_one():
     assert zeta_residue_at_1(CFG) == pytest.approx(1.0, abs=1e-6)
+    assert zeta_residue_at_1(CFG) == pytest.approx(0.9999999999997876,
+                                                   rel=1e-12)
 
 
 @pytest.mark.parametrize("s,want", sorted(ETA_ORACLE.items()))
 def test_eta_values(s, want):
     assert complex(eta(s, CFG)).real == pytest.approx(want, abs=1e-7)
+
+
+def test_eta_deep_value_pinned():
+    # 1.2e-3 relative off altzeta (ROADMAP item 8); pinned so that a change
+    # of the averaging arithmetic shows
+    assert eta(-2.5, CFG) == pytest.approx(-0.08794803859260654, rel=1e-12)
 
 
 def test_eta_zeta_functional_relation():
