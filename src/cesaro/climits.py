@@ -23,7 +23,7 @@ import mpmath
 import numpy as np
 
 from .config import (DEFAULT_CONFIG, DETECT_TOLERANCE, LimitConfig,
-                     SNAP_RADIUS, SWING_TOLERANCE)
+                     SNAP_RADIUS)
 from .errors import NotConvergentError, is_pole
 from .operators import (RegularPolynomial, apply_P_D, apply_q_nodes,
                         average_pass, build_regular_polynomial)
@@ -32,8 +32,8 @@ from .asymptotics import (AsymptoticExpansion, divergent_exponent,
                           synthesize_annihilator)
 from .seqfun import PiecewiseFn
 from .tailfit import (decade_variation, fit_limit, fit_limit_array,
-                      fit_limit_nodes, persistent_swing, relative_spread,
-                      sequence_tail, snap_to_rational)
+                      fit_limit_nodes, relative_spread, sequence_tail,
+                      snap_to_rational)
 
 __all__ = [
     "CesaroResult",
@@ -106,13 +106,9 @@ def _convergence_gate(rows, extras: Sequence[complex] = ()):
     """
     variation = decade_variation(rows)
     fit = fit_limit(rows, extra_exponents=extras)
-    scale = max(1.0, abs(complex(fit.limit)))
-    # a swing that does not decay is no limit however small it is, and it
-    # biases the constant; another averaging pass turns it into decay
-    if persistent_swing(rows) > SWING_TOLERANCE * scale:
-        return False, variation, fit
     if variation <= DETECT_TOLERANCE:
         return True, variation, fit
+    scale = max(1.0, abs(complex(fit.limit)))
     if fit.residual_rms > DETECT_TOLERANCE * scale:
         return False, variation, fit
     # cell means can stabilize while the function still swings inside each

@@ -21,13 +21,6 @@ EXPONENT_MERGE_TOL = 1e-12
 #: value itself is then refined by a tail-model fit.
 DETECT_TOLERANCE = 1e-3
 
-#: Relative size of a cell-to-cell swing that has not decayed across the
-#: tail window and still counts as convergent.  Such a swing (a bounded
-#: oscillation, or drift) leaks into the fitted constant at a few parts in
-#: 1e3 of its size, so below DETECT_TOLERANCE it would pass the variation
-#: test with a wrong value; one averaging pass removes it instead.
-SWING_TOLERANCE = 1e-7
-
 
 @dataclass(frozen=True)
 class LimitConfig:

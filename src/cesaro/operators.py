@@ -203,8 +203,7 @@ def apply_q_nodes(q: RegularPolynomial, vals, step: bool = False):
     for lam, mult in q.factors:
         scale = 1.0 / (1.0 - lam)
         for _ in range(mult):
-            # named: numpy would multiply a temporary in place, and its
-            # in-place complex loop rounds differently in the last bit
+            # named: numpy's in-place multiply of a temporary rounds otherwise
             averaged, step = average_pass(vals, step), False
             vals = scale * averaged + (-lam * scale) * vals
     for _ in range(q.pure_power):
@@ -216,9 +215,10 @@ def apply_regular_polynomial(q: RegularPolynomial, f: PiecewiseFn, *,
                              cross_check_at: Sequence[float] = (),
                              cross_check_tol: float = 1e-8) -> PiecewiseFn:
     """Apply q to f's node rows factor by factor; a point value interpolates
-    its cell's row.  When cross_check_at points are given, the result is
-    also evaluated through the expanded monomial form, whose apply_P powers
-    integrate f, and the two (commuting) orders must agree there.
+    its cell's row.  At cross_check_at points the monomial form, whose
+    apply_P powers integrate f exactly, must agree.  A step input's first
+    cells (x < ~3) average to rationals in alpha that the interpolant
+    misses by ~1e-5, so points there raise falsely: check further out.
     """
     g = PiecewiseFn("poly-in-alpha", lambda n: apply_q_nodes(
         q, f.node_values(n), f.kind == "step"), label=f"q[{f.label}]")

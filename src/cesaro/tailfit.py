@@ -19,14 +19,10 @@ import numpy as np
 from .seqfun import NODES, WEIGHTS
 
 __all__ = ["TailFit", "decade_variation", "fit_limit",
-           "fit_limit_nodes", "persistent_swing", "snap_to_rational"]
+           "fit_limit_nodes", "snap_to_rational"]
 
 #: sampled integer cells per decade window
 SAMPLE_CELLS = 160
-
-#: end-to-start ratio of the cell-to-cell swing above which it has not
-#: decayed; a swing of size x^rho reaches it only for Re rho > -0.12
-PERSISTENCE = 0.8
 
 
 @dataclass(frozen=True)
@@ -74,23 +70,6 @@ def decade_variation(rows) -> float:
     """Relative spread of node rows over their last decade (the test)."""
     _, ys = _window_values(rows)
     return relative_spread(ys)
-
-
-def persistent_swing(rows) -> float:
-    """Cell-to-cell swing of the cell means at the end of the last decade,
-    or 0 when it fell below PERSISTENCE of its size at the start.
-
-    Decaying content (c/x, x^rho with Re rho < 0, an oscillation under an
-    averaging pass) swings at least several times less at the end of the
-    decade than at its start; a bounded oscillation swings as much.
-    """
-    horizon = len(rows)
-    lo = max(1, horizon // 10)
-    m = max(2, (horizon - lo) // 10)      # a tenth of the window at each end
-    early, late = (
-        float(np.sqrt(np.mean(np.abs(np.diff(rows[a:a + m] @ WEIGHTS)) ** 2)))
-        for a in (lo, horizon - m))
-    return late if late >= PERSISTENCE * early else 0.0
 
 
 def fit_limit_nodes(rows, *,

@@ -52,18 +52,6 @@ def test_strong_limit_alternating_naturals():
     assert res.mechanism == "strong(2)"
 
 
-@pytest.mark.parametrize("scale, shift", [(2.0 ** -9, 0.0), (0.004, 5.0)])
-def test_small_bounded_oscillation_is_averaged(scale, shift):
-    # the swing is under DETECT_TOLERANCE of the limit's size, yet it never
-    # decays, so it takes an averaging pass, not a biased classical fit
-    f = PiecewiseFn.linear_combination(
-        [(scale, psum_function(alt_ones())),
-         (shift, _from_callable(lambda x: np.ones_like(np.asarray(x, float))))])
-    res = cesaro_limit(f, None, FAST)
-    assert res.mechanism == "strong(1)"
-    assert res.limit == pytest.approx(scale / 2 + shift, abs=1e-10)
-
-
 def test_strong_limit_exact_mode_snaps():
     cfg = CFG.with_(exact_mode=True)
     res = strong_cesaro_limit(psum_function(alt_ones()), cfg)
