@@ -1,10 +1,10 @@
 """Limit drivers: classical, strong (pure averaging), and generalised.
 
 A generalised limit is the classical limit of q(A)[f] for a regular
-polynomial q in the averaging operator.  The drivers here classify
-convergence by a scale-free tail-variation test, refine values by the tail
-model fit, and record which divergent terms were removed so callers can
-distinguish strong from generalised convergence.
+polynomial q in the averaging operator.  Every driver here accepts a
+classical limit by one rule, _convergence_gate on tail samples, reads the
+value off the tail-model fit, and records which divergent terms were
+removed so callers can distinguish strong from generalised convergence.
 
 The closed-form limit tables for the mixed coordinates k^delta * alpha^r and
 x^delta * alpha^r (k the integer part, alpha the fractional part) live here
@@ -23,7 +23,7 @@ import mpmath
 import numpy as np
 
 from .config import (DEFAULT_CONFIG, DETECT_TOLERANCE, LimitConfig,
-                     SNAP_RADIUS)
+                     SNAP_RADIUS, SWING_PERSISTENCE, SWING_TOLERANCE)
 from .errors import NotConvergentError, is_pole
 from .operators import (RegularPolynomial, apply_P_D, apply_q_nodes,
                         average_pass, build_regular_polynomial)
@@ -31,9 +31,8 @@ from .asymptotics import (AsymptoticExpansion, divergent_exponent,
                           eigensequence_lower_order, peel_ladder,
                           synthesize_annihilator)
 from .seqfun import PiecewiseFn
-from .tailfit import (decade_variation, fit_limit, fit_limit_array,
-                      fit_limit_nodes, relative_spread, sequence_tail,
-                      snap_to_rational)
+from .tailfit import (_window_means, _window_values, fit_limit_array,
+                      relative_spread, sequence_tail, snap_to_rational)
 
 __all__ = [
     "CesaroResult",
@@ -57,6 +56,8 @@ class CesaroResult:
     mechanism is "classical", "strong(r)", "generalised", or "pole".
     removed_terms stays empty for classical and strong results: strong
     convergence means no divergences were removed, only pure averaging.
+    diagnostics["gate"] is the _convergence_gate exit that accepted, or
+    "exact" for a constant exact discrete residual, or None for a pole.
     """
 
     limit: object
@@ -81,49 +82,49 @@ def classical_limit(f: PiecewiseFn, cfg: LimitConfig = DEFAULT_CONFIG,
                     extra_exponents: Sequence[complex] = ()):
     """Classical limit at infinity, or NotConvergentError.
 
-    Classification is the decade tail-variation test at DETECT_TOLERANCE
-    (scale free for the power/log divergences arising here); the returned
-    value is then refined by the tail-model fit, which removes the known
-    residual shapes left behind by averaging.
+    Only the variation exit of _convergence_gate accepts here; its fit exit
+    is a second chance for averaged functions.  The value is the gate's fit.
     """
     rows = f.node_values(cfg.horizon)
-    variation = decade_variation(rows)
-    if variation > DETECT_TOLERANCE:
+    gate, variation, fit = _convergence_gate(
+        *_window_means(rows), _window_values(rows), extra_exponents)
+    if gate != "variation":
         raise NotConvergentError(
-            "tail variation above threshold",
+            "tail spread or swing above threshold",
             diagnostics={"variation": variation, "horizon": cfg.horizon})
-    fit = fit_limit(rows, extra_exponents=extra_exponents)
     return _maybe_snap(fit.limit, cfg)
 
 
-def _convergence_gate(rows, extras: Sequence[complex] = ()):
-    """Tail-variation test on node rows, the tail-model fit a second chance.
+def _convergence_gate(xs, ys, nodes=None, extras: Sequence[complex] = ()):
+    """The one acceptance rule: (exit, variation, fit) for tail samples.
 
-    Slowly decaying o(1) content (x^rho with -1 < Re(rho) < 0) fails the
-    raw variation test yet is amplified, not tamed, by further averaging;
-    the fit recognizes it because every model column decays.  A genuine
-    divergence is not in the model and leaves a large fit residual.
+    (xs, ys), the fitted samples, are a function's cell means or a sequence
+    over the last decade; nodes are a function's raw (xs, ys) there.  exit
+    is "variation", "fit" or None.  A swing that has not decayed rejects
+    (SWING_TOLERANCE).  The fit exit is a second chance for a spread the
+    decaying model explains: a divergence leaves a residual, cell means can
+    be steady while the nodes swing, and a ln x column probes for a log a
+    large constant would hide.  x^rho content, -1 < Re rho < 0, passes it
+    biased: over one decade the constant column absorbs part of it.
     """
-    variation = decade_variation(rows)
-    fit = fit_limit(rows, extra_exponents=extras)
-    if variation <= DETECT_TOLERANCE:
-        return True, variation, fit
+    fit = fit_limit_array(xs, ys, extra_exponents=extras)
     scale = max(1.0, abs(complex(fit.limit)))
-    if fit.residual_rms > DETECT_TOLERANCE * scale:
-        return False, variation, fit
-    # cell means can stabilize while the function still swings inside each
-    # interval (a growing oscillation has constant interval averages), so
-    # acceptance additionally requires the raw node samples to fit the
-    # same decaying model
-    node_fit = fit_limit_nodes(rows, extra_exponents=extras)
-    if node_fit.residual_rms > DETECT_TOLERANCE * scale:
-        return False, variation, fit
-    # the model columns all decay, so a large constant can hide a slowly
-    # growing log inside the accepted residual; probe for one explicitly
-    probe = fit_limit(rows, extra_exponents=extras, with_plain_log=True)
-    if abs(probe.coefficients["log"]) > DETECT_TOLERANCE * scale:
-        return False, variation, fit
-    return True, variation, fit
+    variation = relative_spread(ys if nodes is None else nodes[1])
+    m = max(2, len(ys) // 10)           # a tenth of the window at each end
+    early, late = (float(np.sqrt(np.mean(np.abs(np.diff(ys[part])) ** 2)))
+                   for part in (slice(None, m), slice(-m, None)))
+    if late >= SWING_PERSISTENCE * early and late > SWING_TOLERANCE * scale:
+        return None, variation, fit
+    if variation <= DETECT_TOLERANCE:
+        return "variation", variation, fit
+    tol = DETECT_TOLERANCE * scale
+    if fit.residual_rms > tol or nodes is not None and fit_limit_array(
+            *nodes, extra_exponents=extras).residual_rms > tol:
+        return None, variation, fit
+    probe = fit_limit_array(xs, ys, extra_exponents=extras,
+                            with_plain_log=True)
+    return ("fit" if abs(probe.coefficients["log"]) <= tol else None,
+            variation, fit)
 
 
 def strong_cesaro_limit(f: PiecewiseFn,
@@ -164,7 +165,8 @@ def cesaro_limit(f: PiecewiseFn,
         q, removed = synthesize_annihilator(expansion, 0), expansion.terms
         if is_pole(q):
             return CesaroResult(limit=q, mechanism="pole",
-                                removed_terms=removed)
+                                removed_terms=removed,
+                                diagnostics={"gate": None})
         extras = _residual_ladder(expansion)
     rows, step = f.node_values(cfg.horizon), f.kind == "step"
     if q is not None and q.degree:
@@ -172,8 +174,9 @@ def cesaro_limit(f: PiecewiseFn,
     for r in range(cfg.max_pure_power + 1):
         if r:
             rows, step = average_pass(rows, step), False
-        ok, variation, fit = _convergence_gate(rows, extras)
-        if ok:
+        gate, variation, fit = _convergence_gate(
+            *_window_means(rows), _window_values(rows), extras)
+        if gate:
             strong = "classical" if r == 0 else f"strong({r})"
             return CesaroResult(
                 limit=_maybe_snap(fit.limit, cfg),
@@ -182,7 +185,8 @@ def cesaro_limit(f: PiecewiseFn,
                     q.factors, q.pure_power + r),
                 removed_terms=removed,
                 diagnostics={"horizon": cfg.horizon, "variation": variation,
-                             "stderr": fit.stderr, "escalations": r})
+                             "stderr": fit.stderr, "escalations": r,
+                             "gate": gate})
     if q is None:
         raise NotConvergentError(
             f"no classical limit within {cfg.max_pure_power} averagings",
@@ -281,7 +285,8 @@ def _discrete_exact(arr, removed, cfg: LimitConfig) -> Optional[CesaroResult]:
         limit=tail[0] if cfg.exact_mode else float(tail[0]),
         mechanism="generalised" if removed else "classical",
         removed_terms=tuple(removed),
-        diagnostics={"horizon": len(arr), "variation": 0.0, "exact": True})
+        diagnostics={"horizon": len(arr), "variation": 0.0, "exact": True,
+                     "gate": "exact"})
 
 
 def cesaro_limit_discrete(a, eigendecomposition: Sequence[tuple],
@@ -302,7 +307,7 @@ def cesaro_limit_discrete(a, eigendecomposition: Sequence[tuple],
     entries, and if the residual does not close there, the whole input runs
     in doubles as float input would; mpmath entries stay at the caller's
     working precision, anything else runs in doubles.  The residual is
-    judged in doubles; if its tail fails the classical test, annihilating
+    judged in doubles by _convergence_gate; if its tail fails, annihilating
     factors over the running-average operator are applied and escalated.
     """
     n_max = cfg.horizon
@@ -373,12 +378,8 @@ def cesaro_limit_discrete(a, eigendecomposition: Sequence[tuple],
     applied_factors = False
     escalations = 0
     for stage in range(cfg.max_pure_power + 1):
-        ns_tail, tail = sequence_tail(arr)
-        variation = relative_spread(tail)
-        fit = fit_limit_array(ns_tail, tail)
-        scale = max(1.0, abs(complex(fit.limit)))
-        if (variation <= DETECT_TOLERANCE
-                or fit.residual_rms <= DETECT_TOLERANCE * scale):
+        gate, variation, fit = _convergence_gate(*sequence_tail(arr))
+        if gate:
             if removed or q_factors:
                 mech = "generalised"
             else:
@@ -389,7 +390,8 @@ def cesaro_limit_discrete(a, eigendecomposition: Sequence[tuple],
                 limit=_maybe_snap(fit.limit, cfg), mechanism=mech,
                 q_used=q_used, removed_terms=tuple(removed),
                 diagnostics={"horizon": n_max, "variation": variation,
-                             "stderr": fit.stderr, "escalations": escalations})
+                             "stderr": fit.stderr, "escalations": escalations,
+                             "gate": gate})
         if not applied_factors:
             applied_factors = True
             for _, e in removed:

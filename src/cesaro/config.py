@@ -21,6 +21,16 @@ EXPONENT_MERGE_TOL = 1e-12
 #: value itself is then refined by a tail-model fit.
 DETECT_TOLERANCE = 1e-3
 
+#: A tail swings persistently when the rms step between consecutive
+#: samples over the last tenth of its window is at least SWING_PERSISTENCE
+#: of that step over the first tenth; decaying content steps several times
+#: less at the end of a decade (x^rho stays above 0.8 only for Re rho >
+#: -0.12).  Such a swing above SWING_TOLERANCE of max(1, |limit|) is no
+#: limit, however far below DETECT_TOLERANCE: the fit leaks a few parts in
+#: 1e3 of it into the constant, and one averaging pass removes it instead.
+SWING_PERSISTENCE = 0.8
+SWING_TOLERANCE = 1e-7
+
 
 @dataclass(frozen=True)
 class LimitConfig:

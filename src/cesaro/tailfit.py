@@ -67,27 +67,18 @@ def relative_spread(ys) -> float:
 
 
 def decade_variation(rows) -> float:
-    """Relative spread of node rows over their last decade (the test)."""
-    _, ys = _window_values(rows)
-    return relative_spread(ys)
+    """Relative spread of node rows over their last decade."""
+    return relative_spread(_window_values(rows)[1])
 
 
 def fit_limit_nodes(rows, *,
                     extra_exponents: Sequence[complex] = ()) -> TailFit:
-    """Tail model fitted to raw node samples instead of cell means.
-
-    Cell means hide any within-interval structure: a growing oscillation
-    whose interval averages happen to stabilize looks convergent to the
-    mean-based fit.  The node-level residual exposes it, so this fit is
-    the honest convergence check while the mean-based one supplies the
-    better-conditioned value.
-    """
+    """Tail model fitted to raw node samples instead of cell means."""
     xs, ys = _window_values(rows)
     return fit_limit_array(xs, ys, extra_exponents=extra_exponents)
 
 
-def fit_limit(rows, *, extra_exponents: Sequence[complex] = (),
-              with_plain_log: bool = False) -> TailFit:
+def fit_limit(rows, *, extra_exponents: Sequence[complex] = ()) -> TailFit:
     """Fit  y(x) = L + a/x + b*ln(x)/x + c/x^2 (+ caller terms)  on the tail.
 
     extra_exponents adds columns x^e for residual ladders the caller knows
@@ -95,8 +86,7 @@ def fit_limit(rows, *, extra_exponents: Sequence[complex] = (),
     Returns the constant L with a standard error from the fit covariance.
     """
     xs, ys = _window_means(rows)
-    return fit_limit_array(xs, ys, extra_exponents=extra_exponents,
-                           with_plain_log=with_plain_log)
+    return fit_limit_array(xs, ys, extra_exponents=extra_exponents)
 
 
 def power_column(xs: np.ndarray, e) -> np.ndarray:
@@ -146,10 +136,8 @@ def fit_limit_array(xs, ys, *, extra_exponents: Sequence[complex] = (),
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys)
     cols = [np.ones_like(xs), 1.0 / xs, 1.0 / xs**2]
-    log_col = None
     if with_plain_log:
-        log_col = len(cols)
-        cols.append(np.log(xs))
+        cols.append(np.log(xs))         # column 3, reported as "log"
     for m in range(1, max(1, max_log_power) + 1):
         cols.append(np.log(xs) ** m / xs)
     if with_log_over_x2:
@@ -164,8 +152,8 @@ def fit_limit_array(xs, ys, *, extra_exponents: Sequence[complex] = (),
     if not np.iscomplexobj(ys):
         limit = float(np.real(limit))
     named = {"const": limit}
-    if log_col is not None:
-        named["log"] = complex(coef[log_col])
+    if with_plain_log:
+        named["log"] = complex(coef[3])
     return TailFit(limit=limit, stderr=stderr, residual_rms=rms,
                    window=(int(xs[0]), int(xs[-1])), coefficients=named)
 

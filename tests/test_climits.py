@@ -39,6 +39,27 @@ def test_classical_limit_rejects_divergence():
         classical_limit(f, FAST)
 
 
+def test_classical_limit_rejects_a_small_bounded_oscillation():
+    # the 0/alpha swing of 2^-10 * (1 - 1 + 1 - ...) is under the variation
+    # threshold, yet it never decays, so there is no classical limit
+    f = PiecewiseFn.linear_combination(
+        [(2.0 ** -10, psum_function(alt_ones()))])
+    with pytest.raises(NotConvergentError):
+        classical_limit(f, FAST)
+
+
+def test_gate_exit_is_recorded():
+    # what `cesaro sum alt_n` runs
+    res = strong_cesaro_limit(psum_function(alt_naturals()), CFG)
+    assert res.diagnostics["gate"] == "variation"
+    # 10/(1+x) spreads 1.5e-3 of the limit over the last decade, and the
+    # tail model takes it out
+    f = _from_callable(lambda x: 3.0 + 10.0 / (1.0 + np.asarray(x, float)))
+    res = cesaro_limit(f, None, FAST)
+    assert res.mechanism == "classical" and res.diagnostics["gate"] == "fit"
+    assert res.limit == pytest.approx(3.0, abs=1e-8)
+
+
 def test_strong_limit_alternating_ones():
     res = strong_cesaro_limit(psum_function(alt_ones()), CFG)
     assert res.limit == pytest.approx(0.5, abs=1e-8)
@@ -193,6 +214,24 @@ def test_discrete_pure_averaging_reports_strong():
     assert res.limit == pytest.approx(0.0, abs=1e-4)
 
 
+@pytest.mark.parametrize("scale, shift", [(2.0 ** -9, 0.0), (0.004, 5.0)])
+def test_discrete_small_bounded_oscillation_is_averaged(scale, shift):
+    # the swing is under the variation threshold, yet it never decays, so
+    # it takes a running average, not a biased classical fit
+    res = cesaro_limit_discrete(
+        [scale * (n % 2) + shift for n in range(1, 20001)], [], FAST)
+    assert res.mechanism == "strong(1)"
+    assert res.limit == pytest.approx(scale / 2 + shift, abs=1e-8)
+
+
+def test_discrete_slow_log_growth_is_not_a_limit():
+    # 0.002 ln n spreads only 4.6e-3 over a decade and the tail model's
+    # residual stays small; the log probe still sees the growth
+    seq = [0.002 * math.log(n) for n in range(1, 10**5 + 1)]
+    with pytest.raises(NotConvergentError):
+        cesaro_limit_discrete(seq, [], CFG)
+
+
 def test_discrete_integer_input_uses_the_whole_horizon():
     # the exact attempt does not close for 1, -1, 1, ..., so the integers
     # run in doubles on every entry, exactly as the same floats do
@@ -233,6 +272,7 @@ def test_discrete_limit_exact_arithmetic():
     cfg = FAST.with_(exact_mode=True)
     res = cesaro_limit_discrete([Fraction(5)] * 500, [], cfg)
     assert res.limit == Fraction(5)
+    assert res.diagnostics["gate"] == "exact"
 
 
 def test_discrete_limit_runs_in_mpmath_arithmetic():

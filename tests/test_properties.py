@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cesaro.climits import cesaro_limit, classical_limit
@@ -85,6 +85,9 @@ def test_P_mu_linear_weight_preserves_constants(L):
 
 @settings(max_examples=10, deadline=None)
 @given(alpha=finite, beta=finite)
+# a swing below DETECT_TOLERANCE of the limit's size once passed as
+# converged and biased the fitted constant by a few parts in 1e3 of it
+@example(alpha=2.0 ** -9, beta=0.0)
 def test_limit_is_linear(alpha, beta):
     # alpha * (partial sums of 1-1+1-...) + beta has limit alpha/2 + beta
     base = psum_function(alt_ones())
