@@ -20,6 +20,7 @@ import csv as csv_mod
 import json
 import math
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -28,8 +29,8 @@ from .climits import (CesaroResult, _near_nonneg_int, cesaro_limit,
                       cesaro_limit_discrete, clim_k_alpha, clim_x_alpha)
 from .config import DEFAULT_CONFIG, LimitConfig
 from .errors import CesaroError, PoleSignal, SAtPoleError, is_pole
-from .integrals import (DomainSpec, SingularPoint, cesaro_integral,
-                        mellin_1_over_1px, mellin_integrand)
+from .integrals import (DomainSpec, SingularPoint, _mellin_expansions,
+                        cesaro_integral, mellin_1_over_1px, mellin_integrand)
 from .seqfun import (alt_naturals, alt_ones, n_pow_minus_s, naturals, ones,
                      psum_function, zero_padded)
 from .zeta import eta, zeta, zeta_discrete_corrected, zeta_discrete_ext
@@ -191,7 +192,8 @@ def add_common(p: argparse.ArgumentParser):
     p.add_argument("--horizon", type=int, default=None,
                    help="tail horizon for limit extraction")
     p.add_argument("--tol", type=float, default=None,
-                   help="tail tolerance override")
+                   help="relative residual allowed in an integral's "
+                        "endpoint fits")
     p.add_argument("--max-power", type=int, default=None,
                    help="maximum averaging escalation depth")
     p.add_argument("--exact", action="store_true",
@@ -289,27 +291,33 @@ FUNCTION_REGISTRY = {
 
 
 def _registry_fn(name: str):
+    """A builtin integrand and its known endpoint expansions by kind."""
     if name in FUNCTION_REGISTRY:
-        return FUNCTION_REGISTRY[name][0]
+        return FUNCTION_REGISTRY[name][0], {}
     if name.startswith("mellin(") and name.endswith(")"):
-        return mellin_integrand(parse_scalar(name[len("mellin("):-1]))
+        s = parse_scalar(name[len("mellin("):-1])
+        e0, einf = _mellin_expansions(complex(s))
+        return mellin_integrand(s), {"zero": e0, "infinity": einf}
     raise ValueError(f"unknown builtin function {name!r}; have "
                      + ", ".join(sorted(FUNCTION_REGISTRY)) + ", mellin(s)")
 
 
-def _spec_from_json(doc) -> DomainSpec:
+def _spec_from_json(doc, expansions) -> DomainSpec:
+    """The spec's points; a kind with a known expansion is given it."""
     points = []
     for entry in doc:
-        points.append(SingularPoint(
+        point = SingularPoint(
             kind=entry["kind"],
             z0=entry.get("z0"),
-            fit_exponents=tuple(entry.get("fit_exponents", ()))))
+            fit_exponents=tuple(entry.get("fit_exponents", ())))
+        points.append(replace(point,
+                              expansion=expansions.get(point.kind, "fit")))
     return DomainSpec(points=tuple(points))
 
 
 def cmd_integral(args, cfg: LimitConfig) -> dict:
-    f = _registry_fn(args.f)
-    spec = _spec_from_json(json.loads(args.spec))
+    f, expansions = _registry_fn(args.f)
+    spec = _spec_from_json(json.loads(args.spec), expansions)
     out = cesaro_integral(f, spec, cfg, strict_cutoffs=args.strict_cutoffs)
     if is_pole(out.value):
         return {**_record(out.value), "log_flags": ",".join(out.log_flags)}

@@ -78,8 +78,7 @@ def _maybe_snap(value, cfg: LimitConfig):
     return snapped if snapped is not None else value
 
 
-def classical_limit(f: PiecewiseFn, cfg: LimitConfig = DEFAULT_CONFIG,
-                    extra_exponents: Sequence[complex] = ()):
+def classical_limit(f: PiecewiseFn, cfg: LimitConfig = DEFAULT_CONFIG):
     """Classical limit at infinity, or NotConvergentError.
 
     Only the variation exit of _convergence_gate accepts here; its fit exit
@@ -87,7 +86,7 @@ def classical_limit(f: PiecewiseFn, cfg: LimitConfig = DEFAULT_CONFIG,
     """
     rows = f.node_values(cfg.horizon)
     gate, variation, fit = _convergence_gate(
-        *_window_means(rows), _window_values(rows), extra_exponents)
+        *_window_means(rows), _window_values(rows))
     if gate != "variation":
         raise NotConvergentError(
             "tail spread or swing above threshold",
@@ -95,11 +94,12 @@ def classical_limit(f: PiecewiseFn, cfg: LimitConfig = DEFAULT_CONFIG,
     return _maybe_snap(fit.limit, cfg)
 
 
-def _convergence_gate(xs, ys, nodes=None, extras: Sequence[complex] = ()):
+def _convergence_gate(xs, ys, nodes=None, extras: Sequence[tuple] = ()):
     """The one acceptance rule: (exit, variation, fit) for tail samples.
 
     (xs, ys), the fitted samples, are a function's cell means or a sequence
-    over the last decade; nodes are a function's raw (xs, ys) there.  exit
+    over the last decade; nodes are a function's raw (xs, ys) there, and
+    extras the (exponent, log power) terms the tail model adds.  exit
     is "variation", "fit" or None.  A swing that has not decayed rejects
     (SWING_TOLERANCE).  The fit exit is a second chance for a spread the
     decaying model explains: a divergence leaves a residual, cell means can
@@ -107,7 +107,7 @@ def _convergence_gate(xs, ys, nodes=None, extras: Sequence[complex] = ()):
     large constant would hide.  x^rho content, -1 < Re rho < 0, passes it
     biased: over one decade the constant column absorbs part of it.
     """
-    fit = fit_limit_array(xs, ys, extra_exponents=extras)
+    fit = fit_limit_array(xs, ys, extras)
     scale = max(1.0, abs(complex(fit.limit)))
     variation = relative_spread(ys if nodes is None else nodes[1])
     m = max(2, len(ys) // 10)           # a tenth of the window at each end
@@ -119,11 +119,10 @@ def _convergence_gate(xs, ys, nodes=None, extras: Sequence[complex] = ()):
         return "variation", variation, fit
     tol = DETECT_TOLERANCE * scale
     if fit.residual_rms > tol or nodes is not None and fit_limit_array(
-            *nodes, extra_exponents=extras).residual_rms > tol:
+            *nodes, extras).residual_rms > tol:
         return None, variation, fit
-    probe = fit_limit_array(xs, ys, extra_exponents=extras,
-                            with_plain_log=True)
-    return ("fit" if abs(probe.coefficients["log"]) <= tol else None,
+    probe = fit_limit_array(xs, ys, [(0, 1), *extras])
+    return ("fit" if abs(probe.coefficients[0, 1]) <= tol else None,
             variation, fit)
 
 
@@ -134,7 +133,8 @@ def strong_cesaro_limit(f: PiecewiseFn,
 
 
 def _residual_ladder(expansion: AsymptoticExpansion) -> list:
-    """Decaying exponents expected in the residual after annihilation."""
+    """Decaying (exponent, log power) terms expected in the residual after
+    annihilation."""
     extras = []
     for t in expansion.terms:
         e = complex(t.exponent)
@@ -142,7 +142,7 @@ def _residual_ladder(expansion: AsymptoticExpansion) -> list:
         while e.real - j > -3 and j <= 4:
             down = t.exponent - j
             if complex(down).real < -0.05:
-                extras.append(down)
+                extras.append((down, 0))
             j += 1
     return extras
 

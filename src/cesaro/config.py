@@ -38,8 +38,9 @@ class LimitConfig:
 
     horizon           evaluation horizon (number of unit intervals / sequence
                       length); the tail window is the last decade of it.
-    tail_tolerance    accuracy target for extracted limits (fit diagnostics
-                      are checked against it).
+    tail_tolerance    relative residual allowed in cesaro_integral's
+                      endpoint fits, and the size above which a fitted
+                      divergence counts; the limit drivers do not read it.
     max_pure_power    escalation budget for pure averaging powers.
     exact_mode        prefer exact rational arithmetic where available and
                       snap clean rational limits.

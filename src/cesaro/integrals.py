@@ -20,7 +20,7 @@ from .asymptotics import AsymptoticExpansion, ExpansionTerm
 from .config import DEFAULT_CONFIG, LimitConfig, SNAP_RADIUS
 from .errors import (CesaroError, FitFailureError, IllegalCancellationError,
                      PoleSignal, QuadratureError)
-from .tailfit import lstsq_columns, power_column
+from .tailfit import fit_terms, term_column
 
 __all__ = [
     "SingularPoint",
@@ -154,21 +154,11 @@ def _endpoint_samples(f, point: SingularPoint, anchor: float,
     return xs, np.asarray(out)
 
 
-def _lstsq_fit(xs: np.ndarray, ys, powers, log_powers=()):
-    """Least-squares endpoint model: a constant, X^e for each power,
-    X^e ln^m X for each (e, m), and 1/X, 1/X^2, 1/X^3 decay columns.
-
-    Returns the coefficients, a (kind, exponent, log power) name per
-    column, and the residual rms.
-    """
-    names = ([("const", 0, 0)] + [("power", e, 0) for e in powers]
-             + [("log", e, m) for e, m in log_powers]
-             + [("decay", -k, 0) for k in (1, 2, 3)])
-    cols = ([np.ones_like(xs)] + [power_column(xs, e) for e in powers]
-            + [power_column(xs, e) * np.log(xs) ** m for e, m in log_powers]
-            + [1.0 / xs ** k for k in (1, 2, 3)])
-    coef, rms, _ = lstsq_columns(cols, np.asarray(ys))
-    return coef, names, rms
+def _lstsq_fit(xs: np.ndarray, ys, terms=()):
+    """Least-squares endpoint model: a constant, X^e ln^m X for each
+    (e, m) term, and 1/X, 1/X^2, 1/X^3 decay columns."""
+    return fit_terms(xs, np.asarray(ys),
+                     [(0, 0), *terms, (-1, 0), (-2, 0), (-3, 0)])
 
 
 def fit_endpoint_expansion(samples: Sequence, model_exponents: Sequence,
@@ -176,8 +166,8 @@ def fit_endpoint_expansion(samples: Sequence, model_exponents: Sequence,
     """Least-squares power model for endpoint samples (X_i, F(X_i)).
 
     Fits a constant plus X^rho for each supplied model exponent (entries
-    may also be (rho, m) pairs for X^rho ln^m X), together with 1/X and
-    1/X^2 decay columns so a resolved endpoint needs no explicit model.
+    may also be (rho, m) pairs for X^rho ln^m X), together with 1/X, 1/X^2
+    and 1/X^3 decay columns so a resolved endpoint needs no explicit model.
     Rejects with FitFailure when the residual shows unmodeled behaviour,
     which is exactly what an absent log term looks like.
     """
@@ -187,31 +177,20 @@ def fit_endpoint_expansion(samples: Sequence, model_exponents: Sequence,
         raise ValueError("need at least twice as many samples as model terms")
     if np.max(xs) < 100 * np.min(xs):
         raise ValueError("samples must span at least two decades")
-    powers, logs = [], []
-    for entry in model_exponents:
-        if isinstance(entry, tuple):
-            e, m = entry
-            if m:
-                logs.append((e, m))
-            else:
-                powers.append(e)
-        else:
-            powers.append(entry)
-    coef, names, rms = _lstsq_fit(xs, ys, powers, logs)
+    fit = _lstsq_fit(xs, ys, [e if isinstance(e, tuple) else (e, 0)
+                              for e in model_exponents])
     scale = max(1.0, float(np.max(np.abs(ys))))
-    if rms > tol * scale:
+    if fit.residual_rms > tol * scale:
         raise FitFailureError(
-            f"endpoint fit residual {rms:.3g} exceeds tolerance "
+            f"endpoint fit residual {fit.residual_rms:.3g} exceeds tolerance "
             f"{tol * scale:.3g}; the power model does not capture the data")
-    constant = coef[0]
+    (_, constant), *rest = fit.coefficients.items()
     terms = []
-    for c, (kind, e, m) in zip(coef[1:], names[1:]):
+    for (e, m), c in rest:
         # significance is judged by the term's contribution over the window,
         # not the bare coefficient: a leading X^2 term can have a tiny
         # coefficient and still dominate the samples
-        col = power_column(xs, e)
-        if m:
-            col = col * np.log(xs) ** m
+        col = term_column(xs, e, m)
         contrib = abs(complex(c)) * float(np.max(np.abs(col)))
         if contrib <= tol * scale:
             continue
@@ -221,12 +200,11 @@ def fit_endpoint_expansion(samples: Sequence, model_exponents: Sequence,
                                constant=constant, variable="X")
 
 
-def _term_values(term: ExpansionTerm, xs: np.ndarray):
-    vals = power_column(xs, term.exponent)
-    if term.log_power:
-        vals = vals * np.log(xs) ** term.log_power
-    cc = complex(term.coeff)
-    return (cc if cc.imag else cc.real) * vals
+def _removed_powers(fit, threshold: float) -> tuple:
+    """The fitted growing powers X^e, Re e > 0, above the threshold."""
+    return tuple((c, e, 0) for (e, m), c in fit.coefficients.items()
+                 if not m and complex(e).real > 0
+                 and abs(complex(c)) > threshold)
 
 
 def _analyze_endpoint(f, point: SingularPoint, anchor: float, cfg: LimitConfig,
@@ -237,6 +215,7 @@ def _analyze_endpoint(f, point: SingularPoint, anchor: float, cfg: LimitConfig,
     """
     xs, ys = _endpoint_samples(f, point, anchor, complex_valued)
     scale = max(1.0, float(np.max(np.abs(ys))))
+    tol = cfg.tail_tolerance * scale
     if isinstance(point.expansion, AsymptoticExpansion):
         removed = []
         log_coeff = 0.0
@@ -248,45 +227,41 @@ def _analyze_endpoint(f, point: SingularPoint, anchor: float, cfg: LimitConfig,
                 if t.log_power >= 1 and abs(er) <= SNAP_RADIUS:
                     log_coeff = log_coeff + complex(t.coeff)
                 removed.append((t.coeff, t.exponent, t.log_power))
-            resid = resid - _term_values(t, xs)
-        log_flag = abs(log_coeff) > cfg.tail_tolerance * scale
+            cc = complex(t.coeff)
+            resid = resid - (cc if cc.imag else cc.real) * term_column(
+                xs, t.exponent, t.log_power)
+        log_flag = abs(log_coeff) > tol
         if log_flag:
             return None, tuple(removed), True, log_coeff
         # what is left should settle to the finite part
-        coef, _, rms = _lstsq_fit(xs, resid, [])
-        if rms > max(cfg.tail_tolerance * scale, 1e-9):
+        fit = _lstsq_fit(xs, resid)
+        if fit.residual_rms > max(tol, 1e-9):
             raise FitFailureError(
-                f"endpoint {point.label}: residual {rms:.3g} after removing "
-                f"the supplied expansion; expansion incomplete?")
-        return coef[0], tuple(removed), False, 0.0
+                f"endpoint {point.label}: residual {fit.residual_rms:.3g} "
+                f"after removing the supplied expansion; expansion "
+                f"incomplete?")
+        return fit.coefficients[0, 0], tuple(removed), False, 0.0
     if point.expansion != "fit":
         raise ValueError("expansion must be an AsymptoticExpansion or 'fit'")
-    powers = [e for e in point.fit_exponents
+    powers = [(e, 0) for e in point.fit_exponents
               if abs(complex(e)) > SNAP_RADIUS]
-    coef, names, rms = _lstsq_fit(xs, ys, powers)
-    if rms <= max(cfg.tail_tolerance * scale, 1e-8):
-        removed = tuple((c, e, 0) for c, (kind, e, _m)
-                        in zip(coef[1:], names[1:])
-                        if kind == "power" and complex(e).real > 0
-                        and abs(complex(c)) > cfg.tail_tolerance * scale)
-        return coef[0], removed, False, 0.0
+    fit = _lstsq_fit(xs, ys, powers)
+    if fit.residual_rms <= max(tol, 1e-8):
+        return fit.coefficients[0, 0], _removed_powers(fit, tol), False, 0.0
     # power model failed; a log column deciding the residual means a pole
-    coef2, names2, rms2 = _lstsq_fit(xs, ys, powers, [(0, 1)])
-    if rms2 <= max(cfg.tail_tolerance * scale, 1e-8):
-        idx = [i for i, (kind, _e, _m) in enumerate(names2)
-               if kind == "log"][0]
-        log_coeff = coef2[idx]
+    log_fit = _lstsq_fit(xs, ys, [*powers, (0, 1)])
+    if log_fit.residual_rms <= max(tol, 1e-8):
+        log_coeff = log_fit.coefficients[0, 1]
         # a physical log has an O(1) coefficient; quad noise does not
-        if abs(complex(log_coeff)) > max(1e-6 * scale, 100 * rms2):
-            removed = tuple((c, e, 0) for c, (kind, e, _m)
-                            in zip(coef2[1:], names2[1:])
-                            if kind == "power" and complex(e).real > 0
-                            and abs(complex(c)) > cfg.tail_tolerance * scale)
-            return None, removed + ((log_coeff, 0, 1),), True, log_coeff
+        if abs(complex(log_coeff)) > max(1e-6 * scale,
+                                         100 * log_fit.residual_rms):
+            return (None, _removed_powers(log_fit, tol) + ((log_coeff, 0, 1),),
+                    True, log_coeff)
     raise FitFailureError(
-        f"endpoint {point.label}: neither the power model (rms {rms:.3g}) "
-        f"nor a single log term (rms {rms2:.3g}) captures the cutoff "
-        f"integral; supply an analytic expansion")
+        f"endpoint {point.label}: neither the power model (rms "
+        f"{fit.residual_rms:.3g}) nor a single log term (rms "
+        f"{log_fit.residual_rms:.3g}) captures the cutoff integral; supply "
+        f"an analytic expansion")
 
 
 def cesaro_integral(f: Callable, spec: DomainSpec,
@@ -341,7 +316,7 @@ def cesaro_integral(f: Callable, spec: DomainSpec,
     per_endpoint = []
     total = 0.0 + 0.0j if complex_valued else 0.0
     log_entries = []
-    max_log_power = 0
+    log_order = 0
     for i, p in enumerate(points):
         for anchor in anchors[i]:
             fp, removed, flag, log_coeff = _analyze_endpoint(
@@ -349,8 +324,8 @@ def cesaro_integral(f: Callable, spec: DomainSpec,
             per_endpoint.append((p.label, removed, flag))
             if flag:
                 log_entries.append((p.label, log_coeff))
-                max_log_power = max(max_log_power,
-                                    max((m for _c, _e, m in removed), default=1))
+                log_order = max(log_order,
+                                max((m for _c, _e, m in removed), default=1))
             else:
                 total = total + fp
     # classical integrals out to a regular end of (0, inf); every piece
@@ -383,7 +358,7 @@ def cesaro_integral(f: Callable, spec: DomainSpec,
                 + " would cancel only through a coupled cutoff; independent "
                   "cutoffs forbid that cancellation")
         value = PoleSignal(origin="cutoff-integral",
-                           log_power=max(1, max_log_power),
+                           log_power=max(1, log_order),
                            detail="log divergence at "
                                   + ", ".join(lbl for lbl, _ in log_entries))
         return RegularizedIntegral(value=value, per_endpoint=tuple(per_endpoint),

@@ -6,23 +6,31 @@ least-squares model fitted over the last decade of the horizon.  A plain
 decade mean would be polluted at the 1/x level; the fit removes the known
 residual shapes and lets the oscillation project out, typically improving
 the extracted constant by four to six orders of magnitude.
+
+The model is one list of (exponent, log power) terms (e, m), each the
+column x^e (ln x)^m.  TAIL_TERMS is the default list, and every caller
+names the further terms its residual is known to carry.  term_column builds
+a column and fit_terms is the one least-squares fit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .seqfun import NODES, WEIGHTS
 
-__all__ = ["TailFit", "decade_variation", "fit_limit",
-           "fit_limit_nodes", "snap_to_rational"]
+__all__ = ["TAIL_TERMS", "TailFit", "decade_variation", "fit_limit",
+           "fit_limit_nodes", "fit_terms", "snap_to_rational", "term_column"]
 
 #: sampled integer cells per decade window
 SAMPLE_CELLS = 160
+
+#: the default tail model: 1, 1/x, 1/x^2 and ln(x)/x
+TAIL_TERMS = ((0, 0), (-1, 0), (-2, 0), (-1, 1))
 
 
 @dataclass(frozen=True)
@@ -30,8 +38,7 @@ class TailFit:
     limit: complex
     stderr: float          # standard error of the constant column
     residual_rms: float
-    window: tuple
-    coefficients: dict = field(default_factory=dict)
+    coefficients: dict     # (exponent, log power) term -> coefficient
 
 
 def _window_values(rows):
@@ -71,38 +78,45 @@ def decade_variation(rows) -> float:
     return relative_spread(_window_values(rows)[1])
 
 
-def fit_limit_nodes(rows, *,
-                    extra_exponents: Sequence[complex] = ()) -> TailFit:
-    """Tail model fitted to raw node samples instead of cell means."""
-    xs, ys = _window_values(rows)
-    return fit_limit_array(xs, ys, extra_exponents=extra_exponents)
+def fit_limit_nodes(rows) -> TailFit:
+    """TAIL_TERMS fitted to raw node samples instead of cell means."""
+    return fit_limit_array(*_window_values(rows))
 
 
-def fit_limit(rows, *, extra_exponents: Sequence[complex] = ()) -> TailFit:
-    """Fit  y(x) = L + a/x + b*ln(x)/x + c/x^2 (+ caller terms)  on the tail.
-
-    extra_exponents adds columns x^e for residual ladders the caller knows
-    about (for instance the fractional exponents left after annihilation).
-    Returns the constant L with a standard error from the fit covariance.
-    """
-    xs, ys = _window_means(rows)
-    return fit_limit_array(xs, ys, extra_exponents=extra_exponents)
+def fit_limit(rows) -> TailFit:
+    """TAIL_TERMS fitted to the cell means of the rows' last decade."""
+    return fit_limit_array(*_window_means(rows))
 
 
-def power_column(xs: np.ndarray, e) -> np.ndarray:
-    """The column x^e: real when e is real, complex otherwise."""
+def term_column(xs: np.ndarray, e, m: int = 0, log_xs=None) -> np.ndarray:
+    """The column x^e (ln x)^m, complex only for complex e; a negative
+    integer power is 1/x^k.  log_xs is ln x when the caller has it."""
+    if m and log_xs is None:
+        log_xs = np.log(xs)
     ec = complex(e)
-    return xs.astype(complex) ** ec if ec.imag else xs ** ec.real
+    if not ec.imag and ec.real < 0 and ec.real.is_integer():
+        k = int(-ec.real)
+        return log_xs ** m / xs**k if m else 1.0 / xs**k
+    if ec == 0:
+        return log_xs ** m if m else np.ones_like(xs)
+    col = xs.astype(complex) ** ec if ec.imag else xs ** ec.real
+    return col * log_xs ** m if m else col
 
 
-def lstsq_columns(cols, ys):
-    """Least-squares fit of ys on the columns, each scaled to unit maximum.
+def fit_terms(xs, ys, terms) -> TailFit:
+    """Least-squares fit of ys on the columns of the (exponent, log power)
+    terms, each scaled to unit maximum.
 
-    Returns the coefficients of the unscaled columns, the residual rms, and
-    the standard error of the first coefficient from the normal-equation
-    inverse.
+    A repeated term enters once.  limit is the coefficient of the first
+    term, with its standard error from the normal-equation inverse;
+    coefficients maps each term to its coefficient.
     """
-    A = np.column_stack(cols)
+    unique = {}
+    for e, m in terms:
+        unique.setdefault((complex(e), m), (e, m))
+    terms = list(unique.values())
+    log_xs = np.log(xs) if any(m for _e, m in terms) else None
+    A = np.column_stack([term_column(xs, e, m, log_xs) for e, m in terms])
     if np.iscomplexobj(ys) and not np.iscomplexobj(A):
         A = A.astype(complex)
     norms = np.max(np.abs(A), axis=0)
@@ -117,45 +131,22 @@ def lstsq_columns(cols, ys):
                        / norms[0])
     except np.linalg.LinAlgError:
         stderr = rms
-    return coef / norms, rms, stderr
-
-
-def fit_limit_array(xs, ys, *, extra_exponents: Sequence[complex] = (),
-                    max_log_power: int = 1,
-                    with_log_over_x2: bool = False,
-                    with_plain_log: bool = False) -> TailFit:
-    """Same tail model fitted to explicit samples (xs, ys).
-
-    max_log_power widens the log ladder to (ln x)^m / x for m up to that
-    power; sequences built from repeated running averages of 1/x content
-    pick up one extra log per pass, so drivers that know their pass count
-    should ask for that many.  with_plain_log adds a bare ln(x) column and
-    reports its coefficient; that column is a divergence *detector*, so
-    callers using it should not trust the constant as a limit.
-    """
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys)
-    cols = [np.ones_like(xs), 1.0 / xs, 1.0 / xs**2]
-    if with_plain_log:
-        cols.append(np.log(xs))         # column 3, reported as "log"
-    for m in range(1, max(1, max_log_power) + 1):
-        cols.append(np.log(xs) ** m / xs)
-    if with_log_over_x2:
-        cols.append(np.log(xs) / xs**2)
-    for e in extra_exponents:
-        ec = complex(e)
-        if abs(ec) < 1e-13 or abs(ec.real) > 6:
-            continue
-        cols.append(power_column(xs, ec))
-    coef, rms, stderr = lstsq_columns(cols, ys)
-    limit = coef[0]
-    if not np.iscomplexobj(ys):
-        limit = float(np.real(limit))
-    named = {"const": limit}
-    if with_plain_log:
-        named["log"] = complex(coef[3])
+    coef = coef / norms
+    limit = coef[0] if np.iscomplexobj(ys) else float(np.real(coef[0]))
     return TailFit(limit=limit, stderr=stderr, residual_rms=rms,
-                   window=(int(xs[0]), int(xs[-1])), coefficients=named)
+                   coefficients=dict(zip(terms, coef)))
+
+
+def fit_limit_array(xs, ys, terms=()) -> TailFit:
+    """TAIL_TERMS plus the caller's terms fitted to explicit samples (xs, ys).
+
+    Repeated running averages of 1/x content add one log per pass, so a
+    driver that knows its passes adds (-1, m) terms up to that power.  A
+    (0, 1) term, a bare ln x, only detects a divergence: the constant of
+    such a fit is no limit.
+    """
+    return fit_terms(np.asarray(xs, dtype=np.float64), np.asarray(ys),
+                     (*TAIL_TERMS, *terms))
 
 
 def sequence_tail(seq):

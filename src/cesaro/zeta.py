@@ -247,9 +247,9 @@ def _route_b(s):
     ys = means[0] + 1j * means[1] if sc.imag else means[0]
     xs = np.arange(ROUTE_B_CELLS, dtype=float) + 0.5
     lo = ROUTE_B_CELLS // 10
-    extras = [e if sc.imag else e.real for e in (-sc - j for j in range(8))
-              if -4 < e.real < -0.05]
-    fit = fit_limit_array(xs[lo:], ys[lo:], extra_exponents=extras)
+    extras = [(e if sc.imag else e.real, 0)
+              for e in (-sc - j for j in range(8)) if -4 < e.real < -0.05]
+    fit = fit_limit_array(xs[lo:], ys[lo:], extras)
     return fit, r
 
 
@@ -536,8 +536,8 @@ def zeta_discrete_corrected(s0: int, cfg: LimitConfig = DEFAULT_CONFIG):
                     for uv, pv in zip(u, poly_branch)]
     seq = -float(c) * np.asarray(combined)
     # each of the I+2 factor passes can add a log to the 1/k-level residual
-    fit = fit_limit_array(*sequence_tail(seq), max_log_power=I + 2,
-                          with_log_over_x2=True)
+    fit = fit_limit_array(*sequence_tail(seq),
+                          [(-1, m) for m in range(2, I + 3)] + [(-2, 1)])
     value = fit.limit
     snapped = snap_to_rational(value, tol=1e-5, max_denominator=2520)
     if cfg.exact_mode and snapped is not None:

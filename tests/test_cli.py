@@ -1,5 +1,6 @@
 """Command-line interface: verbs, exit codes, output formats."""
 
+import cmath
 import csv
 import io
 import json
@@ -206,6 +207,18 @@ def test_integral_log_pole(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert code == 3
     assert set(doc["log_flags"].split(",")) == {"zero", "infinity"}
+
+
+@pytest.mark.parametrize("s", ["0.5", "-0.5", "0.5,0.2"])
+def test_integral_of_the_mellin_integrand_uses_its_expansions(capsys, s):
+    # the zero and infinity cutoffs carry non-integer powers that only the
+    # integrand's known expansions remove
+    spec = json.dumps([{"kind": "zero"}, {"kind": "infinity"}])
+    doc = _json_out(capsys, ["integral", "--f", f"mellin({s})",
+                             "--spec", spec])
+    sc = parse_scalar(s)
+    assert complex(_value(doc)) == pytest.approx(
+        math.pi / cmath.sin(math.pi * sc), abs=1e-8)
 
 
 def test_integral_unknown_function(capsys):

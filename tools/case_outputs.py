@@ -1,12 +1,17 @@
 """Every benchmark case's returned output, as JSON, for one checkout.
 
     python3 tools/case_outputs.py CHECKOUT --seeds 7,11 [--out FILE]
+    python3 tools/case_outputs.py CHECKOUT --against OTHER [--seeds 7,11]
 
 Imports CHECKOUT/src/cesaro and CHECKOUT/perfbench/cases.py, builds the
 cases of every workload at each seed, calls each case once and writes what
 it returned.  Nothing is timed or checked: two checkouts' files differ
-exactly where their outputs do, so "outputs unchanged" is one ``diff``.
-A case that raises is written as its exception type and message.
+exactly where their outputs do.  A case that raises is written as its
+exception type and message.
+
+With --against, each checkout runs in its own subprocess; the workload,
+seed, case and key of every output that differs are printed, and the exit
+status is 1 if any do.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import argparse
 import dataclasses
 import json
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -71,6 +77,38 @@ def case_outputs(checkout: Path, seeds) -> dict:
     return out
 
 
+def differences(a, b, path=()):
+    """The key paths at which two JSON documents differ."""
+    if not (isinstance(a, dict) and isinstance(b, dict)):
+        if a != b:
+            yield path
+        return
+    for key in sorted(set(a) | set(b)):
+        if key in a and key in b:
+            yield from differences(a[key], b[key], path + (key,))
+        else:
+            yield path + (key,)
+
+
+def _outputs_in_subprocess(checkout: Path, seeds: str) -> dict:
+    proc = subprocess.run([sys.executable, __file__, str(checkout),
+                           "--seeds", seeds], capture_output=True, text=True)
+    if proc.returncode:
+        raise SystemExit(f"{checkout}: {proc.stderr.strip()}")
+    return json.loads(proc.stdout)
+
+
+def compare(checkout: Path, other: Path, seeds: str) -> int:
+    """Print each (workload, seed, case, key) whose output differs."""
+    found = list(differences(_outputs_in_subprocess(checkout, seeds),
+                             _outputs_in_subprocess(other, seeds)))
+    for path in found:
+        head, key = path[:3], ".".join(path[3:])
+        print("\t".join([*head, key]) if key else "\t".join(head))
+    print(f"{len(found)} differing output(s)", file=sys.stderr)
+    return 1 if found else 0
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("checkout", type=Path,
@@ -79,7 +117,12 @@ def main(argv=None):
                    help="comma-separated workload seeds")
     p.add_argument("--out", type=Path, default=None,
                    help="write here instead of stdout")
+    p.add_argument("--against", type=Path, default=None,
+                   help="root of a second checkout to compare outputs with")
     args = p.parse_args(argv)
+    if args.against is not None:
+        sys.exit(compare(args.checkout.resolve(), args.against.resolve(),
+                         args.seeds))
     seeds = [int(s) for s in args.seeds.split(",")]
     text = json.dumps(case_outputs(args.checkout.resolve(), seeds),
                       indent=1, sort_keys=True)
