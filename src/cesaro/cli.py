@@ -304,6 +304,10 @@ def _registry_fn(name: str):
 
 def _spec_from_json(doc, expansions) -> DomainSpec:
     """The spec's points; a kind with a known expansion is given it."""
+    if not isinstance(doc, list) or not all(
+            isinstance(entry, dict) and "kind" in entry for entry in doc):
+        raise ValueError('--spec must be a JSON list of objects, each with '
+                         'a "kind"')
     points = []
     for entry in doc:
         point = SingularPoint(

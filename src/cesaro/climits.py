@@ -302,13 +302,17 @@ def cesaro_limit_discrete(a, eigendecomposition: Sequence[tuple],
     discrete limit, which is exactly how the integer-exponent anomalies
     show up.
 
-    The subtraction runs in the arithmetic of the input: ints and Fractions
-    with nonnegative integer exponents are first tried exact on at most 4000
-    entries, and if the residual does not close there, the whole input runs
-    in doubles as float input would; mpmath entries stay at the caller's
-    working precision, anything else runs in doubles.  The residual is
-    judged in doubles by _convergence_gate; if its tail fails, annihilating
-    factors over the running-average operator are applied and escalated.
+    The eigensequences are subtracted in the arithmetic of the input: ints
+    and Fractions with nonnegative integer exponents are first tried exact
+    on at most 4000 entries, and if the residual does not close there, the
+    whole input runs in doubles as float input would; mpmath entries are
+    peeled at the caller's working precision, which the cancellation
+    against the divergences needs, and the residual, a constant plus
+    decaying terms once they are gone, is rounded once to doubles; anything
+    else runs in doubles.  The decaying ledger is subtracted in doubles.
+    The residual is judged by _convergence_gate; if its tail fails,
+    annihilating factors over the running-average operator are applied and
+    escalated.
     """
     n_max = cfg.horizon
     if callable(a):
@@ -347,6 +351,17 @@ def cesaro_limit_discrete(a, eigendecomposition: Sequence[tuple],
         seq = _gamma_ratio_values(
             rho if kind in ("exact", "mp") else complex(rho), n_max)
         arr = _minus(arr, c, seq, kind)
+    if kind == "exact":     # its ledger holds no decaying exponent
+        closed = _discrete_exact(arr, removed, cfg)
+        if closed is not None:
+            return closed
+        return cesaro_limit_discrete([float(v) for v in vals],
+                                     eigendecomposition, cfg)
+    if kind == "mp":        # bounded now: round it once
+        kind = "complex" if any(isinstance(v, mpmath.mpc) for v in arr) else (
+            "float")
+        arr = np.array([complex(v) if kind == "complex" else float(v)
+                        for v in arr])
     # decaying content left on the ledger has exactly known coefficients,
     # so subtract it outright: a slowly decaying power like n^{-1/2} is far
     # too collinear with the constant over one decade to be fitted instead
@@ -354,25 +369,9 @@ def cesaro_limit_discrete(a, eigendecomposition: Sequence[tuple],
     for c, e in pending:
         er = complex(e).real
         if -6 < er < -SNAP_RADIUS:
-            if kind == "float":
-                powers = ns ** er
-            elif kind == "complex":
-                powers = ns.astype(complex) ** complex(e)
-            else:
-                powers = (mpmath.power(n, e) for n in range(1, n_max + 1))
+            powers = (ns ** er if kind == "float"
+                      else ns.astype(complex) ** complex(e))
             arr = _minus(arr, c, powers, kind)
-
-    if kind == "exact":
-        closed = _discrete_exact(arr, removed, cfg)
-        if closed is not None:
-            return closed
-        return cesaro_limit_discrete([float(v) for v in vals],
-                                     eigendecomposition, cfg)
-    if arr.dtype == object:
-        kind = "complex" if any(isinstance(v, mpmath.mpc) for v in arr) else (
-            "float")
-        arr = np.array([complex(v) if kind == "complex" else float(v)
-                        for v in arr])
 
     q_factors = []
     applied_factors = False

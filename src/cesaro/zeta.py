@@ -17,11 +17,15 @@ The discrete-operator variant hands the p-sums and their divergence model
 to the one discrete driver, climits.cesaro_limit_discrete, which peels the
 model's eigensequences in the arithmetic of the p-sums: exact integers at
 nonpositive integer s, mpmath numbers of at least 30 digits below
-Re(s) = -0.5, doubles elsewhere.  It goes anomalous at nonpositive integer
-s, where the p-sum is a polynomial whose every power carries discrete
-limit 1; the corrected evaluation recovers the true value by
-differentiating the factored annihilator at the anomaly (a L'Hopital
-computation in s at fixed index, then the limit in the index).
+Re(s) = -0.5, doubles elsewhere.  Once the divergences are peeled the
+residual is a constant plus decaying terms, so an mpmath residual is
+rounded once to doubles, where the decaying terms are subtracted and the
+limit is fitted.  It goes anomalous at nonpositive integer s, where the
+p-sum is a polynomial whose every power carries discrete limit 1; the
+corrected evaluation recovers the true value by differentiating the
+factored annihilator at the anomaly (a L'Hopital computation in s at fixed
+index, then the limit in the index), in exact rationals and fixed-point
+integers.
 """
 
 from __future__ import annotations
@@ -42,8 +46,7 @@ from .dd import DDArray
 from .errors import (CrossCheckMismatchError, LambdaIsOneError,
                      MissingDerivativeTermError, NonIntegerRhoError,
                      PoleSignal, SAtPoleError, is_pole)
-from .operators import (apply_P_D, average_nodes, average_pass,
-                        build_regular_polynomial)
+from .operators import average_nodes, average_pass, build_regular_polynomial
 from .seqfun import NODES, WEIGHTS, SeriesTerms, n_pow_minus_s, psum_function
 from .tailfit import (fit_limit, fit_limit_array, sequence_tail,
                       snap_to_rational)
@@ -361,6 +364,12 @@ def eta(s, cfg: LimitConfig = DEFAULT_CONFIG):
 # ---------------------------------------------------------------------------
 # Discrete framework
 
+#: fractional bits of zeta_discrete_corrected's fixed-point u branch; its
+#: values reach horizon^{1-s0} ln(horizon), about 2^110 at s0 = -8, and as
+#: ints keep all of these bits at any size
+U_BITS = 128
+
+
 def _psum_content(s) -> list:
     """The p-sum's divergence model as (coeff, exponent), arithmetic of s."""
     return [(t.coeff, t.exponent) for t in zeta_psum_expansion(s).terms]
@@ -378,9 +387,10 @@ def _ext_mp(s, cfg: LimitConfig):
     holds 1-s only to ~1e-16, and at n = 4000 that error times ln n times
     a p-sum of ~1e14 is an error of order 1 in the value.  So the p-sums
     and the model are built at an mpmath s, and the discrete driver peels
-    them in that arithmetic, at the same working precision.  The p-sum
-    reaches EXT_MP_HORIZON^{1-Re s}, so the precision grows with depth to
-    keep 15 digits after the cancellation, and is never below 30.
+    the divergent eigensequences in that arithmetic, at the same working
+    precision; the bounded residual it leaves is rounded once to doubles.
+    The p-sum reaches EXT_MP_HORIZON^{1-Re s}, so the precision grows with
+    depth to keep 15 digits after the cancellation, and is never below 30.
     """
     sc = complex(s)
     dps = max(30, math.ceil(15 + (1 - sc.real) * math.log10(EXT_MP_HORIZON)))
@@ -456,9 +466,31 @@ def _apply_factor_exact(coeffs, lam) -> list:
 
 
 def _apply_factor_mp(u, lam) -> list:
-    """(P_D - lam) on a list of mpmath values, lam a Fraction."""
-    lam_mp = mpmath.mpf(lam.numerator) / lam.denominator
-    return [a - lam_mp * v for a, v in zip(apply_P_D(u), u)]
+    """(P_D - lam) on fixed-point values, ints scaled by 2^U_BITS, lam a
+    Fraction.  Both divisions floor, so a pass is off by under one unit."""
+    return [acc // k - v * lam.numerator // lam.denominator
+            for k, (acc, v) in enumerate(zip(itertools.accumulate(u), u), 1)]
+
+
+def _log_table(horizon: int) -> list:
+    """round(ln j * 2^U_BITS) for j = 1..horizon, logs taken at primes only.
+
+    A composite j gets L_p + L_{j/p} for its least prime p, so an entry is
+    off by at most half a unit per prime factor.
+    """
+    least = list(range(horizon + 1))        # least prime factor sieve
+    for p in range(2, math.isqrt(horizon) + 1):
+        if least[p] == p:
+            for j in range(p * p, horizon + 1, p):
+                if least[j] == j:
+                    least[j] = p
+    logs = [0, 0]
+    with mpmath.workprec(U_BITS + 32):
+        for j in range(2, horizon + 1):
+            p = least[j]
+            logs.append(int(mpmath.nint(mpmath.ldexp(mpmath.log(j), U_BITS)))
+                        if p == j else logs[p] + logs[j // p])
+    return logs[1:]
 
 
 def _polynomial_branch(coeffs, lams, lam_primes, horizon: int) -> list:
@@ -484,7 +516,10 @@ def _polynomial_branch(coeffs, lams, lam_primes, horizon: int) -> list:
             if m != i:
                 v = _apply_factor_exact(v, lam)
         weights = [w + lp * x for w, x in zip(weights, v)]
-    return [sum(w * math.comb(k - 1, j) for j, w in enumerate(weights))
+    den = math.lcm(*(Fraction(w).denominator for w in weights))
+    ints = [int(w * den) for w in weights]
+    return [Fraction(sum(w * math.comb(k - 1, j) for j, w in enumerate(ints)),
+                     den)
             for k in range(1, horizon + 1)]
 
 
@@ -503,7 +538,9 @@ def zeta_discrete_corrected(s0: int, cfg: LimitConfig = DEFAULT_CONFIG):
 
     with u_k = -sum_{j<=k} j^{-s0} ln j the term-derivative branch,
     p the polynomial p-sum, lam_i = 1/(2-s0-i), lam_i' = lam_i^2, and
-    c the reciprocal of the surviving normalization factors.
+    c the reciprocal of the surviving normalization factors.  The p branch
+    is exact; u runs in fixed point, ints scaled by 2^U_BITS, whose absolute
+    precision does not fall as u_k grows like k^{1-s0} ln k.
     """
     if s0 != int(s0) or s0 > 0:
         raise ValueError("defined for integer s0 <= 0")
@@ -523,17 +560,13 @@ def zeta_discrete_corrected(s0: int, cfg: LimitConfig = DEFAULT_CONFIG):
     poly_branch = _polynomial_branch(_binomial_coefficients(faulhaber(-s0)),
                                      lams, lam_primes, horizon)
 
-    # derivative-of-terms branch, high precision: u_k = -sum j^{-s0} ln j
-    with mpmath.workdps(35):
-        u = []
-        acc = mpmath.mpf(0)
-        for j in range(1, horizon + 1):
-            acc -= mpmath.power(j, -s0) * mpmath.log(j)
-            u.append(acc)
-        for lam in lams:
-            u = _apply_factor_mp(u, lam)
-        combined = [float(uv - mpmath.mpf(pv.numerator) / pv.denominator)
-                    for uv, pv in zip(u, poly_branch)]
+    # derivative-of-terms branch in fixed point: u_k = -sum j^{-s0} ln j
+    u = list(itertools.accumulate(
+        -j ** -s0 * lj for j, lj in enumerate(_log_table(horizon), 1)))
+    for lam in lams:
+        u = _apply_factor_mp(u, lam)
+    combined = [(uv - (pv.numerator << U_BITS) // pv.denominator) / 2**U_BITS
+                for uv, pv in zip(u, poly_branch)]
     seq = -float(c) * np.asarray(combined)
     # each of the I+2 factor passes can add a log to the 1/k-level residual
     fit = fit_limit_array(*sequence_tail(seq),

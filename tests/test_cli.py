@@ -231,6 +231,14 @@ def test_integral_bad_spec_json(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("spec", ['[{}]', '["zero"]', '{"kind": "zero"}'])
+def test_integral_spec_not_a_list_of_kinds(capsys, spec):
+    # a point without a kind, a bare kind and a bare object are usage
+    # errors, not tracebacks
+    assert run(["integral", "--f", "exp", "--spec", spec]) == 2
+    assert '"kind"' in capsys.readouterr().err
+
+
 def test_mellin_value_and_pole(capsys):
     doc = _json_out(capsys, ["mellin", "--s", "0.5"])
     assert _value(doc) == pytest.approx(3.14159265358979, abs=1e-6)

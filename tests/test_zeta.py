@@ -1,6 +1,7 @@
 """Zeta/eta continuation, discrete evaluation and anomaly correction."""
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -11,7 +12,8 @@ from cesaro.climits import _gamma_ratio_values
 from cesaro.config import DEFAULT_CONFIG
 from cesaro.errors import MissingDerivativeTermError, SAtPoleError, is_pole
 from cesaro.operators import apply_P_D, apply_P_D_inverse
-from cesaro.zeta import (FaulhaberPoly, _binomial_coefficients,
+from cesaro.zeta import (U_BITS, FaulhaberPoly, _apply_factor_mp,
+                         _binomial_coefficients, _log_table,
                          _polynomial_branch, _route_b,
                          discrete_eigensequence, eta, faulhaber, zeta,
                          zeta_discrete_corrected, zeta_discrete_ext,
@@ -218,6 +220,16 @@ def test_discrete_ext_complex_point():
     assert complex(ev.value) == pytest.approx(want, abs=1e-5)
 
 
+def test_discrete_ext_deep_complex_point():
+    # the residual of the mpmath ladder is rounded to doubles once the
+    # divergences are peeled, and its decaying ledger subtracted there
+    s = complex(-3.3, 1.6)
+    with mpmath.workdps(30):
+        want = complex(mpmath.zeta(mpmath.mpc(s)))
+    ev = zeta_discrete_ext(s, CFG)
+    assert abs(complex(ev.value) - want) <= 1e-9 * abs(want)
+
+
 def test_discrete_corrected_values():
     want = {0: -0.5, -1: -1 / 12, -2: 0.0, -3: 1 / 120}
     for s0, w in want.items():
@@ -230,6 +242,12 @@ def test_discrete_corrected_exact_mode():
     got = [zeta_discrete_corrected(s0, cfg) for s0 in (0, -1, -2, -3)]
     assert got == [Fraction(-1, 2), Fraction(-1, 12), Fraction(0),
                    Fraction(1, 120)]
+
+
+def test_discrete_corrected_deep_point():
+    # u_k reaches 4000^9 ln 4000 ~ 1e33 at s0 = -8, beyond 35 significant
+    # digits (which gave 5/44); the fixed-point branch keeps 2^-U_BITS there
+    assert abs(float(zeta_discrete_corrected(-8, CFG))) <= 1e-3
 
 
 def test_discrete_corrected_rejects_positive():
@@ -265,6 +283,26 @@ def test_polynomial_branch_rejects_unannihilated_content():
     lams, lam_primes = _factor_ladder(-2)
     with pytest.raises(MissingDerivativeTermError):
         _polynomial_branch([0, 0, 0, 0, 1], lams, lam_primes, 10)
+
+
+@pytest.mark.parametrize("m", [1, 2, 7])
+def test_fixed_point_factor_pass_matches_exact(m):
+    # (P_D - 1/m) on ints scaled by 2^U_BITS, against the exact pass on the
+    # same values: each entry is within 2 units of 2^-U_BITS
+    rng = random.Random(m)
+    u = [rng.randrange(-2**240, 2**240) for _ in range(300)]
+    exact = [a - Fraction(v, m) for a, v in zip(apply_P_D(u), u)]
+    got = _apply_factor_mp(u, Fraction(1, m))
+    assert all(abs(g - e) <= 2 for g, e in zip(got, exact))
+
+
+def test_log_table_within_half_a_unit_per_prime_factor():
+    logs = _log_table(4000)
+    assert logs[0] == 0
+    with mpmath.workprec(U_BITS + 32):
+        worst = max(abs(logs[j - 1] - mpmath.ldexp(mpmath.log(j), U_BITS))
+                    for j in range(2, 4001))
+    assert worst <= 5.5     # 2^11 has the most prime factors below 4000
 
 
 def test_eigensequence_binomial_inverse_average():

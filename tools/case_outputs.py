@@ -10,8 +10,9 @@ exactly where their outputs do.  A case that raises is written as its
 exception type and message.
 
 With --against, each checkout runs in its own subprocess; the workload,
-seed, case and key of every output that differs are printed, and the exit
-status is 1 if any do.
+seed, case and key of every output that differs are printed, followed by
+|a - b| / max(|a|, |b|) where both outputs are numbers (a complex value is
+compared whole), and the exit status is 1 if any differ.
 """
 
 from __future__ import annotations
@@ -77,17 +78,40 @@ def case_outputs(checkout: Path, seeds) -> dict:
     return out
 
 
+def number(value):
+    """A written output as a number: an int or float, a {"re", "im"} pair
+    or a "Fraction(p/q)" string; None for anything else."""
+    if isinstance(value, dict) and set(value) == {"re", "im"}:
+        return complex(value["re"], value["im"])
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and value.startswith("Fraction("):
+        return Fraction(value[len("Fraction("):-1])
+    return None
+
+
+def relative_difference(a, b):
+    """|a - b| / max(|a|, |b|) for two written numbers, else None."""
+    x, y = number(a), number(b)
+    if x is None or y is None:
+        return None
+    scale = max(abs(x), abs(y))
+    return float(abs(x - y) / scale) if scale else 0.0
+
+
 def differences(a, b, path=()):
-    """The key paths at which two JSON documents differ."""
-    if not (isinstance(a, dict) and isinstance(b, dict)):
+    """(key path, a value, b value) wherever two JSON documents differ; a
+    complex {"re", "im"} pair is one value, and a missing one reads None."""
+    if not (isinstance(a, dict) and isinstance(b, dict)) or (
+            number(a) is not None and number(b) is not None):
         if a != b:
-            yield path
+            yield path, a, b
         return
     for key in sorted(set(a) | set(b)):
         if key in a and key in b:
             yield from differences(a[key], b[key], path + (key,))
         else:
-            yield path + (key,)
+            yield path + (key,), a.get(key), b.get(key)
 
 
 def _outputs_in_subprocess(checkout: Path, seeds: str) -> dict:
@@ -99,12 +123,14 @@ def _outputs_in_subprocess(checkout: Path, seeds: str) -> dict:
 
 
 def compare(checkout: Path, other: Path, seeds: str) -> int:
-    """Print each (workload, seed, case, key) whose output differs."""
+    """Print each (workload, seed, case, key) whose output differs, and the
+    relative size of the difference where both outputs are numbers."""
     found = list(differences(_outputs_in_subprocess(checkout, seeds),
                              _outputs_in_subprocess(other, seeds)))
-    for path in found:
-        head, key = path[:3], ".".join(path[3:])
-        print("\t".join([*head, key]) if key else "\t".join(head))
+    for path, a, b in found:
+        rel = relative_difference(a, b)
+        print("\t".join([*path[:3], ".".join(path[3:]),
+                         "" if rel is None else f"{rel:.1e}"]).rstrip())
     print(f"{len(found)} differing output(s)", file=sys.stderr)
     return 1 if found else 0
 
