@@ -35,7 +35,12 @@ class CrossCheckMismatchError(CesaroError):
 
 
 class FitFailureError(CesaroError):
-    """An endpoint power-log fit did not capture the sampled behaviour."""
+    """A fit did not capture the sampled behaviour, or its value could not
+    be made exact; value is the unsnapped number, where there is one."""
+
+    def __init__(self, message, value=None):
+        super().__init__(message)
+        self.value = value
 
 
 class IllegalCancellationError(CesaroError):

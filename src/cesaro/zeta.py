@@ -8,7 +8,8 @@ continued value.  Two independent routes compute it:
       the exact partial sums at moderate k (high-precision arithmetic, the
       truncation error is the first omitted correction term);
   (b) averaging: subtract the single divergent x-power analytically and
-      drive the remainder with pure averaging on a fixed grid of cells.
+      drive the remainder with pure averaging on a fixed grid of cells,
+      in double-double arithmetic (cesaro.dd), not in mpmath.
 
 Route (a) is the precision workhorse, route (b) the structural validator;
 they must agree or the evaluation raises, never guesses.
@@ -30,6 +31,7 @@ integers.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -38,14 +40,15 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
+from . import dd
 from .asymptotics import bernoulli, zeta_psum_expansion
 from .climits import (cesaro_limit_discrete, strong_cesaro_limit,
                       _gamma_ratio_values, _near_nonneg_int)
 from .config import DEFAULT_CONFIG, LimitConfig, SNAP_RADIUS
 from .dd import DDArray
-from .errors import (CrossCheckMismatchError, LambdaIsOneError,
-                     MissingDerivativeTermError, NonIntegerRhoError,
-                     PoleSignal, SAtPoleError, is_pole)
+from .errors import (CrossCheckMismatchError, FitFailureError,
+                     LambdaIsOneError, MissingDerivativeTermError,
+                     NonIntegerRhoError, PoleSignal, SAtPoleError, is_pole)
 from .operators import average_nodes, average_pass, build_regular_polynomial
 from .seqfun import NODES, WEIGHTS, SeriesTerms, n_pow_minus_s, psum_function
 from .tailfit import (fit_limit, fit_limit_array, sequence_tail,
@@ -193,42 +196,54 @@ def _exact_constant(s0: int):
 ROUTE_B_CELLS = 1000
 
 
+@functools.cache
+def _route_b_logs():
+    """ln n for n = 1..ROUTE_B_CELLS and ln x at the nodes x = k + a, in
+    double-double; the same for every s.  x is exact by TwoSum."""
+    ln_n = dd.log(DDArray(np.arange(1.0, ROUTE_B_CELLS + 1), 0.0))
+    ln_x = dd.log(DDArray(np.arange(float(ROUTE_B_CELLS))[:, None], 0.0)
+                  + DDArray(NODES, 0.0))
+    return ln_n, ln_x
+
+
 def _route_b_mp(s) -> list:
-    """Route (b)'s node values made in 35-digit mpmath, for Re(s) < -0.3.
+    """Route (b)'s node values in double-double, for Re(s) < -0.3.
 
     The subtraction p-sum minus x^{1-s}/(1-s) cancels ~|1-Re(s)| leading
     digits pointwise, which exhausts double precision once Re(s) < -1, so
-    each value is made at 35 digits and rounded once to double-double
-    (about 32 digits).  Returns the real part, and the imaginary part for
-    complex s, as (cells, nodes) DDArrays.
+    each value is made in double-double (about 32 digits) with dd.exp and
+    dd.log: x^{1-s} is exp((1-s) ln x) with 1 - s exact, n^{-s} is
+    exp(-s ln n), and the p-sum is their exclusive prefix sum.  No mpmath
+    is used; the name is that of the mpmath build this replaced, kept so
+    that perfbench's tracer still times the build as zeta.route_b_mp_s.
+    Returns the real part, and the imaginary part for complex s, as
+    (cells, nodes) DDArrays.
     """
     sc = complex(s)
-    with mpmath.workdps(35):
-        smp = mpmath.mpmathify(sc) if sc.imag else mpmath.mpf(sc.real)
-        g = 1 - smp
-        psum = [mpmath.mpf(0)]
-        for n in range(1, ROUTE_B_CELLS):
-            psum.append(psum[-1] + mpmath.power(n, -smp))
-        vals = []
-        for k in range(ROUTE_B_CELLS):
-            base = psum[k]
-            for a in NODES:
-                x = mpmath.mpf(k) + a
-                vals.append(base - mpmath.power(x, g) / g)
-        parts = ([[v.real for v in vals], [v.imag for v in vals]]
-                 if sc.imag else [vals])
-        return [DDArray.from_values(part, (ROUTE_B_CELLS, len(NODES)))
-                for part in parts]
+    g_re, g_im = 1 - Fraction(sc.real), -Fraction(sc.imag)     # g = 1 - s
+    g_abs2 = g_re * g_re + g_im * g_im
+    inv_re, inv_im = (DDArray.from_fraction(q / g_abs2)       # 1/g
+                      for q in (g_re, -g_im))
+    ln_n, ln_x = _route_b_logs()
+    gx_re = ln_x * DDArray.from_fraction(g_re)
+    if not sc.imag:
+        psum = dd.exp(ln_n * -sc.real).exclusive_cumsum()
+        return [psum[:, None] - dd.exp(gx_re) * inv_re]
+    p_re, p_im = [p.exclusive_cumsum()[:, None]
+                  for p in dd.exp(ln_n * -sc.real, ln_n * -sc.imag)]
+    w_re, w_im = dd.exp(gx_re, ln_x * -sc.imag)
+    return [p_re - (w_re * inv_re - w_im * inv_im),
+            p_im - (w_re * inv_im + w_im * inv_re)]
 
 
 def _route_b(s):
     """Route (b): average p-sum - x^{1-s}/(1-s) r = floor(-Re s) + 1 times
     and fit the limit on the last decade of cells.
 
-    The node values come in doubles or, below Re(s) = -0.3, from
-    _route_b_mp; the passes run in double-double either way.  Every pass
-    is real-linear with real coefficients, so complex s runs them on the
-    real and imaginary parts.
+    The node values come in doubles or, below Re(s) = -0.3, in
+    double-double from _route_b_mp; the passes run in double-double either
+    way.  Every pass is real-linear with real coefficients, so complex s
+    runs them on the real and imaginary parts.
     """
     sc = complex(s)
     r = int(math.floor(-sc.real)) + 1
@@ -541,6 +556,10 @@ def zeta_discrete_corrected(s0: int, cfg: LimitConfig = DEFAULT_CONFIG):
     c the reciprocal of the surviving normalization factors.  The p branch
     is exact; u runs in fixed point, ints scaled by 2^U_BITS, whose absolute
     precision does not fall as u_k grows like k^{1-s0} ln k.
+
+    The fitted limit is snapped to a rational of denominator at most 2520.
+    In exact mode that rational is returned, and FitFailureError, carrying
+    the fitted value, is raised when there is none, as at s0 = -6.
     """
     if s0 != int(s0) or s0 > 0:
         raise ValueError("defined for integer s0 <= 0")
@@ -573,7 +592,11 @@ def zeta_discrete_corrected(s0: int, cfg: LimitConfig = DEFAULT_CONFIG):
                           [(-1, m) for m in range(2, I + 3)] + [(-2, 1)])
     value = fit.limit
     snapped = snap_to_rational(value, tol=1e-5, max_denominator=2520)
-    if cfg.exact_mode and snapped is not None:
+    if cfg.exact_mode:
+        if snapped is None:
+            raise FitFailureError(
+                f"corrected value {value!r} at s = {s0} snaps to no rational "
+                f"in exact mode", value=value)
         return snapped
     return float(snapped) if snapped is not None else value
 

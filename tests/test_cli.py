@@ -180,6 +180,12 @@ def test_zeta_corrected_exact(capsys):
     assert _value(doc) == "1/120"
 
 
+def test_zeta_corrected_exact_without_a_rational_fails(capsys):
+    # the fit at -6 gives 2.66e-5 where zeta(-6) = 0: no value, exit 1
+    assert run(["zeta", "--s", "-6", "--corrected", "--exact"]) == 1
+    assert capsys.readouterr().err.startswith("failed: ")
+
+
 @pytest.mark.parametrize("s", ["0.4", "-2.6", "-1,2", "1"])
 def test_zeta_corrected_needs_an_integer_s_at_most_zero(capsys, s):
     # rounding s would print the value at another point

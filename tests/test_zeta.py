@@ -10,11 +10,14 @@ import pytest
 
 from cesaro.climits import _gamma_ratio_values
 from cesaro.config import DEFAULT_CONFIG
-from cesaro.errors import MissingDerivativeTermError, SAtPoleError, is_pole
+from cesaro.errors import (FitFailureError, MissingDerivativeTermError,
+                           SAtPoleError, is_pole)
 from cesaro.operators import apply_P_D, apply_P_D_inverse
-from cesaro.zeta import (U_BITS, FaulhaberPoly, _apply_factor_mp,
-                         _binomial_coefficients, _log_table,
-                         _polynomial_branch, _route_b,
+from cesaro.seqfun import NODES
+from cesaro.zeta import (ROUTE_B_CELLS, U_BITS, FaulhaberPoly,
+                         _apply_factor_mp, _binomial_coefficients,
+                         _log_table, _polynomial_branch, _route_b,
+                         _route_b_mp, _route_b_tol,
                          discrete_eigensequence, eta, faulhaber, zeta,
                          zeta_discrete_corrected, zeta_discrete_ext,
                          zeta_integral_rep, zeta_residue_at_1)
@@ -101,6 +104,44 @@ def test_route_b_mp_limit_pinned(s):
     fit, _ = _route_b(s)
     want = ROUTE_B_PINNED[s]
     assert abs(complex(fit.limit) - want) <= 1e-12 * abs(want)
+
+
+def _route_b_mp_reference(s):
+    """Route (b)'s node values as a 35-digit mpmath build makes them."""
+    sc = complex(s)
+    with mpmath.workdps(35):
+        smp = mpmath.mpmathify(sc) if sc.imag else mpmath.mpf(sc.real)
+        g = 1 - smp
+        psum = [mpmath.mpf(0)]
+        for n in range(1, ROUTE_B_CELLS):
+            psum.append(psum[-1] + mpmath.power(n, -smp))
+        return [[psum[k] - mpmath.power(k + mpmath.mpf(a), g) / g
+                 for a in NODES] for k in range(ROUTE_B_CELLS)]
+
+
+@pytest.mark.parametrize("s", list(ROUTE_B_PINNED))
+def test_route_b_node_values_match_a_35_digit_build(s):
+    parts = _route_b_mp(s)
+    want = _route_b_mp_reference(s)
+    with mpmath.workdps(40):
+        for k in range(ROUTE_B_CELLS):
+            for i in range(len(NODES)):
+                got = [mpmath.mpf(float(p.hi[k, i])) + float(p.lo[k, i])
+                       for p in parts]
+                got = got[0] + 1j * got[1] if len(got) == 2 else got[0]
+                assert abs(got - want[k][i]) <= 1e-25 * abs(want[k][i])
+
+
+def _no_mpmath_power(*args):
+    raise AssertionError("route (b) called mpmath.power")
+
+
+@pytest.mark.parametrize("s", [-2.5, complex(-1.8, 0.45)])
+def test_route_b_below_the_float_branch_makes_no_mpmath_call(s, monkeypatch):
+    want = complex(mpmath.zeta(s))
+    monkeypatch.setattr(mpmath, "power", _no_mpmath_power)
+    fit, _ = _route_b(s)
+    assert abs(complex(fit.limit) - want) <= _route_b_tol(s)
 
 
 @pytest.mark.parametrize("s", [0.06, 0.10, 0.12, 0.14, complex(0.12, 0.3),
@@ -242,6 +283,14 @@ def test_discrete_corrected_exact_mode():
     got = [zeta_discrete_corrected(s0, cfg) for s0 in (0, -1, -2, -3)]
     assert got == [Fraction(-1, 2), Fraction(-1, 12), Fraction(0),
                    Fraction(1, 120)]
+
+
+def test_discrete_corrected_exact_mode_raises_without_a_rational():
+    # zeta(-6) = 0, but the fit gives 2.66e-5, which snaps to no rational
+    with pytest.raises(FitFailureError) as info:
+        zeta_discrete_corrected(-6, CFG.with_(exact_mode=True))
+    assert abs(info.value.value) > 1e-6
+    assert zeta_discrete_corrected(-6, CFG) == info.value.value
 
 
 def test_discrete_corrected_deep_point():
