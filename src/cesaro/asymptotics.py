@@ -195,9 +195,9 @@ def peel_ladder(pending, live, lower_order):
         pending += [(-c * a, f) for a, f in lower_order(e)]
 
 
-def gamma_ratio_coeffs(rho) -> list:
+def gamma_ratio_coeffs(rho, depth: int = 3) -> list:
     """[a_0, ..., a_d] with Gamma(n)/Gamma(n-rho) ~ n^rho sum_j a_j n^-j,
-    d = ceil(Re rho) + 3.
+    d = ceil(Re rho) + depth.
 
     The ratio of log-gamma asymptotic series collapses to
       g(t) = -rho - (1/t - rho - 1/2) ln(1 - rho t)
@@ -209,7 +209,7 @@ def gamma_ratio_coeffs(rho) -> list:
     """
     if isinstance(rho, int):
         rho = Fraction(rho)
-    D = int(math.ceil(max(0.0, complex(rho).real))) + 4
+    D = int(math.ceil(max(0.0, complex(rho).real))) + depth + 1
     one = rho ** 0
     zero = 0 * one
     # ln(1 - rho t) = sum_k logc[k] t^k
@@ -247,13 +247,13 @@ def gamma_ratio_coeffs(rho) -> list:
     return out
 
 
-def eigensequence_lower_order(rho) -> list:
-    """(a_j, rho - j) for j >= 1: the content of Gamma(n)/Gamma(n-rho)
-    below n^rho.  Within SNAP_RADIUS of a nonnegative integer the exact
-    falling-factorial coefficients are used."""
+def eigensequence_lower_order(rho, depth: int = 3) -> list:
+    """(a_j, rho - j) for 1 <= j <= ceil(Re rho) + depth: the content of
+    Gamma(n)/Gamma(n-rho) below n^rho.  Within SNAP_RADIUS of a nonnegative
+    integer the exact falling-factorial coefficients are used."""
     n = round(complex(rho).real)
     exact = n >= 0 and abs(complex(rho) - n) <= SNAP_RADIUS
-    coeffs = gamma_ratio_coeffs(n if exact else rho)
+    coeffs = gamma_ratio_coeffs(n if exact else rho, depth)
     return [(a, rho - j) for j, a in enumerate(coeffs) if j]
 
 

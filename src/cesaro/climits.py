@@ -14,10 +14,11 @@ operator and its asymptotic eigensequences.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import mpmath
 import numpy as np
@@ -238,22 +239,15 @@ def cdlim_power(rho):
 
 
 def _gamma_ratio_values(rho, n_max: int):
-    """Gamma(n)/Gamma(n-rho), n = 1..n_max, in the arithmetic of rho.
+    """Gamma(n)/Gamma(n-rho), n = 1..n_max: the falling factorial exactly
+    for an int rho, doubles from scipy for any other.
 
     The exact eigensequence for exponent rho: its running average is
     itself/(rho+1) plus a boundary term proportional to 1/n that vanishes
-    at integer rho.  An int rho gives the falling factorial exactly; an
-    mpmath rho runs r_{n+1} = r_n n/(n-rho) from r_1 = 1/Gamma(1-rho);
-    any other rho gives doubles from scipy, where that product would drift.
+    at integer rho.
     """
     if isinstance(rho, int):
         return [math.perm(n - 1, rho) for n in range(1, n_max + 1)]
-    if isinstance(rho, (mpmath.mpf, mpmath.mpc)):
-        with mpmath.extraprec(16):      # for the rounding along the product
-            out = [mpmath.rgamma(1 - rho)]
-            for n in range(1, n_max):
-                out.append(out[-1] * n / (n - rho))
-        return out
     from scipy.special import loggamma, poch
     ns = np.arange(1, n_max + 1, dtype=float)
     rc = complex(rho)
@@ -262,27 +256,78 @@ def _gamma_ratio_values(rho, n_max: int):
     return poch(ns - rc.real, rc.real)
 
 
+#: decaying content below n^LEDGER_FLOOR is left to the tail fit
+LEDGER_FLOOR = -6
+#: bits of fixed-point input beyond the working precision
+GUARD_BITS = 16
+
+
+class Fixed(NamedTuple):
+    """The sequence (re[k] + i im[k]) / 2^bits, re and im int sequences."""
+    re: Sequence
+    im: Sequence
+    bits: int
+
+
+def _fixed(x, bits: int) -> tuple:
+    """x * 2^bits as (re, im) ints, floored; x any number mpmath takes."""
+    x = mpmath.mpmathify(x)
+    parts = x._mpc_ if isinstance(x, mpmath.mpc) else (x._mpf_,
+                                                         mpmath.libmp.fzero)
+    return tuple(mpmath.libmp.to_fixed(p, bits) for p in parts)
+
+
+def _gamma_ratio_fixed(rho, n_max: int, bits: int) -> tuple:
+    """Gamma(n)/Gamma(n-rho), n = 1..n_max, as (re, im) object arrays of
+    ints scaled by 2^bits: the falling factorial at a nonnegative integer,
+    else r_{n+1} = r_n n/(n-rho) from r_1 = 1/Gamma(1-rho) at the working
+    precision, each step floored."""
+    if (n_int := _near_nonneg_int(rho)) is not None:
+        re = [v << bits for v in _gamma_ratio_values(n_int, n_max)]
+        return np.array(re, dtype=object), np.zeros(n_max, dtype=object)
+    (r, r_im), (a, b) = _fixed(mpmath.rgamma(1 - rho), bits), _fixed(rho, bits)
+    out = [(r, r_im)]
+    for n in range(1, n_max):
+        d = (n << bits) - a             # n - rho = (d - i b) / 2^bits
+        if b:
+            q = d * d + b * b
+            r, r_im = (((r * d - r_im * b) * n << bits) // q,
+                       ((r * b + r_im * d) * n << bits) // q)
+        else:
+            r = (r * n << bits) // d
+        out.append((r, r_im))
+    return tuple(np.array(part, dtype=object) for part in zip(*out))
+
+
+def _peel_fixed(re, im, removed, bits: int, scaled) -> tuple:
+    """re + i im minus c Gamma(n)/Gamma(n-rho) for each removed (c, rho),
+    on object arrays of ints; scaled(c) is c as (re, im) at their scale,
+    and the eigensequence is scaled by 2^bits."""
+    for c, e in removed:
+        g, g_im = _gamma_ratio_fixed(e, len(re), bits)
+        c_re, c_im = scaled(c)
+        re, im = (re - (c_re * g - c_im * g_im >> bits),
+                  im - (c_re * g_im + c_im * g >> bits))
+    return re, im
+
+
 def _minus(arr, c, seq, kind: str):
-    """arr - c*seq, with c and seq cast to the arithmetic of arr.  Object
-    arrays (exact and mpmath entries) are updated in place, entry by entry,
-    so that no second set of those numbers is alive at once."""
+    """arr - c*seq in doubles, c and seq cast to the kind of arr."""
     if kind == "float":
         return arr - float(complex(c).real) * np.real(seq)
-    if kind == "complex":
-        return arr - complex(c) * seq.astype(complex)
-    for i, g in enumerate(seq):
-        arr[i] -= c * g
-    return arr
+    return arr - complex(c) * seq.astype(complex)
 
 
-def _discrete_exact(arr, removed, cfg: LimitConfig) -> Optional[CesaroResult]:
-    """The limit of an exact residual whose last decade is one constant,
-    as it is for polynomial input; None otherwise."""
+def _discrete_exact(arr, scale: int, removed,
+                    cfg: LimitConfig) -> Optional[CesaroResult]:
+    """The limit of an exact residual, ints over scale, whose last decade
+    is one constant, as it is for polynomial input; None otherwise."""
     tail = arr[max(1, len(arr) // 10):]
     if any(v != tail[0] for v in tail):
         return None
+    limit = Fraction(tail[0], scale)
     return CesaroResult(
-        limit=tail[0] if cfg.exact_mode else float(tail[0]),
+        limit=limit if cfg.exact_mode else float(limit),
         mechanism="generalised" if removed else "classical",
         removed_terms=tuple(removed),
         diagnostics={"horizon": len(arr), "variation": 0.0, "exact": True,
@@ -302,73 +347,79 @@ def cesaro_limit_discrete(a, eigendecomposition: Sequence[tuple],
     discrete limit, which is exactly how the integer-exponent anomalies
     show up.
 
-    The eigensequences are subtracted in the arithmetic of the input: ints
-    and Fractions with nonnegative integer exponents are first tried exact
-    on at most 4000 entries, and if the residual does not close there, the
-    whole input runs in doubles as float input would; mpmath entries are
-    peeled at the caller's working precision, which the cancellation
-    against the divergences needs, and the residual, a constant plus
-    decaying terms once they are gone, is rounded once to doubles; anything
-    else runs in doubles.  The decaying ledger is subtracted in doubles.
-    The residual is judged by _convergence_gate; if its tail fails,
-    annihilating factors over the running-average operator are applied and
-    escalated.
+    Exact and mpmath input is peeled in one arithmetic, Python ints over a
+    common scale.  Ints and Fractions with nonnegative integer exponents
+    are scaled by the lcm of the denominators and tried exactly on at most
+    4000 entries; if the residual does not close there, the whole input
+    runs as float input.  mpmath entries are scaled by 2^(mp.prec +
+    GUARD_BITS), and a Fixed sequence comes scaled already; the peel then
+    runs at the working precision, which the cancellation against the
+    divergences needs, and its bounded residual is rounded once to
+    doubles.  Float and complex input is peeled in doubles.  The decaying
+    ledger is subtracted in doubles, and the residual is judged by
+    _convergence_gate; if its tail fails, annihilating factors over the
+    running-average operator are applied and escalated.
     """
     n_max = cfg.horizon
-    if callable(a):
-        vals = [a(n) for n in range(1, n_max + 1)]
+    if isinstance(a, Fixed):
+        vals, types, n_max = None, {Fixed}, min(n_max, len(a.re))
     else:
-        vals = list(a)[:n_max]
-        n_max = len(vals)
+        vals = ([a(n) for n in range(1, n_max + 1)] if callable(a)
+                else list(a)[:n_max])
+        n_max, types = len(vals), set(map(type, vals))
     if n_max < 100:
         raise ValueError("need at least 100 sequence entries")
     pending = list(eigendecomposition)
-    types = set(map(type, vals))
     if (all(issubclass(t, (int, Fraction)) for t in types)
             and all(isinstance(c, (int, Fraction))
                     and isinstance(e, (int, Fraction))
                     and Fraction(e).denominator == 1 and e >= 0
                     for c, e in pending)):
-        kind, n_max = "exact", min(n_max, 4000)
-        arr = np.array([Fraction(v) for v in vals[:n_max]], dtype=object)
-        pending = [(Fraction(c), int(e)) for c, e in pending]
-    elif any(issubclass(t, (mpmath.mpf, mpmath.mpc)) for t in types):
-        kind, arr = "mp", np.array(vals, dtype=object)
-        pending = [(mpmath.mpmathify(c), mpmath.mpmathify(e))
-                   for c, e in pending]
+        removed, _ = peel_ladder([(Fraction(c), int(e)) for c, e in pending],
+                                 divergent_exponent, eigensequence_lower_order)
+        cut = [Fraction(v) for v in vals[:4000]]
+        scale = math.lcm(*(x.denominator for x in cut),
+                         *(c.denominator for c, _ in removed))
+        re, _ = _peel_fixed(
+            np.array([int(v * scale) for v in cut], dtype=object),
+            np.zeros(len(cut), dtype=object), removed, 0,
+            lambda c: (int(c * scale), 0))
+        return _discrete_exact(re, scale, removed, cfg) or (
+            cesaro_limit_discrete([float(v) for v in vals],
+                                  eigendecomposition, cfg))
+    if any(issubclass(t, (mpmath.mpf, mpmath.mpc)) for t in types):
+        bits = mpmath.mp.prec + GUARD_BITS
+        a = Fixed(*zip(*(_fixed(v, bits) for v in vals)), bits)
+    if isinstance(a, Fixed):
+        # the eigensequences' lower orders, down to the ledger's floor
+        removed, pending = peel_ladder(
+            [(mpmath.mpmathify(c), mpmath.mpmathify(e)) for c, e in pending],
+            divergent_exponent, functools.partial(
+                eigensequence_lower_order, depth=-LEDGER_FLOOR - 1))
+        re, im = (part / (1 << a.bits) for part in _peel_fixed(
+            *(np.array(part[:n_max], dtype=object) for part in a[:2]),
+            removed, a.bits, lambda c: _fixed(c, a.bits)))
+        kind = "complex" if any(im) else "float"
+        arr = (re + 1j * im if kind == "complex" else re).astype(kind)
+        del a, vals, re, im     # keep one set of the entries alive
     else:
         kind = "complex" if any(issubclass(t, complex) for t in types) else (
             "float")
         arr = np.asarray(vals, dtype=complex if kind == "complex" else float)
-    if kind != "exact":
-        del vals    # arr holds the entries now; keep one set of them alive
-
-    removed, pending = peel_ladder(pending, divergent_exponent,
-                                   eigensequence_lower_order)
-    for c, e in removed:
-        n_int = _near_nonneg_int(e)
-        rho = e if n_int is None else n_int
-        seq = _gamma_ratio_values(
-            rho if kind in ("exact", "mp") else complex(rho), n_max)
-        arr = _minus(arr, c, seq, kind)
-    if kind == "exact":     # its ledger holds no decaying exponent
-        closed = _discrete_exact(arr, removed, cfg)
-        if closed is not None:
-            return closed
-        return cesaro_limit_discrete([float(v) for v in vals],
-                                     eigendecomposition, cfg)
-    if kind == "mp":        # bounded now: round it once
-        kind = "complex" if any(isinstance(v, mpmath.mpc) for v in arr) else (
-            "float")
-        arr = np.array([complex(v) if kind == "complex" else float(v)
-                        for v in arr])
+        del vals
+        removed, pending = peel_ladder(pending, divergent_exponent,
+                                       eigensequence_lower_order)
+        for c, e in removed:
+            n_int = _near_nonneg_int(e)
+            arr = _minus(arr, c, _gamma_ratio_values(
+                complex(e if n_int is None else n_int), n_max), kind)
     # decaying content left on the ledger has exactly known coefficients,
     # so subtract it outright: a slowly decaying power like n^{-1/2} is far
     # too collinear with the constant over one decade to be fitted instead
     ns = np.arange(1, n_max + 1, dtype=float)
     for c, e in pending:
         er = complex(e).real
-        if -6 < er < -SNAP_RADIUS:
+        if LEDGER_FLOOR < er < -SNAP_RADIUS:
             powers = (ns ** er if kind == "float"
                       else ns.astype(complex) ** complex(e))
             arr = _minus(arr, c, powers, kind)

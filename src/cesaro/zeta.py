@@ -16,12 +16,12 @@ they must agree or the evaluation raises, never guesses.
 
 The discrete-operator variant hands the p-sums and their divergence model
 to the one discrete driver, climits.cesaro_limit_discrete, which peels the
-model's eigensequences in the arithmetic of the p-sums: exact integers at
-nonpositive integer s, mpmath numbers of at least 30 digits below
-Re(s) = -0.5, doubles elsewhere.  Once the divergences are peeled the
-residual is a constant plus decaying terms, so an mpmath residual is
-rounded once to doubles, where the decaying terms are subtracted and the
-limit is fitted.  It goes anomalous at nonpositive integer s, where the
+model's eigensequences in one arithmetic, Python ints over a common scale:
+exact integers at nonpositive integer s, and elsewhere p-sums scaled by
+2^B, B at least 30 digits' worth of bits plus guard bits.  Once the
+divergences are peeled the residual is a constant plus decaying terms, so
+it is rounded once to doubles, where the decaying terms are subtracted and
+the limit is fitted.  It goes anomalous at nonpositive integer s, where the
 p-sum is a polynomial whose every power carries discrete limit 1; the
 corrected evaluation recovers the true value by differentiating the
 factored annihilator at the anomaly (a L'Hopital computation in s at fixed
@@ -34,6 +34,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -42,8 +43,9 @@ import numpy as np
 
 from . import dd
 from .asymptotics import bernoulli, zeta_psum_expansion
-from .climits import (cesaro_limit_discrete, strong_cesaro_limit,
-                      _gamma_ratio_values, _near_nonneg_int)
+from .climits import (GUARD_BITS, LEDGER_FLOOR, Fixed, cesaro_limit_discrete,
+                      strong_cesaro_limit, _fixed, _gamma_ratio_values,
+                      _near_nonneg_int)
 from .config import DEFAULT_CONFIG, LimitConfig, SNAP_RADIUS
 from .dd import DDArray
 from .errors import (CrossCheckMismatchError, FitFailureError,
@@ -385,75 +387,76 @@ def eta(s, cfg: LimitConfig = DEFAULT_CONFIG):
 U_BITS = 128
 
 
-def _psum_content(s) -> list:
-    """The p-sum's divergence model as (coeff, exponent), arithmetic of s."""
-    return [(t.coeff, t.exponent) for t in zeta_psum_expansion(s).terms]
+def _psum_content(s, order=None) -> list:
+    """The p-sum's divergence model as (coeff, exponent), arithmetic of s;
+    order as in zeta_psum_expansion."""
+    return [(t.coeff, t.exponent) for t in zeta_psum_expansion(s, order).terms]
 
 
-#: p-sums of the mpmath discrete evaluation
+#: p-sums of the discrete evaluation off the integers
 EXT_MP_HORIZON = 4000
 
 
 def _ext_mp(s, cfg: LimitConfig):
-    """The discrete evaluation on mpmath p-sums, for deep Re(s) < 0.
+    """The discrete evaluation off the integers, on fixed-point p-sums.
 
     The subtraction cancels ~|1-Re(s)| leading digits of the p-sum, so
     exponents need working precision as much as coefficients do: a double
     holds 1-s only to ~1e-16, and at n = 4000 that error times ln n times
-    a p-sum of ~1e14 is an error of order 1 in the value.  So the p-sums
-    and the model are built at an mpmath s, and the discrete driver peels
-    the divergent eigensequences in that arithmetic, at the same working
-    precision; the bounded residual it leaves is rounded once to doubles.
-    The p-sum reaches EXT_MP_HORIZON^{1-Re s}, so the precision grows with
-    depth to keep 15 digits after the cancellation, and is never below 30.
+    a p-sum of ~1e14 is an error of order 1 in the value.  So the model is
+    built at an mpmath s, with its corrections down to the driver's ledger
+    floor, and the p-sums are ints scaled by 2^B, B the working precision
+    plus GUARD_BITS: n^{-s} from mpmath at the primes, fixed-point products
+    over the least-prime sieve elsewhere.  The driver peels in the same
+    fixed point.  The p-sum reaches EXT_MP_HORIZON^{1-Re s}, so the
+    precision grows with depth to keep 15 digits after the cancellation,
+    and is never below 30 digits.
     """
     sc = complex(s)
     dps = max(30, math.ceil(15 + (1 - sc.real) * math.log10(EXT_MP_HORIZON)))
     with mpmath.workdps(dps):
+        bits = mpmath.mp.prec + GUARD_BITS
         smp = mpmath.mpmathify(sc) if sc.imag else mpmath.mpf(sc.real)
-        psums = itertools.accumulate(
-            mpmath.power(n, -smp) for n in range(1, EXT_MP_HORIZON + 1))
-        return cesaro_limit_discrete(psums, _psum_content(smp),
+        powers = _sieve_table(
+            EXT_MP_HORIZON, (1 << bits, 0),
+            lambda p: _fixed(mpmath.power(p, -smp), bits),
+            lambda x, y: ((x[0] * y[0] - x[1] * y[1]) >> bits,
+                          (x[0] * y[1] + x[1] * y[0]) >> bits))
+        psums = [list(itertools.accumulate(part)) for part in zip(*powers)]
+        order = math.ceil(1 - LEDGER_FLOOR - sc.real) - 1
+        return cesaro_limit_discrete(Fixed(*psums, bits),
+                                     _psum_content(smp, order),
                                      cfg.with_(horizon=EXT_MP_HORIZON))
 
 
 def zeta_discrete_ext(s, cfg: LimitConfig = DEFAULT_CONFIG) -> ZetaEvaluation:
     """Discrete-operator evaluation; anomalous at nonpositive integers.
 
-    Only the arithmetic of the p-sums is chosen here (see the module
-    docstring).  At integer s <= 0 the p-sum is a polynomial in the index;
-    every power has discrete limit 1, so the value collapses to the
-    polynomial at 1, which is always 1.  The anomaly flag marks these points.
+    Only the p-sums are built here: exact integers at the anomalies, else
+    _ext_mp's fixed point.  At integer s <= 0 the p-sum is a polynomial in
+    the index; every power has discrete limit 1, so the value collapses to
+    the polynomial at 1, which is always 1.  The anomaly flag marks these
+    points.
     """
     sc = complex(s)
     if abs(sc - 1) <= SNAP_RADIUS:
         raise SAtPoleError("the discrete evaluation shares the pole at s = 1")
     s0 = _near_nonneg_int(-sc)
-    anomaly = s0 is not None
-    horizon = min(cfg.horizon, 10**5)
-    if not anomaly and sc.real < -0.5:
+    if s0 is None:
         result = _ext_mp(s, cfg)
+        value = result.limit
     else:
-        if anomaly:
-            s_num = -s0
-            psums = itertools.accumulate(
-                n ** s0 for n in range(1, min(horizon, 4000) + 1))
-        else:
-            s_num = sc if sc.imag else sc.real
-            psums = n_pow_minus_s(s_num).psum_array(horizon)[1:]
-        result = cesaro_limit_discrete(psums, _psum_content(s_num),
-                                       cfg.with_(horizon=horizon))
-    value = result.limit
-    if anomaly:
-        snapped = snap_to_rational(value, tol=1e-6)
-        value = snapped if snapped is not None else value
-        if value != 1:
+        horizon = min(cfg.horizon, 4000)
+        result = cesaro_limit_discrete(
+            itertools.accumulate(n ** s0 for n in range(1, horizon + 1)),
+            _psum_content(-s0), cfg.with_(horizon=horizon))
+        if snap_to_rational(result.limit, tol=1e-6) != 1:
             raise CrossCheckMismatchError(
                 f"integer-point evaluation expected the anomalous value 1, "
-                f"got {value}")
+                f"got {result.limit}")
         value = Fraction(1) if cfg.exact_mode else 1.0
     return ZetaEvaluation(s=s, value=value, path="discrete-cesaro",
-                          q_used=result.q_used, anomaly=anomaly,
+                          q_used=result.q_used, anomaly=s0 is not None,
                           diagnostics=result.diagnostics)
 
 
@@ -487,25 +490,29 @@ def _apply_factor_mp(u, lam) -> list:
             for k, (acc, v) in enumerate(zip(itertools.accumulate(u), u), 1)]
 
 
+def _sieve_table(horizon: int, one, at_prime, times) -> list:
+    """f(1..horizon) for f completely multiplicative under times, with
+    f(1) = one and f(p) = at_prime(p): f(j) = times(f(p), f(j/p)) for the
+    least prime p of j, from a least-prime-factor sieve."""
+    least = list(range(horizon + 1))
+    for p in range(math.isqrt(horizon), 1, -1):     # the least p writes last
+        least[p * p::p] = [p] * len(range(p * p, horizon + 1, p))
+    table = [one, one]
+    for j, p in enumerate(least[2:], 2):
+        table.append(at_prime(j) if p == j else times(table[p], table[j // p]))
+    return table[1:]
+
+
 def _log_table(horizon: int) -> list:
     """round(ln j * 2^U_BITS) for j = 1..horizon, logs taken at primes only.
 
     A composite j gets L_p + L_{j/p} for its least prime p, so an entry is
     off by at most half a unit per prime factor.
     """
-    least = list(range(horizon + 1))        # least prime factor sieve
-    for p in range(2, math.isqrt(horizon) + 1):
-        if least[p] == p:
-            for j in range(p * p, horizon + 1, p):
-                if least[j] == j:
-                    least[j] = p
-    logs = [0, 0]
     with mpmath.workprec(U_BITS + 32):
-        for j in range(2, horizon + 1):
-            p = least[j]
-            logs.append(int(mpmath.nint(mpmath.ldexp(mpmath.log(j), U_BITS)))
-                        if p == j else logs[p] + logs[j // p])
-    return logs[1:]
+        return _sieve_table(
+            horizon, 0, lambda p: int(mpmath.nint(mpmath.ldexp(
+                mpmath.log(p), U_BITS))), operator.add)
 
 
 def _polynomial_branch(coeffs, lams, lam_primes, horizon: int) -> list:

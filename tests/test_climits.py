@@ -3,6 +3,8 @@ closed-form mixed-coordinate tables."""
 
 import gc
 import math
+import os
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -284,6 +286,34 @@ def test_discrete_limit_runs_in_mpmath_arithmetic():
                 for n in range(1, 2001)]
         res = cesaro_limit_discrete(vals, [(1, rho)], FAST)
     assert res.limit == pytest.approx(1 / 3, abs=1e-12)
+
+
+def _mpmath_calls(fn) -> list:
+    """Names of the Python functions of mpmath entered while fn runs."""
+    root = os.path.dirname(mpmath.__file__)
+    calls = []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(root):
+            calls.append(frame.f_code.co_name)
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        fn()
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+def test_discrete_limit_float_input_makes_no_mpmath_call():
+    # float input stays on the double path; the same probe does see the
+    # fixed-point peel of mpmath input
+    assert not _mpmath_calls(lambda: cesaro_limit_discrete(
+        lambda n: float(n) ** 0.5, [(1.0, 0.5)], FAST))
+    vals = [mpmath.mpf(n) ** 0.5 for n in range(1, 201)]
+    assert _mpmath_calls(lambda: cesaro_limit_discrete(
+        vals, [(1, mpmath.mpf(0.5))], FAST))
 
 
 def test_discrete_limit_needs_enough_entries():

@@ -7,9 +7,12 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from cesaro.climits import _gamma_ratio_values
-from cesaro.config import DEFAULT_CONFIG
+from cesaro.climits import (GUARD_BITS, _gamma_ratio_fixed,
+                            _gamma_ratio_values)
+from cesaro.config import DEFAULT_CONFIG, SNAP_RADIUS
 from cesaro.errors import (FitFailureError, MissingDerivativeTermError,
                            SAtPoleError, is_pole)
 from cesaro.operators import apply_P_D, apply_P_D_inverse
@@ -271,6 +274,42 @@ def test_discrete_ext_deep_complex_point():
     assert abs(complex(ev.value) - want) <= 1e-9 * abs(want)
 
 
+# shallow points, which doubles at 10^5 terms miss by up to 3e-4 relative;
+# 0.3-2.2j needs the p-sum model's corrections down to the ledger floor
+# (5e-11 with the default order)
+@pytest.mark.parametrize("s", [0.5, -0.05, -0.38966, -0.5, complex(-0.2, 0.5),
+                               complex(-0.3, 2), complex(0.525117, 1.223929),
+                               complex(0.3, -2.2)])
+def test_discrete_ext_shallow_points(s):
+    with mpmath.workdps(30):
+        want = complex(mpmath.zeta(mpmath.mpmathify(s)))
+    ev = zeta_discrete_ext(s, CFG)
+    assert abs(complex(ev.value) - want) <= 1e-11 * abs(want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(re=st.floats(-0.5, 0.9), im=st.floats(-3.0, 3.0))
+@example(re=0.0, im=3.0)    # 2.5e-9 with the gamma-ratio ledger cut at n^-4
+def test_discrete_ext_matches_zeta_on_the_strip(re, im):
+    s = complex(re, im)
+    assume(abs(s) > SNAP_RADIUS)        # s = 0 is the integer anomaly
+    with mpmath.workdps(30):
+        want = complex(mpmath.zeta(mpmath.mpc(s)))
+    ev = zeta_discrete_ext(s if im else re, CFG)
+    assert abs(complex(ev.value) - want) <= 1e-10 * abs(want)
+
+
+def test_discrete_ext_takes_powers_at_primes_only(monkeypatch):
+    # n^{-s} comes from mpmath at the 550 primes below 4000 and from
+    # fixed-point products over the least-prime sieve everywhere else
+    calls = []
+    power = mpmath.power
+    monkeypatch.setattr(mpmath, "power",
+                        lambda *args: calls.append(args) or power(*args))
+    zeta_discrete_ext(complex(-0.9268, 1.62082), CFG)
+    assert 0 < len(calls) <= 550
+
+
 def test_discrete_corrected_values():
     want = {0: -0.5, -1: -1 / 12, -2: 0.0, -3: 1 / 120}
     for s0, w in want.items():
@@ -394,9 +433,12 @@ def test_eigensequence_strip_residual_is_boundary_term():
 
 def test_gamma_ratio_values_in_each_arithmetic():
     assert _gamma_ratio_values(3, 6) == [0, 0, 0, 6, 24, 60]
+    # the fixed-point recurrence, scaled as the discrete driver scales it
     with mpmath.workdps(30):
+        bits = mpmath.mp.prec + GUARD_BITS
         for rho in (mpmath.mpf("4.1"), mpmath.mpc("1.9", "-1.6")):
-            got = _gamma_ratio_values(rho, 4000)[-1]
+            re, im = _gamma_ratio_fixed(rho, 4000, bits)
+            got = mpmath.mpc(re[-1], im[-1]) / 2**bits
             want = mpmath.gamma(4000) / mpmath.gamma(4000 - rho)
             assert abs(got - want) <= mpmath.mpf("1e-25") * abs(want)
 
