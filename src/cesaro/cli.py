@@ -243,9 +243,9 @@ def cmd_sum(args, cfg: LimitConfig) -> dict:
 
 def cmd_limit(args, cfg: LimitConfig) -> dict:
     series, s_dir = parse_series(args.series)
-    terms = [complex(v) for v in series.term_array(min(cfg.horizon, 10 ** 5))]
-    if all(abs(t.imag) < 1e-15 for t in terms):
-        terms = [t.real for t in terms]
+    terms = series.term_array(min(cfg.horizon, 10 ** 5))
+    if np.all(np.abs(terms.imag) < 1e-15):
+        terms = terms.real
     # a pure power sequence is its own (known-coefficient) divergent content
     decomposition = [] if s_dir is None else [(1.0, -complex(s_dir))]
     result = cesaro_limit_discrete(terms, decomposition, cfg)

@@ -32,8 +32,9 @@ from .asymptotics import (AsymptoticExpansion, divergent_exponent,
                           eigensequence_lower_order, peel_ladder,
                           synthesize_annihilator)
 from .seqfun import PiecewiseFn
-from .tailfit import (_window_means, _window_values, fit_limit_array,
-                      relative_spread, sequence_tail, snap_to_rational)
+from .tailfit import (TailDesign, _window_means, _window_values,
+                      fit_limit_array, relative_spread, sequence_tail,
+                      snap_to_rational)
 
 __all__ = [
     "CesaroResult",
@@ -100,7 +101,8 @@ def _convergence_gate(xs, ys, nodes=None, extras: Sequence[tuple] = ()):
 
     (xs, ys), the fitted samples, are a function's cell means or a sequence
     over the last decade; nodes are a function's raw (xs, ys) there, and
-    extras the (exponent, log power) terms the tail model adds.  exit
+    extras the (exponent, log power) terms the tail model adds.  Either xs
+    may be a TailDesign, which a driver keeps across its levels.  exit
     is "variation", "fit" or None.  A swing that has not decayed rejects
     (SWING_TOLERANCE).  The fit exit is a second chance for a spread the
     decaying model explains: a divergence leaves a residual, cell means can
@@ -172,11 +174,14 @@ def cesaro_limit(f: PiecewiseFn,
     rows, step = f.node_values(cfg.horizon), f.kind == "step"
     if q is not None and q.degree:
         rows, step = apply_q_nodes(q, rows, step), False
+    means = TailDesign(_window_means(rows)[0])     # the xs of every level
+    nodes = TailDesign(_window_values(rows)[0])
     for r in range(cfg.max_pure_power + 1):
         if r:
             rows, step = average_pass(rows, step), False
         gate, variation, fit = _convergence_gate(
-            *_window_means(rows), _window_values(rows), extras)
+            means, _window_means(rows)[1], (nodes, _window_values(rows)[1]),
+            extras)
         if gate:
             strong = "classical" if r == 0 else f"strong({r})"
             return CesaroResult(
@@ -363,6 +368,8 @@ def cesaro_limit_discrete(a, eigendecomposition: Sequence[tuple],
     n_max = cfg.horizon
     if isinstance(a, Fixed):
         vals, types, n_max = None, {Fixed}, min(n_max, len(a.re))
+    elif isinstance(a, np.ndarray) and a.dtype.kind in "fc":
+        vals, types, n_max = a[:n_max], {a.dtype.type}, min(n_max, len(a))
     else:
         vals = ([a(n) for n in range(1, n_max + 1)] if callable(a)
                 else list(a)[:n_max])
@@ -427,8 +434,10 @@ def cesaro_limit_discrete(a, eigendecomposition: Sequence[tuple],
     q_factors = []
     applied_factors = False
     escalations = 0
+    design = TailDesign(sequence_tail(arr)[0])
     for stage in range(cfg.max_pure_power + 1):
-        gate, variation, fit = _convergence_gate(*sequence_tail(arr))
+        gate, variation, fit = _convergence_gate(design,
+                                                 sequence_tail(arr)[1])
         if gate:
             if removed or q_factors:
                 mech = "generalised"

@@ -57,14 +57,19 @@ def apply_P(f: PiecewiseFn) -> PiecewiseFn:
 def average_nodes(vals, pre, step: bool = False):
     """Node values of (1/x) * integral_0^x f on cells 0, 1, ..., from f's
     node values there and its integral up to each cell's start (step: f is
-    constant on each cell).  Float or complex arrays, or double-double
+    constant on each cell).  Float or complex arrays, whose partial
+    integrals are turned into the averages in place, or double-double
     arrays (cesaro.dd.DDArray) for the smooth kind."""
     if step:
         partial = vals[:, :1] * NODES[None, :]
     else:
         partial = vals @ PARTIAL_FROM_VALUES.T
     ks = np.arange(len(vals), dtype=np.float64)[:, None]
-    return (pre[:, None] + partial) / (ks + NODES[None, :])
+    if not isinstance(partial, np.ndarray):
+        return (pre[:, None] + partial) / (ks + NODES[None, :])
+    partial += pre[:, None]
+    partial /= ks + NODES[None, :]
+    return partial
 
 
 def average_pass(vals, step: bool = False):

@@ -11,8 +11,9 @@ obtained by small dense matrix products.  Step pieces are handled exactly;
 smooth pieces through the degree-7 interpolant per interval.
 
 A function's cells are built in one pass from cell 0 when first needed, and
-rebuilt from cell 0 if a later query reaches past them; the limit drivers
-read node rows once and average plain arrays.  Nothing here is locked:
+rebuilt from cell 0 if a later query reaches past them; a series with an
+array form gives its terms as one array, and the limit drivers read node
+rows once and average plain arrays.  Nothing here is locked:
 instances are not meant to be shared between threads.
 """
 
@@ -59,45 +60,77 @@ PARTIAL_FROM_VALUES = _Q @ TO_MONOMIAL
 class SeriesTerms:
     """A series given by a pure, deterministic term map n -> a_n (n >= 1).
 
-    Nothing is cached: each call sums the terms afresh, left to right from
-    the int 0, so int terms give exact partial sums.
+    array, if given, maps an int64 array of n to the same terms as one
+    int64, float64, complex128 or object (big int) array, and the sums use
+    it.  Nothing is cached: each call builds and sums the terms again, left
+    to right from 0, so int terms give exact partial sums.
     """
 
-    def __init__(self, term: Callable[[int], complex], label: str = ""):
+    def __init__(self, term: Callable[[int], complex], label: str = "",
+                 array: Optional[Callable[[np.ndarray], np.ndarray]] = None):
         self.term = term
         self.label = label
+        self.array = array
 
     def __repr__(self):
         return f"SeriesTerms({self.label or self.term!r})"
 
     def psum(self, k: int):
-        """The partial sum a_1 + ... + a_k."""
-        return _partial_sums(self.term, k)[-1]
+        """The partial sum a_1 + ... + a_k, an exact int for int terms."""
+        s = _partial_sums(self, k)[-1]
+        return s.item() if isinstance(s, np.generic) else s
 
     def psum_array(self, k_max: int) -> np.ndarray:
         """Partial sums s_0..s_{k_max} as a float/complex vector."""
-        return _as_array(_partial_sums(self.term, k_max))
+        return _as_array(_partial_sums(self, k_max))
 
     def term_array(self, k_max: int) -> np.ndarray:
-        return _as_array([self.term(n) for n in range(1, k_max + 1)])
+        return _as_array(self._terms(k_max))
+
+    def _terms(self, k: int):
+        """a_1..a_k: an ndarray from the array form, else (or for k = 0,
+        which sums to the int 0) a list."""
+        if self.array is None or k == 0:
+            return [self.term(n) for n in range(1, k + 1)]
+        return self.array(np.arange(1, k + 1, dtype=np.int64))
 
 
-def _partial_sums(term: Callable[[int], complex], k: int) -> list:
-    """[s_0, ..., s_k] with s_k = term(1) + ... + term(k), summed left to right.
+def _partial_sums(terms: SeriesTerms, k: int):
+    """[s_0, ..., s_k] with s_k = a_1 + ... + a_k, summed left to right.
 
-    itertools.accumulate, not sum(): sum() of floats is compensated on
-    Python 3.12 and later, and these sums must keep the same bits everywhere.
+    np.cumsum from a leading 0 adds in the order itertools.accumulate does,
+    and is exact on int64 terms while max |a_n| * k < 2^63.  Not sum(): sum()
+    of floats is compensated on Python 3.12 and later, and these sums must
+    keep the same bits everywhere.
     """
     if k < 0:
         raise ValueError("partial-sum index must be >= 0")
-    return list(itertools.accumulate((term(n) for n in range(1, k + 1)),
-                                     initial=0))
+    t = terms._terms(k)
+    if isinstance(t, np.ndarray):
+        if t.dtype.kind in "fc" or t.dtype.kind == "i" and int(
+                np.abs(t).max()) * k < 2 ** 63:
+            return np.cumsum(np.concatenate([np.zeros(1, t.dtype), t]))
+        t = t.tolist()
+    return list(itertools.accumulate(t, initial=0))
 
 
 def _as_array(values) -> np.ndarray:
-    """complex128 if any value is complex, float64 otherwise."""
+    """complex128 if any value is complex, float64 otherwise; a float or
+    complex ndarray is returned as it is."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "fc":
+        return values
+    if isinstance(values, np.ndarray):
+        return values.astype(np.float64)
     complex_ = any(isinstance(v, complex) for v in values)
     return np.asarray(values, dtype=np.complex128 if complex_ else np.float64)
+
+
+def _powers(ns: np.ndarray, p) -> np.ndarray:
+    """n ** p for n in ns by CPython's pow, as the term maps take it:
+    np.power differs in the last bit on some real and most complex p."""
+    return np.fromiter(map(pow, ns.tolist(), itertools.repeat(p)),
+                       dtype=complex if isinstance(p, complex) else float,
+                       count=len(ns))
 
 
 def cell_prefix(vals, step: bool = False) -> np.ndarray:
@@ -252,8 +285,7 @@ class PiecewiseFn:
 
 def psum_function(terms: SeriesTerms) -> PiecewiseFn:
     """The p-sum function s(k + alpha) = a_1 + ... + a_k of a series."""
-    f = PiecewiseFn("step",
-                    lambda n: _step_cells(_partial_sums(terms.term, n - 1)),
+    f = PiecewiseFn("step", lambda n: _step_cells(terms.psum_array(n - 1)),
                     label=f"psum({terms.label})")
     f.series = terms
     return f
@@ -274,19 +306,21 @@ def embed_step(seq) -> PiecewiseFn:
 # -- builtin series --------------------------------------------------------
 
 def ones() -> SeriesTerms:
-    return SeriesTerms(lambda n: 1, label="ones")
+    return SeriesTerms(lambda n: 1, label="ones", array=np.ones_like)
 
 
 def alt_ones() -> SeriesTerms:
-    return SeriesTerms(lambda n: 1 if n % 2 == 1 else -1, label="alt_ones")
+    return SeriesTerms(lambda n: 1 if n % 2 == 1 else -1, label="alt_ones",
+                       array=lambda ns: np.where(ns % 2 == 1, 1, -1))
 
 
 def naturals() -> SeriesTerms:
-    return SeriesTerms(lambda n: n, label="n")
+    return SeriesTerms(lambda n: n, label="n", array=lambda ns: ns)
 
 
 def alt_naturals() -> SeriesTerms:
-    return SeriesTerms(lambda n: n if n % 2 == 1 else -n, label="alt_n")
+    return SeriesTerms(lambda n: n if n % 2 == 1 else -n, label="alt_n",
+                       array=lambda ns: np.where(ns % 2 == 1, ns, -ns))
 
 
 def n_pow_minus_s(s: complex) -> SeriesTerms:
@@ -294,12 +328,12 @@ def n_pow_minus_s(s: complex) -> SeriesTerms:
     if s == int(s.real) and (not isinstance(s, complex) or s.imag == 0):
         m = int(s.real)
         if m <= 0:
-            return SeriesTerms(lambda n, m=m: n ** (-m), label=f"n_pow({m})")
+            return SeriesTerms(lambda n, m=m: n ** (-m), label=f"n_pow({m})",
+                               array=lambda ns, e=-m: ns.astype(object) ** e)
     sc = complex(s)
-    if sc.imag == 0:
-        return SeriesTerms(lambda n, p=-sc.real: float(n) ** p,
-                           label=f"n_pow({sc.real})")
-    return SeriesTerms(lambda n, p=-sc: complex(n) ** p, label=f"n_pow({sc})")
+    p = -sc if sc.imag else -sc.real     # n ** p is float(n) ** p for a float
+    return SeriesTerms(lambda n: n ** p, label=f"n_pow({-p})",
+                       array=lambda ns: _powers(ns, p))
 
 
 def zero_padded(inner: SeriesTerms, pattern: Sequence[int]) -> SeriesTerms:
@@ -325,4 +359,15 @@ def zero_padded(inner: SeriesTerms, pattern: Sequence[int]) -> SeriesTerms:
             return 0
         return inner.term(cycle * live + prefix[pos] + 1)
 
-    return SeriesTerms(term, label=f"zero_padded({inner.label},{pattern})")
+    def array(ns):
+        cycle, pos = np.divmod(ns - 1, per)
+        keep = np.asarray(pattern, dtype=bool)[pos]
+        vals = inner.array(cycle[keep] * live
+                           + np.asarray(prefix)[pos[keep]] + 1)
+        # term's zeros are ints: with no live slot the terms are all ints
+        out = np.zeros(len(ns), dtype=vals.dtype if keep.any() else np.int64)
+        out[keep] = vals
+        return out
+
+    return SeriesTerms(term, label=f"zero_padded({inner.label},{pattern})",
+                       array=None if inner.array is None else array)

@@ -23,8 +23,9 @@ import numpy as np
 
 from .seqfun import NODES, WEIGHTS
 
-__all__ = ["TAIL_TERMS", "TailFit", "decade_variation", "fit_limit",
-           "fit_limit_nodes", "fit_terms", "snap_to_rational", "term_column"]
+__all__ = ["TAIL_TERMS", "TailDesign", "TailFit", "decade_variation",
+           "fit_limit", "fit_limit_nodes", "fit_terms", "snap_to_rational",
+           "term_column"]
 
 #: sampled integer cells per decade window
 SAMPLE_CELLS = 160
@@ -88,11 +89,10 @@ def fit_limit(rows) -> TailFit:
     return fit_limit_array(*_window_means(rows))
 
 
-def term_column(xs: np.ndarray, e, m: int = 0, log_xs=None) -> np.ndarray:
+def term_column(xs: np.ndarray, e, m: int = 0) -> np.ndarray:
     """The column x^e (ln x)^m, complex only for complex e; a negative
-    integer power is 1/x^k.  log_xs is ln x when the caller has it."""
-    if m and log_xs is None:
-        log_xs = np.log(xs)
+    integer power is 1/x^k."""
+    log_xs = np.log(xs) if m else None
     ec = complex(e)
     if not ec.imag and ec.real < 0 and ec.real.is_integer():
         k = int(-ec.real)
@@ -103,9 +103,29 @@ def term_column(xs: np.ndarray, e, m: int = 0, log_xs=None) -> np.ndarray:
     return col * log_xs ** m if m else col
 
 
+class TailDesign:
+    """The tail-model columns over one window's xs, each built and scaled
+    to unit maximum once, in the real or the complex kind of a fit.  A
+    driver keeps one per window for a call, whose levels share the xs."""
+
+    def __init__(self, xs):
+        self.xs = np.asarray(xs, dtype=np.float64)
+        self._columns = {}
+
+    def column(self, e, m: int, complex_: bool):
+        """(x^e (ln x)^m / its max modulus, that max) in the given kind."""
+        key = (complex(e), m, complex_)
+        if key not in self._columns:
+            col = term_column(self.xs, e, m)
+            col = col.astype(complex) if complex_ else col
+            norm = np.max(np.abs(col))
+            self._columns[key] = col / norm, norm
+        return self._columns[key]
+
+
 def fit_terms(xs, ys, terms) -> TailFit:
     """Least-squares fit of ys on the columns of the (exponent, log power)
-    terms, each scaled to unit maximum.
+    terms, each scaled to unit maximum; xs may be a TailDesign.
 
     A repeated term enters once.  limit is the coefficient of the first
     term, with its standard error from the normal-equation inverse;
@@ -115,12 +135,10 @@ def fit_terms(xs, ys, terms) -> TailFit:
     for e, m in terms:
         unique.setdefault((complex(e), m), (e, m))
     terms = list(unique.values())
-    log_xs = np.log(xs) if any(m for _e, m in terms) else None
-    A = np.column_stack([term_column(xs, e, m, log_xs) for e, m in terms])
-    if np.iscomplexobj(ys) and not np.iscomplexobj(A):
-        A = A.astype(complex)
-    norms = np.max(np.abs(A), axis=0)
-    An = A / norms
+    design = xs if isinstance(xs, TailDesign) else TailDesign(xs)
+    complex_ = np.iscomplexobj(ys) or any(complex(e).imag for e, _m in terms)
+    cols, norms = zip(*(design.column(e, m, complex_) for e, m in terms))
+    An, norms = np.column_stack(cols), np.array(norms)
     coef, *_ = np.linalg.lstsq(An, ys, rcond=None)
     resid = ys - An @ coef
     rms = float(np.sqrt(np.mean(np.abs(resid) ** 2)))
@@ -138,15 +156,15 @@ def fit_terms(xs, ys, terms) -> TailFit:
 
 
 def fit_limit_array(xs, ys, terms=()) -> TailFit:
-    """TAIL_TERMS plus the caller's terms fitted to explicit samples (xs, ys).
+    """TAIL_TERMS plus the caller's terms fitted to explicit samples (xs, ys);
+    xs may be a TailDesign over them.
 
     Repeated running averages of 1/x content add one log per pass, so a
     driver that knows its passes adds (-1, m) terms up to that power.  A
     (0, 1) term, a bare ln x, only detects a divergence: the constant of
     such a fit is no limit.
     """
-    return fit_terms(np.asarray(xs, dtype=np.float64), np.asarray(ys),
-                     (*TAIL_TERMS, *terms))
+    return fit_terms(xs, np.asarray(ys), (*TAIL_TERMS, *terms))
 
 
 def sequence_tail(seq):

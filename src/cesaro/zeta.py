@@ -52,7 +52,8 @@ from .errors import (CrossCheckMismatchError, FitFailureError,
                      LambdaIsOneError, MissingDerivativeTermError,
                      NonIntegerRhoError, PoleSignal, SAtPoleError, is_pole)
 from .operators import average_nodes, average_pass, build_regular_polynomial
-from .seqfun import NODES, WEIGHTS, SeriesTerms, n_pow_minus_s, psum_function
+from .seqfun import (NODES, WEIGHTS, SeriesTerms, _powers, n_pow_minus_s,
+                     psum_function)
 from .tailfit import (fit_limit, fit_limit_array, sequence_tail,
                       snap_to_rational)
 
@@ -370,10 +371,10 @@ def eta(s, cfg: LimitConfig = DEFAULT_CONFIG):
     raised.
     """
     sc = complex(s)
+    p = -sc if sc.imag else -sc.real     # n ** p is float(n) ** p for a float
     terms = SeriesTerms(
-        lambda n: (1 if n % 2 else -1) * (n ** (-sc) if sc.imag
-                                          else float(n) ** (-sc.real)),
-        label=f"alternating({s})")
+        lambda n: (1 if n % 2 else -1) * n ** p, label=f"alternating({s})",
+        array=lambda ns: np.where(ns % 2 == 1, 1.0, -1.0) * _powers(ns, p))
     result = strong_cesaro_limit(psum_function(terms), cfg)
     return result.limit
 

@@ -1,5 +1,8 @@
 """Series builders, partial sums, and the piecewise embedding."""
 
+import sys
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -164,3 +167,87 @@ def test_smooth_kind_without_a_point_value_interpolates_its_nodes():
     f = PiecewiseFn("poly-in-alpha", gen)
     for x in (0.0, 0.37, 0.999, 1.0, 1.5, 1.999):
         assert f.value(x) == pytest.approx(poly(x), rel=1e-12, abs=1e-12)
+
+
+# -- the array form against the per-term map --------------------------------
+
+def _eta_terms(s):
+    """The SeriesTerms eta(s) averages, caught at strong_cesaro_limit."""
+    zeta_module = sys.modules["cesaro.zeta"]
+    seen = []
+    real = zeta_module.strong_cesaro_limit
+    zeta_module.strong_cesaro_limit = lambda f, cfg: seen.append(
+        f.series) or SimpleNamespace(limit=0.0)
+    try:
+        zeta_module.eta(s)
+    finally:
+        zeta_module.strong_cesaro_limit = real
+    return seen[0]
+
+
+def _array_series():
+    return [ones(), alt_ones(), naturals(), alt_naturals(), n_pow_minus_s(-3),
+            n_pow_minus_s(0), n_pow_minus_s(1.271204), n_pow_minus_s(-0.5),
+            n_pow_minus_s(0.5 - 1j), n_pow_minus_s(-1.2 + 0.7j),
+            _eta_terms(-1.271204), _eta_terms(-2), _eta_terms(0.5 + 2j),
+            _eta_terms(-0.4 - 0.01j),
+            zero_padded(alt_ones(), [1, 0, 1]),
+            zero_padded(n_pow_minus_s(0.5 - 1j), [0, 1]),
+            zero_padded(zero_padded(n_pow_minus_s(0.5 - 1j), [0, 1]),
+                        [0, 0, 1, 1]),
+            zero_padded(zero_padded(alt_naturals(), [1, 0]), [0, 1, 1]),
+            zero_padded(_eta_terms(0.7), [0, 0, 1])]
+
+
+@pytest.mark.parametrize("series", _array_series(), ids=lambda t: t.label)
+def test_array_form_keeps_the_bits_of_the_per_term_map(series):
+    assert series.array is not None
+    per_term = SeriesTerms(series.term, series.label)
+    for k in (0, 1, 7, 1000):
+        for name in ("psum_array", "term_array"):
+            got, want = getattr(series, name)(k), getattr(per_term, name)(k)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert got.tobytes() == want.tobytes()      # signed zeros too
+        got, want = series.psum(k), per_term.psum(k)
+        assert type(got) is type(want) and got == want
+
+
+def test_int_sums_past_int64_stay_exact():
+    t = n_pow_minus_s(-3)
+    k = 10 ** 5
+    exact = (k * (k + 1) // 2) ** 2            # sum of n^3, above 2^63
+    assert exact > 2 ** 63
+    assert t.psum(k) == exact and isinstance(t.psum(k), int)
+    assert t.psum_array(k)[-1] == float(exact)
+    assert isinstance(ones().psum(17), int)
+    assert isinstance(zero_padded(naturals(), [1, 1, 0]).psum(6), int)
+
+
+@pytest.fixture
+def term_calls(monkeypatch):
+    """Every n handed to a SeriesTerms' per-term map, made from now on."""
+    calls = []
+    init = SeriesTerms.__init__
+
+    def counting_init(self, term, label="", array=None):
+        def counted(n):
+            calls.append(n)
+            return term(n)
+        init(self, counted, label, array)
+
+    monkeypatch.setattr(SeriesTerms, "__init__", counting_init)
+    return calls
+
+
+def test_hot_paths_make_no_per_term_call(term_calls, capsys):
+    from cesaro.cli import run
+    from cesaro.zeta import eta
+    SeriesTerms(lambda n: n).psum_array(10)     # the counter counts
+    assert len(term_calls) == 10
+    term_calls.clear()
+    assert run(["sum", "alt_ones"]) == 0
+    assert run(["limit", "n_pow(0.5)"]) == 0
+    assert run(["sum", "zero_padded(alt_ones,1,0,1)"]) == 0
+    eta(0.5)
+    capsys.readouterr()
+    assert term_calls == []

@@ -299,6 +299,20 @@ def test_discrete_ext_matches_zeta_on_the_strip(re, im):
     assert abs(complex(ev.value) - want) <= 1e-10 * abs(want)
 
 
+@settings(max_examples=20, deadline=None)
+@given(re=st.floats(-0.5, 0.9), im=st.floats(-3.0, 3.0))
+@example(re=0.616, im=0.0)  # 1.2e-6: the tail keeps an x^-s term unfitted
+def test_eta_matches_altzeta_and_zeta_on_the_strip(re, im):
+    s = complex(re, im) if im else re
+    value = complex(eta(s, CFG))
+    with mpmath.workdps(30):
+        want = complex(mpmath.altzeta(mpmath.mpmathify(s)))
+    assert abs(value - want) <= 1e-5 * abs(want)
+    # eta(s) = (1 - 2^(1-s)) zeta(s), between the two computed values
+    via_zeta = (1 - 2 ** (1 - complex(s))) * complex(zeta(s, CFG).value)
+    assert abs(value - via_zeta) <= 1e-5 * abs(via_zeta)
+
+
 def test_discrete_ext_takes_powers_at_primes_only(monkeypatch):
     # n^{-s} comes from mpmath at the 550 primes below 4000 and from
     # fixed-point products over the least-prime sieve everywhere else

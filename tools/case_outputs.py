@@ -4,7 +4,8 @@
     python3 tools/case_outputs.py CHECKOUT --against OTHER [--seeds 7,11]
 
 Imports CHECKOUT/src/cesaro and CHECKOUT/perfbench/cases.py, builds the
-cases of every workload at each seed, calls each case once and writes what
+cases of every workload (or of those --workloads names, a comma list) at
+each seed, calls each case once and writes what
 it returned.  Nothing is timed or checked: two checkouts' files differ
 exactly where their outputs do.  A case that raises is written as its
 exception type and message.
@@ -55,7 +56,7 @@ def jsonable(value):
     return repr(value)                  # mpmath numbers and the like
 
 
-def case_outputs(checkout: Path, seeds) -> dict:
+def case_outputs(checkout: Path, seeds, workloads=None) -> dict:
     src, bench = checkout / "src", checkout / "perfbench"
     if not (src / "cesaro" / "__init__.py").is_file():
         raise SystemExit(f"no cesaro sources under {src}")
@@ -65,7 +66,12 @@ def case_outputs(checkout: Path, seeds) -> dict:
     import cesaro.cli
 
     out = {}
+    unknown = set(workloads or ()) - set(cases.WORKLOADS)
+    if unknown:
+        raise SystemExit(f"unknown workload(s): {', '.join(sorted(unknown))}")
     for workload, build in cases.WORKLOADS.items():
+        if workloads and workload not in workloads:
+            continue
         target = cesaro.cli if workload == "averaging" else cesaro
         for seed in seeds:
             results = out.setdefault(workload, {})[f"seed {seed}"] = {}
@@ -114,19 +120,20 @@ def differences(a, b, path=()):
             yield path + (key,), a.get(key), b.get(key)
 
 
-def _outputs_in_subprocess(checkout: Path, seeds: str) -> dict:
+def _outputs_in_subprocess(checkout: Path, seeds: str, workloads: str) -> dict:
     proc = subprocess.run([sys.executable, __file__, str(checkout),
-                           "--seeds", seeds], capture_output=True, text=True)
+                           "--seeds", seeds, "--workloads", workloads],
+                          capture_output=True, text=True)
     if proc.returncode:
         raise SystemExit(f"{checkout}: {proc.stderr.strip()}")
     return json.loads(proc.stdout)
 
 
-def compare(checkout: Path, other: Path, seeds: str) -> int:
+def compare(checkout: Path, other: Path, seeds: str, workloads: str) -> int:
     """Print each (workload, seed, case, key) whose output differs, and the
     relative size of the difference where both outputs are numbers."""
-    found = list(differences(_outputs_in_subprocess(checkout, seeds),
-                             _outputs_in_subprocess(other, seeds)))
+    found = list(differences(_outputs_in_subprocess(checkout, seeds, workloads),
+                             _outputs_in_subprocess(other, seeds, workloads)))
     for path, a, b in found:
         rel = relative_difference(a, b)
         print("\t".join([*path[:3], ".".join(path[3:]),
@@ -141,6 +148,8 @@ def main(argv=None):
                    help="root of a source checkout (holds src/, perfbench/)")
     p.add_argument("--seeds", default="7,11",
                    help="comma-separated workload seeds")
+    p.add_argument("--workloads", default="",
+                   help="comma-separated workloads to run (default: all)")
     p.add_argument("--out", type=Path, default=None,
                    help="write here instead of stdout")
     p.add_argument("--against", type=Path, default=None,
@@ -148,9 +157,10 @@ def main(argv=None):
     args = p.parse_args(argv)
     if args.against is not None:
         sys.exit(compare(args.checkout.resolve(), args.against.resolve(),
-                         args.seeds))
+                         args.seeds, args.workloads))
     seeds = [int(s) for s in args.seeds.split(",")]
-    text = json.dumps(case_outputs(args.checkout.resolve(), seeds),
+    workloads = [w for w in args.workloads.split(",") if w]
+    text = json.dumps(case_outputs(args.checkout.resolve(), seeds, workloads),
                       indent=1, sort_keys=True)
     if args.out is None:
         print(text)
