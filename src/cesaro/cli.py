@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv as csv_mod
+import functools
 import json
 import math
 import sys
@@ -449,6 +450,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built on the first run and reused by the next;
+    parse_args keeps no state between calls."""
+    return build_parser()
+
+
 #: flags whose values are often negative numbers; fused with "=" before
 #: parsing so argparse does not mistake "-1,0" for an option
 _NUMERIC_FLAGS = ("--s", "--start", "--stop", "--tol")
@@ -472,7 +480,7 @@ def _fuse_numeric_flags(argv):
 
 def run(argv=None) -> int:
     """Parse, evaluate one verb, print its outcome; the exit code."""
-    parser = build_parser()
+    parser = _parser()
     if argv is None:
         argv = sys.argv[1:]
     argv = _fuse_numeric_flags(list(argv))

@@ -12,7 +12,9 @@ continued value.  Two independent routes compute it:
       in double-double arithmetic (cesaro.dd), not in mpmath.
 
 Route (a) is the precision workhorse, route (b) the structural validator;
-they must agree or the evaluation raises, never guesses.
+they must agree or the evaluation raises, never guesses.  eta(s) =
+(1 - 2^{1-s}) zeta(s) takes its value from route (a) as well, and its
+validator averages the alternating p-sum itself on route (b)'s grid.
 
 The discrete-operator variant hands the p-sums and their divergence model
 to the one discrete driver, climits.cesaro_limit_discrete, which peels the
@@ -31,6 +33,7 @@ integers.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
@@ -44,16 +47,14 @@ import numpy as np
 from . import dd
 from .asymptotics import bernoulli, zeta_psum_expansion
 from .climits import (GUARD_BITS, LEDGER_FLOOR, Fixed, cesaro_limit_discrete,
-                      strong_cesaro_limit, _fixed, _gamma_ratio_values,
-                      _near_nonneg_int)
+                      _fixed, _gamma_ratio_values, _near_nonneg_int)
 from .config import DEFAULT_CONFIG, LimitConfig, SNAP_RADIUS
 from .dd import DDArray
 from .errors import (CrossCheckMismatchError, FitFailureError,
                      LambdaIsOneError, MissingDerivativeTermError,
                      NonIntegerRhoError, PoleSignal, SAtPoleError, is_pole)
 from .operators import average_nodes, average_pass, build_regular_polynomial
-from .seqfun import (NODES, WEIGHTS, SeriesTerms, _powers, n_pow_minus_s,
-                     psum_function)
+from .seqfun import NODES, WEIGHTS, n_pow_minus_s, psum_function
 from .tailfit import (fit_limit, fit_limit_array, sequence_tail,
                       snap_to_rational)
 
@@ -260,18 +261,55 @@ def _route_b(s):
         vals = psum[:, None] - xs ** (1 - s_num) / (1 - s_num)
         parts = [vals.real, vals.imag] if sc.imag else [vals]
         parts = [DDArray(v, np.zeros_like(v)) for v in parts]
-    means = []
-    for dd in parts:
-        for _ in range(r):
-            dd = average_nodes(dd, (dd @ WEIGHTS).exclusive_cumsum())
-        means.append((dd @ WEIGHTS).to_float())
-    ys = means[0] + 1j * means[1] if sc.imag else means[0]
-    xs = np.arange(ROUTE_B_CELLS, dtype=float) + 0.5
-    lo = ROUTE_B_CELLS // 10
     extras = [(e if sc.imag else e.real, 0)
               for e in (-sc - j for j in range(8)) if -4 < e.real < -0.05]
-    fit = fit_limit_array(xs[lo:], ys[lo:], extras)
-    return fit, r
+    return _average_and_fit(parts, r, extras), r
+
+
+def _average_and_fit(parts, r: int, terms, step: bool = False):
+    """Average route (b)'s node rows r times in double-double and fit the
+    limit, with TAIL_TERMS and the given terms, on the last decade of cells.
+
+    parts is the real part, and the imaginary part for complex s.  With
+    step the rows are a step function's cell values, shape (cells, 1): a
+    step pass runs first, and the fit reads the means of adjacent pairs of
+    cells, which damp a period-2 sign by one power of x.
+    """
+    means = []
+    for v in parts:
+        if step:
+            v = average_nodes(v, v[:, 0].exclusive_cumsum(), step=True)
+        for _ in range(r):
+            v = average_nodes(v, (v @ WEIGHTS).exclusive_cumsum())
+        means.append((v @ WEIGHTS).to_float())
+    ys = means[0] + 1j * means[1] if len(means) == 2 else means[0]
+    xs = np.arange(ROUTE_B_CELLS, dtype=float) + 0.5
+    if step:
+        xs, ys = xs[:-1] + 0.5, (ys[:-1] + ys[1:]) / 2
+    lo = ROUTE_B_CELLS // 10
+    return fit_limit_array(xs[lo:], ys[lo:], terms)
+
+
+def _eta_route_b(s):
+    """The averaging route of eta: the alternating p-sum on route (b)'s
+    grid, its limit and the count r = max(0, floor(-Re s) + 1) of smooth
+    passes.
+
+    The terms (-1)^{n+1} n^{-s} are made in double-double with dd.exp, so
+    the p-sum's oscillation of size n^{-Re s} keeps about 32 digits.  One
+    step pass and r smooth passes leave a decaying oscillation, which the
+    two-cell means damp, and the (ln x)^m/x content, m <= r, that each pass
+    adds.  Nothing is subtracted, so the route shares no constant with (a).
+    """
+    sc = complex(s)
+    r = max(0, math.floor(-sc.real) + 1)
+    ln_n = _route_b_logs()[0]
+    terms = (dd.exp(ln_n * -sc.real, ln_n * -sc.imag) if sc.imag
+             else [dd.exp(ln_n * -sc.real)])
+    sign = np.resize([1.0, -1.0], ROUTE_B_CELLS)
+    parts = [(t * sign).exclusive_cumsum()[:, None] for t in terms]
+    return _average_and_fit(parts, r, [(-1, m) for m in range(2, r + 1)],
+                            step=True), r
 
 
 #: agreement window of the two routes for Re(s) >= -1
@@ -363,20 +401,36 @@ def zeta_residue_at_1(cfg: LimitConfig = DEFAULT_CONFIG):
 
 
 def eta(s, cfg: LimitConfig = DEFAULT_CONFIG):
-    """Alternating series by pure averaging: no divergences are removed.
+    """Continuation of the alternating series sum (-1)^{n+1} n^{-s}.
 
-    strong_cesaro_limit escalates up to cfg.max_pure_power averagings of the
-    p-sum function (6 by default).  That budget does not reach every s: at
-    s = -3.5 no classical limit appears within it and NotConvergentError is
-    raised.
+    eta(s) = (1 - 2^{1-s}) zeta(s), so the value is route (a)'s: the factor
+    times _psum_constant_mp(s), or at nonpositive integers times the exact
+    constant, a Fraction in exact mode and a float otherwise, as zeta
+    returns it.  At s = 1 the value is the limit ln 2.  _eta_route_b
+    averages the alternating p-sum itself, and a disagreement beyond
+    zeta's tolerance rule raises CrossCheckMismatchError.  Of cfg only
+    exact_mode is read.
     """
     sc = complex(s)
-    p = -sc if sc.imag else -sc.real     # n ** p is float(n) ** p for a float
-    terms = SeriesTerms(
-        lambda n: (1 if n % 2 else -1) * n ** p, label=f"alternating({s})",
-        array=lambda ns: np.where(ns % 2 == 1, 1.0, -1.0) * _powers(ns, p))
-    result = strong_cesaro_limit(psum_function(terms), cfg)
-    return result.limit
+    if abs(sc - 1) <= SNAP_RADIUS:
+        return math.log(2)
+    s0 = _near_nonneg_int(-sc)
+    if s0 is not None:
+        exact = (1 - 2 ** (1 + s0)) * _exact_constant(-s0)
+        value, trunc_err = exact if cfg.exact_mode else float(exact), 0.0
+    else:
+        C, trunc_err = _psum_constant_mp(sc if sc.imag else sc.real)
+        # 1 - 2^{1-s} = -expm1(g), without the cancellation near s = 1
+        g = (1 - sc) * math.log(2)
+        factor = -2 * cmath.sinh(g / 2) * cmath.exp(g / 2)
+        value = C * (factor if sc.imag else factor.real)
+    fit_b = _eta_route_b(s if s0 is None else -s0)[0]
+    tol = max(_route_b_tol(sc), 30 * fit_b.stderr, 10 * trunc_err)
+    if abs(complex(fit_b.limit) - complex(value)) > tol:
+        raise CrossCheckMismatchError(
+            f"eta routes disagree at s={s}",
+            value_a=value, value_b=fit_b.limit)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -504,16 +558,17 @@ def _sieve_table(horizon: int, one, at_prime, times) -> list:
     return table[1:]
 
 
-def _log_table(horizon: int) -> list:
+@functools.cache
+def _log_table(horizon: int) -> tuple:
     """round(ln j * 2^U_BITS) for j = 1..horizon, logs taken at primes only.
 
     A composite j gets L_p + L_{j/p} for its least prime p, so an entry is
     off by at most half a unit per prime factor.
     """
     with mpmath.workprec(U_BITS + 32):
-        return _sieve_table(
+        return tuple(_sieve_table(
             horizon, 0, lambda p: int(mpmath.nint(mpmath.ldexp(
-                mpmath.log(p), U_BITS))), operator.add)
+                mpmath.log(p), U_BITS))), operator.add))
 
 
 def _polynomial_branch(coeffs, lams, lam_primes, horizon: int) -> list:

@@ -374,6 +374,22 @@ def test_every_format_carries_the_same_outcome(capsys, argv, code):
 
 # -- dispatch and exit codes -----------------------------------------------
 
+def test_a_reused_parser_gives_what_fresh_parsers_give(capsys, monkeypatch):
+    # run builds its parser once; a verb's flags and defaults must not leak
+    # into the next verb's parse
+    queries = [["eta", "--s", "0.5", "--format", "csv", "--exact"],
+               ["table", "--max-delta", "1", "--max-r", "1"],
+               ["zeta", "--s", "-1,0"]]
+
+    def outputs():
+        got = [(run(argv), capsys.readouterr()) for argv in queries]
+        return [(code, out.out, out.err) for code, out in got]
+
+    reused = outputs()
+    monkeypatch.setattr(cesaro.cli, "_parser", cesaro.cli.build_parser)
+    assert reused == outputs()
+
+
 def test_unknown_verb_is_usage_error(capsys):
     assert run(["frobnicate"]) == 2
 

@@ -1,8 +1,5 @@
 """Series builders, partial sums, and the piecewise embedding."""
 
-import sys
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -171,32 +168,15 @@ def test_smooth_kind_without_a_point_value_interpolates_its_nodes():
 
 # -- the array form against the per-term map --------------------------------
 
-def _eta_terms(s):
-    """The SeriesTerms eta(s) averages, caught at strong_cesaro_limit."""
-    zeta_module = sys.modules["cesaro.zeta"]
-    seen = []
-    real = zeta_module.strong_cesaro_limit
-    zeta_module.strong_cesaro_limit = lambda f, cfg: seen.append(
-        f.series) or SimpleNamespace(limit=0.0)
-    try:
-        zeta_module.eta(s)
-    finally:
-        zeta_module.strong_cesaro_limit = real
-    return seen[0]
-
-
 def _array_series():
     return [ones(), alt_ones(), naturals(), alt_naturals(), n_pow_minus_s(-3),
             n_pow_minus_s(0), n_pow_minus_s(1.271204), n_pow_minus_s(-0.5),
             n_pow_minus_s(0.5 - 1j), n_pow_minus_s(-1.2 + 0.7j),
-            _eta_terms(-1.271204), _eta_terms(-2), _eta_terms(0.5 + 2j),
-            _eta_terms(-0.4 - 0.01j),
             zero_padded(alt_ones(), [1, 0, 1]),
             zero_padded(n_pow_minus_s(0.5 - 1j), [0, 1]),
             zero_padded(zero_padded(n_pow_minus_s(0.5 - 1j), [0, 1]),
                         [0, 0, 1, 1]),
-            zero_padded(zero_padded(alt_naturals(), [1, 0]), [0, 1, 1]),
-            zero_padded(_eta_terms(0.7), [0, 0, 1])]
+            zero_padded(zero_padded(alt_naturals(), [1, 0]), [0, 1, 1])]
 
 
 @pytest.mark.parametrize("series", _array_series(), ids=lambda t: t.label)

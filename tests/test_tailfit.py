@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import cesaro.tailfit
+from cesaro.climits import strong_cesaro_limit
+from cesaro.seqfun import SeriesTerms, psum_function
 from cesaro.tailfit import (TAIL_TERMS, TailDesign, fit_limit_array,
                             fit_terms, term_column)
-from cesaro.zeta import eta
 
 XS = np.arange(100, 1000, dtype=float) + 0.5
 
@@ -86,7 +87,12 @@ def test_a_driver_builds_each_tail_column_once_per_call(monkeypatch):
     monkeypatch.setattr(cesaro.tailfit, "term_column", counting_column)
     monkeypatch.setattr(cesaro.tailfit, "fit_terms",
                         lambda *a: fits.append(a) or fit(*a))
-    eta(-1.5)                   # strong(2), accepted by the fit exit
+    # the alternating p-sum at s = -1.5: strong(2), accepted by the fit exit
+    alternating = SeriesTerms(
+        lambda n: (1 if n % 2 else -1) * n ** 1.5, label="alternating(-1.5)",
+        array=lambda ns: np.where(ns % 2 == 1, 1.0, -1.0) * ns ** 1.5)
+    assert strong_cesaro_limit(psum_function(alternating)).mechanism \
+        == "strong(2)"
     windows = {key[:2] for key in built}
     assert len(windows) == 2 and len(fits) >= 3 * len(windows)
     assert len(built) == len(set(built))

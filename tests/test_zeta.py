@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -11,16 +12,17 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cesaro.climits import (GUARD_BITS, _gamma_ratio_fixed,
-                            _gamma_ratio_values)
+                            _gamma_ratio_values, _near_nonneg_int)
 from cesaro.config import DEFAULT_CONFIG, SNAP_RADIUS
-from cesaro.errors import (FitFailureError, MissingDerivativeTermError,
-                           SAtPoleError, is_pole)
+from cesaro.errors import (CrossCheckMismatchError, FitFailureError,
+                           MissingDerivativeTermError, SAtPoleError, is_pole)
 from cesaro.operators import apply_P_D, apply_P_D_inverse
 from cesaro.seqfun import NODES
 from cesaro.zeta import (ROUTE_B_CELLS, U_BITS, FaulhaberPoly,
                          _apply_factor_mp, _binomial_coefficients,
-                         _log_table, _polynomial_branch, _route_b,
-                         _route_b_mp, _route_b_tol,
+                         _eta_route_b, _log_table, _polynomial_branch,
+                         _psum_constant_mp, _route_b, _route_b_mp,
+                         _route_b_tol,
                          discrete_eigensequence, eta, faulhaber, zeta,
                          zeta_discrete_corrected, zeta_discrete_ext,
                          zeta_integral_rep, zeta_residue_at_1)
@@ -171,17 +173,60 @@ def test_eta_values(s, want):
 
 
 def test_eta_deep_value_pinned():
-    # 1.2e-3 relative off altzeta (ROADMAP item 8); pinned so that a change
-    # of the averaging arithmetic shows
-    assert eta(-2.5, CFG) == pytest.approx(-0.08794803859260654, rel=1e-12)
+    with mpmath.workdps(30):
+        want = float(mpmath.altzeta(-2.5))
+    assert eta(-2.5, CFG) == pytest.approx(want, rel=1e-12)
 
 
 def test_eta_zeta_functional_relation():
-    # eta(s) = (1 - 2^{1-s}) zeta(s), two independently computed sides
+    # eta(s) = (1 - 2^{1-s}) zeta(s), two independently computed sides: the
+    # averaged alternating p-sum and zeta's value
     for s in (0.5, -0.5, 2.0):
-        lhs = complex(eta(s, CFG))
+        lhs = complex(_eta_route_b(s)[0].limit)
         rhs = (1 - 2 ** (1 - s)) * complex(zeta(s, CFG).value)
         assert lhs == pytest.approx(rhs, abs=1e-6)
+
+
+@settings(max_examples=25, deadline=None)
+@given(re=st.floats(-6.0, 1.0), im=st.floats(-3.0, 3.0))
+@example(re=-3.5, im=0.0)
+@example(re=-2.0, im=0.0)
+@example(re=-5.8, im=3.0)
+def test_eta_matches_altzeta_on_the_box(re, im):
+    s = complex(re, im) if im else re
+    near = _near_nonneg_int(-complex(s))
+    assume(near is None or s == -near)  # snapped points: only the integers
+    assume(abs(complex(s) - 1) > SNAP_RADIUS)
+    value = complex(eta(s, CFG))
+    with mpmath.workdps(30):
+        want = complex(mpmath.altzeta(mpmath.mpmathify(s)))
+    assert abs(value - want) <= 1e-12 * abs(want)
+    # the averaging route, within the tolerance that eta applies to it
+    fit, _r = _eta_route_b(s)
+    trunc = _psum_constant_mp(s)[1] if near is None else 0.0
+    tol = max(_route_b_tol(s), 30 * fit.stderr, 10 * trunc)
+    assert abs(complex(fit.limit) - want) <= tol
+
+
+@pytest.mark.parametrize("s", [-3.5, -4.5])
+def test_eta_deep_points_return(s):
+    with mpmath.workdps(30):
+        want = float(mpmath.altzeta(s))
+    assert eta(s, CFG) == pytest.approx(want, rel=1e-12)
+
+
+def test_eta_at_one_is_ln_2():
+    assert eta(1, CFG) == math.log(2)
+
+
+def test_eta_cross_check_can_fail(monkeypatch):
+    def off(s):
+        value, trunc = _psum_constant_mp(s)
+        return value + 1e-2 * abs(value), trunc
+
+    monkeypatch.setattr(sys.modules["cesaro.zeta"], "_psum_constant_mp", off)
+    with pytest.raises(CrossCheckMismatchError):
+        eta(-0.5, CFG)
 
 
 def test_faulhaber_matches_power_sums():
