@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import mpmath
 
-from .config import EXPONENT_MERGE_TOL, LAMBDA_EPS, SNAP_RADIUS
+from .config import EXPONENT_MERGE_TOL, LAMBDA_EPS, LEDGER_FLOOR, SNAP_RADIUS
 from .errors import NonTriangularError, SAtPoleError, PoleSignal
 from .operators import RegularPolynomial, build_regular_polynomial
 
@@ -195,65 +195,42 @@ def peel_ladder(pending, live, lower_order):
         pending += [(-c * a, f) for a, f in lower_order(e)]
 
 
-def gamma_ratio_coeffs(rho, depth: int = 3) -> list:
+def gamma_ratio_coeffs(rho) -> list:
     """[a_0, ..., a_d] with Gamma(n)/Gamma(n-rho) ~ n^rho sum_j a_j n^-j,
-    d = ceil(Re rho) + depth.
+    d = ceil(Re rho) - LEDGER_FLOOR - 1, so the last exponent rho - d lies
+    less than one above the ledger floor.
 
-    The ratio of log-gamma asymptotic series collapses to
-      g(t) = -rho - (1/t - rho - 1/2) ln(1 - rho t)
-             + sum_m B_{2m}/(2m(2m-1)) t^{2m-1} (1 - (1 - rho t)^{1-2m})
-    with t = 1/n, and the a_j are the Taylor coefficients of exp(g).  They
-    are computed in the arithmetic of rho (double, complex, mpmath); an
-    int or Fraction rho gives exact rationals, and at a nonnegative integer
-    the series terminates in the falling factorial (n-1)(n-2)...(n-rho).
+    The series put into the eigensequence's own recurrence
+    (n - rho) r_{n+1} = n r_n gives a_0 = 1 and, at n^{rho+1-m},
+      (m-1) a_{m-1} = sum_{j<m-1} a_j (C(rho-j, m-j) - rho C(rho-j, m-1-j)),
+    with each binomial row C(rho-j, .) built once.  It runs in the
+    arithmetic of rho (double, complex, mpmath); an int or Fraction rho
+    gives exact rationals, and at a nonnegative integer the series
+    terminates in the falling factorial (n-1)(n-2)...(n-rho).
     """
     if isinstance(rho, int):
         rho = Fraction(rho)
-    D = int(math.ceil(max(0.0, complex(rho).real))) + depth + 1
+    D = int(math.ceil(max(0.0, complex(rho).real))) - LEDGER_FLOOR
     one = rho ** 0
-    zero = 0 * one
-    # ln(1 - rho t) = sum_k logc[k] t^k
-    logc = [zero] + [-(rho ** k) / k for k in range(1, D + 1)]
-    g = [-rho] + [zero] * (D - 1)
-    for j in range(D):
-        g[j] = g[j] - logc[j + 1]
-    half = rho + Fraction(1, 2)
-    for j in range(1, D):
-        g[j] = g[j] + half * logc[j]
-    for m in range(1, D // 2 + 1):
-        p = 2 * m - 1
-        scale = one * bernoulli(2 * m) / (2 * m * (2 * m - 1))
-        coef = one                       # binomial(1 - 2m, k)
-        for k in range(1, D - p):
-            coef = coef * Fraction(2 - 2 * m - k, k)
-            g[p + k] = g[p + k] - scale * (coef * (-rho) ** k)
-
-    def mul(a, b):
-        out = [zero] * D
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j in range(i, D):
-                out[j] = out[j] + ai * b[j - i]
-        return out
-
-    # g has no constant term, so g^k starts at t^k and k < D suffices
-    out = [one] + [zero] * (D - 1)
-    acc = out
-    for k in range(1, D):
-        acc = mul(acc, g)
-        inv = Fraction(1, math.factorial(k))
-        out = [o + a * inv for o, a in zip(out, acc)]
-    return out
+    a, rows = [one], []
+    for m in range(2, D + 1):
+        x, row = rho - (m - 2), [one]    # C(rho - j, k), j = m - 2
+        for k in range(1, D - m + 3):
+            row.append(row[-1] * (x - k + 1) / k)
+        rows.append(row)
+        a.append(sum(a[j] * (rows[j][m - j] - rho * rows[j][m - 1 - j])
+                     for j in range(m - 1)) / (m - 1))
+    return a
 
 
-def eigensequence_lower_order(rho, depth: int = 3) -> list:
-    """(a_j, rho - j) for 1 <= j <= ceil(Re rho) + depth: the content of
-    Gamma(n)/Gamma(n-rho) below n^rho.  Within SNAP_RADIUS of a nonnegative
-    integer the exact falling-factorial coefficients are used."""
+def eigensequence_lower_order(rho) -> list:
+    """(a_j, rho - j) for 1 <= j <= ceil(Re rho) - LEDGER_FLOOR - 1: the
+    content of Gamma(n)/Gamma(n-rho) below n^rho, down to the ledger floor.
+    Within SNAP_RADIUS of a nonnegative integer the exact falling-factorial
+    coefficients are used."""
     n = round(complex(rho).real)
     exact = n >= 0 and abs(complex(rho) - n) <= SNAP_RADIUS
-    coeffs = gamma_ratio_coeffs(n if exact else rho, depth)
+    coeffs = gamma_ratio_coeffs(n if exact else rho)
     return [(a, rho - j) for j, a in enumerate(coeffs) if j]
 
 

@@ -14,7 +14,6 @@ operator and its asymptotic eigensequences.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -23,8 +22,9 @@ from typing import NamedTuple, Optional, Sequence
 import mpmath
 import numpy as np
 
-from .config import (DEFAULT_CONFIG, DETECT_TOLERANCE, LimitConfig,
-                     SNAP_RADIUS, SWING_PERSISTENCE, SWING_TOLERANCE)
+from .config import (DEFAULT_CONFIG, DETECT_TOLERANCE, LEDGER_FLOOR,
+                     LimitConfig, SNAP_RADIUS, SWING_PERSISTENCE,
+                     SWING_TOLERANCE)
 from .errors import NotConvergentError, is_pole
 from .operators import (RegularPolynomial, apply_P_D, apply_q_nodes,
                         average_pass, build_regular_polynomial)
@@ -245,7 +245,9 @@ def cdlim_power(rho):
 
 def _gamma_ratio_values(rho, n_max: int):
     """Gamma(n)/Gamma(n-rho), n = 1..n_max: the falling factorial exactly
-    for an int rho, doubles from scipy for any other.
+    for an int rho, scipy's poch for a real double, and for a complex one
+    the recurrence r_{n+1} = r_n n/(n-rho) from r_1 = 1/Gamma(1-rho), as a
+    cumulative product.
 
     The exact eigensequence for exponent rho: its running average is
     itself/(rho+1) plus a boundary term proportional to 1/n that vanishes
@@ -253,16 +255,14 @@ def _gamma_ratio_values(rho, n_max: int):
     """
     if isinstance(rho, int):
         return [math.perm(n - 1, rho) for n in range(1, n_max + 1)]
-    from scipy.special import loggamma, poch
-    ns = np.arange(1, n_max + 1, dtype=float)
+    from scipy.special import poch, rgamma
     rc = complex(rho)
     if rc.imag:
-        return np.exp(loggamma(ns.astype(complex)) - loggamma(ns - rc))
-    return poch(ns - rc.real, rc.real)
+        ns = np.arange(1, n_max, dtype=float)
+        return np.cumprod(np.concatenate(([rgamma(1 - rc)], ns / (ns - rc))))
+    return poch(np.arange(1, n_max + 1, dtype=float) - rc.real, rc.real)
 
 
-#: decaying content below n^LEDGER_FLOOR is left to the tail fit
-LEDGER_FLOOR = -6
 #: bits of fixed-point input beyond the working precision
 GUARD_BITS = 16
 
@@ -398,11 +398,9 @@ def cesaro_limit_discrete(a, eigendecomposition: Sequence[tuple],
         bits = mpmath.mp.prec + GUARD_BITS
         a = Fixed(*zip(*(_fixed(v, bits) for v in vals)), bits)
     if isinstance(a, Fixed):
-        # the eigensequences' lower orders, down to the ledger's floor
         removed, pending = peel_ladder(
             [(mpmath.mpmathify(c), mpmath.mpmathify(e)) for c, e in pending],
-            divergent_exponent, functools.partial(
-                eigensequence_lower_order, depth=-LEDGER_FLOOR - 1))
+            divergent_exponent, eigensequence_lower_order)
         re, im = (part / (1 << a.bits) for part in _peel_fixed(
             *(np.array(part[:n_max], dtype=object) for part in a[:2]),
             removed, a.bits, lambda c: _fixed(c, a.bits)))

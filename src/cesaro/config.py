@@ -15,6 +15,10 @@ SNAP_RADIUS = 1e-9
 #: Exponents closer than this are merged when building expansions.
 EXPONENT_MERGE_TOL = 1e-12
 
+#: Decaying content below n^LEDGER_FLOOR is left to the tail fit; the
+#: eigensequences' lower orders are carried down to it.
+LEDGER_FLOOR = -6
+
 #: Relative tail-variation threshold used to *classify* a function as
 #: classically convergent.  Divergences here are power/log shaped, so a
 #: decade-scaled window test at this coarser threshold is scale free; the

@@ -45,10 +45,10 @@ import mpmath
 import numpy as np
 
 from . import dd
-from .asymptotics import bernoulli, zeta_psum_expansion
-from .climits import (GUARD_BITS, LEDGER_FLOOR, Fixed, cesaro_limit_discrete,
-                      _fixed, _gamma_ratio_values, _near_nonneg_int)
-from .config import DEFAULT_CONFIG, LimitConfig, SNAP_RADIUS
+from .asymptotics import zeta_psum_expansion
+from .climits import (GUARD_BITS, Fixed, cesaro_limit_discrete, _fixed,
+                      _gamma_ratio_values, _near_nonneg_int)
+from .config import DEFAULT_CONFIG, LEDGER_FLOOR, LimitConfig, SNAP_RADIUS
 from .dd import DDArray
 from .errors import (CrossCheckMismatchError, FitFailureError,
                      LambdaIsOneError, MissingDerivativeTermError,
@@ -118,22 +118,17 @@ _FAULHABER_CACHE: dict = {}
 
 
 def faulhaber(m: int) -> FaulhaberPoly:
-    """Exact power-sum polynomial via the Bernoulli closed form.
-
-    Uses the B_1 = +1/2 sign variant (B_j -> (-1)^j B_j), which is the one
-    matching forward summation from 1; the result is verified against
-    direct summation on construction.
+    """Exact power-sum polynomial: the terms of the p-sum model at s = -m,
+    whose corrections below k^0 vanish there.  The result is verified
+    against direct summation on construction.
     """
     if m < 0 or m > 40:
         raise ValueError("supported range is 0 <= m <= 40")
     if m in _FAULHABER_CACHE:
         return _FAULHABER_CACHE[m]
     coeffs = [Fraction(0)] * (m + 2)
-    for j in range(m + 1):
-        bj = bernoulli(j) * (-1) ** j
-        if bj == 0:
-            continue
-        coeffs[m + 1 - j] += Fraction(math.comb(m + 1, j), m + 1) * bj
+    for t in zeta_psum_expansion(-m).terms:
+        coeffs[int(t.exponent)] += t.coeff
     poly = FaulhaberPoly(m, tuple(coeffs))
     acc = Fraction(0)
     for k in range(1, 8):
@@ -184,12 +179,10 @@ def _psum_constant_mp(s):
 
 
 def _exact_constant(s0: int):
-    """Exact rational constant for integer s0 <= 0: partial sums are the
-    power-sum polynomial, so the subtraction closes in rational arithmetic."""
-    exp = zeta_psum_expansion(s0)
-    k = 24
-    direct = sum(Fraction(n) ** (-s0) for n in range(1, k + 1))
-    return direct - exp.evaluate(Fraction(k))
+    """Exact rational constant for integer s0 <= 0: the partial sums are
+    the model's terms exactly, the power-sum polynomial, whose constant
+    term is 0, so the value is minus the model's known constant."""
+    return -Fraction(zeta_psum_expansion(s0).constant)
 
 
 # ---------------------------------------------------------------------------

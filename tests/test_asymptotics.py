@@ -198,6 +198,42 @@ def test_synthesize_annihilator_skips_decaying_terms():
     assert len(q.factors) == 1
 
 
+def _mp_gamma_ratio_coeffs(rho, dps):
+    """The coefficients at dps digits, checked against Gamma(n)/Gamma(n-rho)
+    itself at n = 10^4, where the truncated series is exact to ~1e-36."""
+    with mpmath.workdps(dps):
+        rho = mpmath.mpmathify(rho)
+        coeffs = gamma_ratio_coeffs(rho)
+        n = mpmath.mpf(10) ** 4
+        series = sum(a * n ** (rho - j) for j, a in enumerate(coeffs))
+        exact = mpmath.rf(n - rho, rho)
+        assert abs(series / exact - 1) < mpmath.mpf(10) ** -30
+        return coeffs
+
+
+@pytest.mark.parametrize("rho", [2.3, 4.7, 5.3 + 0.5j])
+def test_gamma_ratio_coeffs_in_doubles_match_mpmath(rho):
+    # the recurrence keeps double and complex coefficients to ~1e-13; the
+    # composed Stirling series lost up to 1e-7 at 5.3+0.5j
+    want = _mp_gamma_ratio_coeffs(rho, 50)
+    got = gamma_ratio_coeffs(rho)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert abs(complex(a) - complex(b)) <= 1e-12 * abs(complex(b))
+
+
+def test_gamma_ratio_coeffs_exact_off_the_integers():
+    rho = Fraction(7, 3)
+    got = gamma_ratio_coeffs(rho)
+    assert all(isinstance(a, Fraction) for a in got)
+    with mpmath.workdps(40):
+        want = _mp_gamma_ratio_coeffs(mpmath.mpf(7) / 3, 40)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert abs(mpmath.mpf(a.numerator) / a.denominator - b) <= (
+                mpmath.mpf(10) ** -35 * abs(b))
+
+
 def test_gamma_ratio_coeffs_exact_and_mp():
     # integer rho: exactly the falling factorial (n-1)(n-2)...(n-rho)
     assert gamma_ratio_coeffs(Fraction(3))[:4] == [1, -6, 11, -6]

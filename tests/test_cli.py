@@ -109,6 +109,13 @@ def test_limit_decaying_power(capsys):
     assert abs(_value(doc)) < 1e-8
 
 
+def test_limit_complex_power_is_peeled_to_zero(capsys):
+    # n^{1-3i} has discrete limit 0; its eigensequence in doubles must not
+    # leave a residual above the tail fit's noise
+    doc = _json_out(capsys, ["limit", "n_pow(1,-3)"])
+    assert abs(_value(doc)) < 1e-8
+
+
 def test_limit_constant_series(capsys):
     doc = _json_out(capsys, ["limit", "ones"])
     assert _value(doc) == pytest.approx(1.0, abs=1e-8)

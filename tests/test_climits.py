@@ -316,6 +316,26 @@ def test_discrete_limit_float_input_makes_no_mpmath_call():
         vals, [(1, mpmath.mpf(0.5))], FAST))
 
 
+def test_discrete_factor_stage_returns_no_wrong_value():
+    # the (P_D - lambda) stage after the peel: n^{2.3+1.5i} in doubles
+    # leaves a residual the tail cannot take, which must not come back as
+    # a wrong value
+    rho = 2.3 + 1.5j
+    ns = np.arange(1, 10 ** 5 + 1, dtype=float)
+    try:
+        res = cesaro_limit_discrete(ns.astype(complex) ** rho, [(1.0, rho)],
+                                    CFG)
+    except NotConvergentError:
+        pass
+    else:
+        assert abs(res.limit) < 1e-6
+    # a coefficient given a part in 1e3 too small leaves 0.001 n^{1/2}
+    # after the peel, which only the stage's factor removes
+    res = cesaro_limit_discrete(ns ** 0.5, [(0.999, 0.5)], CFG)
+    assert abs(res.limit) < 1e-5
+    assert res.q_used is not None and res.q_used.factors
+
+
 def test_discrete_limit_needs_enough_entries():
     with pytest.raises(ValueError):
         cesaro_limit_discrete([1.0] * 10, [], FAST)

@@ -12,7 +12,7 @@ from cesaro.operators import (MeasureScheme, P_on_term, apply_P, apply_P_D,
                               apply_P_D_inverse, apply_P_mu,
                               apply_regular_polynomial,
                               build_regular_polynomial)
-from cesaro.seqfun import PiecewiseFn, alt_ones, psum_function
+from cesaro.seqfun import NODES, PiecewiseFn, alt_ones, psum_function
 
 
 def _power_fn(rho):
@@ -156,6 +156,32 @@ def test_P_mu_unit_weight_matches_plain_average():
     g = apply_P(f)
     for x in (3.7, 21.2):
         assert g_mu.value(x) == pytest.approx(g.value(x), rel=1e-10)
+
+
+def test_P_mu_node_values_with_unit_weight():
+    # the node path, with the mass from quadrature of mu = 1
+    scheme = MeasureScheme(lambda x: np.ones_like(np.asarray(x, float)),
+                           label="unit")
+    f = _power_fn(2.0)
+    got = apply_P_mu(f, scheme).node_values(60)
+    want = apply_P(f).node_values(60)
+    assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) < 1e-11
+
+
+def test_P_mu_node_values_match_point_values():
+    # mu = 1 + t, F_mu = X + X^2/2: the average of f = t is
+    # (X^2/2 + X^3/3) / (X + X^2/2), at the nodes and at points alike
+    scheme = MeasureScheme(lambda x: 1.0 + np.asarray(x, float),
+                           F_mu=lambda X: X + X * X / 2.0, label="1+t")
+    g = apply_P_mu(_power_fn(1.0), scheme)
+    n = 60
+    xs = np.arange(n, dtype=float)[:, None] + NODES[None, :]
+    got = g.node_values(n)
+    points = np.array([[g.value(x) for x in row] for row in xs])
+    closed = (xs ** 2 / 2 + xs ** 3 / 3) / (xs + xs * xs / 2)
+    for want in (points, closed):
+        assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) < (
+            1e-12)
 
 
 def test_P_mu_linear_weight_eigenfunctions():

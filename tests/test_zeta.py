@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from cesaro.asymptotics import bernoulli
 from cesaro.climits import (GUARD_BITS, _gamma_ratio_fixed,
                             _gamma_ratio_values, _near_nonneg_int)
 from cesaro.config import DEFAULT_CONFIG, SNAP_RADIUS
@@ -20,9 +21,9 @@ from cesaro.operators import apply_P_D, apply_P_D_inverse
 from cesaro.seqfun import NODES
 from cesaro.zeta import (ROUTE_B_CELLS, U_BITS, FaulhaberPoly,
                          _apply_factor_mp, _binomial_coefficients,
-                         _eta_route_b, _log_table, _polynomial_branch,
-                         _psum_constant_mp, _route_b, _route_b_mp,
-                         _route_b_tol,
+                         _eta_route_b, _exact_constant, _log_table,
+                         _polynomial_branch, _psum_constant_mp, _route_b,
+                         _route_b_mp, _route_b_tol,
                          discrete_eigensequence, eta, faulhaber, zeta,
                          zeta_discrete_corrected, zeta_discrete_ext,
                          zeta_integral_rep, zeta_residue_at_1)
@@ -241,6 +242,16 @@ def test_faulhaber_coefficients_are_rational():
     p = faulhaber(4)
     assert all(isinstance(c, (int, Fraction)) for c in p.coefficients)
     assert p.coefficients[0] == 0
+
+
+def test_power_sums_and_exact_constants_from_the_psum_model():
+    # zeta(-m) = (-1)^m B_{m+1}/(m+1), B_1 = -1/2; faulhaber checks itself
+    # against direct sums as it is built
+    for m in range(41):
+        assert faulhaber(m).coefficients[-1] == Fraction(1, m + 1)
+        want = (-1) ** m * bernoulli(m + 1) / (m + 1)
+        assert _exact_constant(-m) == zeta_integral_rep(-m) == want
+        assert isinstance(_exact_constant(-m), Fraction)
 
 
 def test_zeta_integral_rep_exact_values():
@@ -488,6 +499,18 @@ def test_eigensequence_strip_residual_is_boundary_term():
     resid = avg - v / (rho + 1) - boundary
     rel = np.abs(resid) / np.maximum(1.0, np.abs(v))
     assert np.max(rel[5:]) < 1e-12
+
+
+@pytest.mark.parametrize("rho", [0.5 - 1.5j, 1 + 2j])
+def test_complex_eigensequence_matches_mpmath(rho):
+    # the recurrence's cumulative product keeps ~1e-13 out to 10^5; the
+    # difference of double loggammas lost up to 1.5e-10 there
+    seq = discrete_eigensequence(rho, "asymptotic-strip", 10 ** 5)
+    with mpmath.workdps(30):
+        r = mpmath.mpmathify(rho)
+        for n in (1, 50, 10 ** 3, 10 ** 5):
+            want = complex(mpmath.rf(n - r, r))
+            assert abs(seq[n - 1] - want) <= 1e-12 * abs(want)
 
 
 def test_gamma_ratio_values_in_each_arithmetic():

@@ -12,8 +12,10 @@ exception type and message.
 
 With --against, each checkout runs in its own subprocess; the workload,
 seed, case and key of every output that differs are printed, followed by
-|a - b| / max(|a|, |b|) where both outputs are numbers (a complex value is
-compared whole), and the exit status is 1 if any differ.
+|a - b| / max(|a|, |b|) and |a - b| where both outputs are numbers (a
+complex value is compared whole), and the exit status is 1 if any differ.
+A CLI case's stdout is compared field by field: its JSON document, or
+the cells of its CSV rows.
 """
 
 from __future__ import annotations
@@ -26,7 +28,9 @@ for _var in THREAD_VARS:   # as the benchmark pins them, before numpy loads
     os.environ[_var] = "1"
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import random
 import subprocess
@@ -85,39 +89,75 @@ def case_outputs(checkout: Path, seeds, workloads=None) -> dict:
 
 
 def number(value):
-    """A written output as a number: an int or float, a {"re", "im"} pair
-    or a "Fraction(p/q)" string; None for anything else."""
+    """A written output as a number: an int, float or Fraction, a {"re",
+    "im"} pair, or a string that reads as a rational or decimal, bare or as
+    "Fraction(p/q)"; None for anything else."""
     if isinstance(value, dict) and set(value) == {"re", "im"}:
         return complex(value["re"], value["im"])
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if isinstance(value, (int, float, Fraction)) and not isinstance(
+            value, bool):
         return value
-    if isinstance(value, str) and value.startswith("Fraction("):
-        return Fraction(value[len("Fraction("):-1])
+    if isinstance(value, str):
+        if value.startswith("Fraction(") and value.endswith(")"):
+            value = value[len("Fraction("):-1]
+        try:
+            return Fraction(value)
+        except ValueError:
+            return None
     return None
 
 
-def relative_difference(a, b):
-    """|a - b| / max(|a|, |b|) for two written numbers, else None."""
+def decoded(value):
+    """A CLI stdout string as data: its JSON document, or for CSV a list
+    of rows keyed by column; anything else unchanged."""
+    if not isinstance(value, str):
+        return value
+    try:
+        return json.loads(value)
+    except ValueError:
+        pass
+    rows = list(csv.reader(io.StringIO(value)))
+    if len(rows) < 2 or len(rows[0]) < 2 or any(
+            len(row) != len(rows[0]) for row in rows):
+        return value
+    return [dict(zip(rows[0], row)) for row in rows[1:]]
+
+
+def sizes(a, b):
+    """(|a - b| / max(|a|, |b|), |a - b|) for two written numbers, else
+    None: a limit of 0 makes the relative size meaningless alone."""
     x, y = number(a), number(b)
     if x is None or y is None:
         return None
+    diff = abs(x - y)
     scale = max(abs(x), abs(y))
-    return float(abs(x - y) / scale) if scale else 0.0
+    return float(diff / scale) if scale else 0.0, float(diff)
 
 
 def differences(a, b, path=()):
-    """(key path, a value, b value) wherever two JSON documents differ; a
-    complex {"re", "im"} pair is one value, and a missing one reads None."""
-    if not (isinstance(a, dict) and isinstance(b, dict)) or (
-            number(a) is not None and number(b) is not None):
-        if a != b:
-            yield path, a, b
+    """(key path, a value, b value) wherever two JSON documents differ.
+
+    CLI stdout is decoded first, so a JSON or CSV output differs by its
+    fields; list items are keyed by index, a complex {"re", "im"} pair is
+    one value, and a missing one reads None.  Containers that differ only
+    in their text are reported whole."""
+    if a == b:
         return
-    for key in sorted(set(a) | set(b)):
-        if key in a and key in b:
-            yield from differences(a[key], b[key], path + (key,))
-        else:
-            yield path + (key,), a.get(key), b.get(key)
+    x, y = decoded(a), decoded(b)
+    if isinstance(x, (dict, list)) and type(x) is type(y) and (
+            number(x) is None or number(y) is None):
+        if isinstance(x, list):
+            x, y = dict(enumerate(x)), dict(enumerate(y))
+        found = []
+        for key in sorted(set(x) | set(y), key=str):
+            here = path + (str(key),)
+            found += (differences(x[key], y[key], here)
+                      if key in x and key in y
+                      else [(here, x.get(key), y.get(key))])
+        if found:
+            yield from found
+            return
+    yield path, x, y
 
 
 def _outputs_in_subprocess(checkout: Path, seeds: str, workloads: str) -> dict:
@@ -131,13 +171,14 @@ def _outputs_in_subprocess(checkout: Path, seeds: str, workloads: str) -> dict:
 
 def compare(checkout: Path, other: Path, seeds: str, workloads: str) -> int:
     """Print each (workload, seed, case, key) whose output differs, and the
-    relative size of the difference where both outputs are numbers."""
+    relative and absolute size of the difference where both outputs are
+    numbers."""
     found = list(differences(_outputs_in_subprocess(checkout, seeds, workloads),
                              _outputs_in_subprocess(other, seeds, workloads)))
     for path, a, b in found:
-        rel = relative_difference(a, b)
-        print("\t".join([*path[:3], ".".join(path[3:]),
-                         "" if rel is None else f"{rel:.1e}"]).rstrip())
+        size = sizes(a, b)
+        cols = [] if size is None else [f"{size[0]:.1e}", f"abs {size[1]:.1e}"]
+        print("\t".join([*path[:3], ".".join(path[3:]), *cols]))
     print(f"{len(found)} differing output(s)", file=sys.stderr)
     return 1 if found else 0
 
