@@ -7,14 +7,17 @@ continued value.  Two independent routes compute it:
   (a) constant extraction: subtract the truncated correction formula from
       the exact partial sums at moderate k (high-precision arithmetic, the
       truncation error is the first omitted correction term);
-  (b) averaging: subtract the single divergent x-power analytically and
-      drive the remainder with pure averaging on a fixed grid of cells,
-      in double-double arithmetic (cesaro.dd), not in mpmath.
+  (b) averaging: drive the alternating p-sum of sum (-1)^{n+1} n^{-s},
+      whose limit is eta(s) = (1 - 2^{1-s}) zeta(s), with pure averaging
+      on a fixed grid of cells, in double-double arithmetic (cesaro.dd);
+      nothing is subtracted, so it shares no constant with route (a).
 
 Route (a) is the precision workhorse, route (b) the structural validator;
-they must agree or the evaluation raises, never guesses.  eta(s) =
-(1 - 2^{1-s}) zeta(s) takes its value from route (a) as well, and its
-validator averages the alternating p-sum itself on route (b)'s grid.
+they must agree or the evaluation raises, never guesses.  eta takes its
+value from route (a) as well, times 1 - 2^{1-s}.  zeta compares route (b)
+with that product; where the factor nearly vanishes, near s = 1 and
+s = 1 + 2 pi i k / ln 2, the comparison has no force, and zeta's value
+is checked on the discrete evaluation instead.
 
 The discrete-operator variant hands the p-sums and their divergence model
 to the one discrete driver, climits.cesaro_limit_discrete, which peels the
@@ -54,7 +57,7 @@ from .errors import (CrossCheckMismatchError, FitFailureError,
                      LambdaIsOneError, MissingDerivativeTermError,
                      NonIntegerRhoError, PoleSignal, SAtPoleError, is_pole)
 from .operators import average_nodes, average_pass, build_regular_polynomial
-from .seqfun import NODES, WEIGHTS, n_pow_minus_s, psum_function
+from .seqfun import WEIGHTS, n_pow_minus_s, psum_function
 from .tailfit import (fit_limit, fit_limit_array, sequence_tail,
                       snap_to_rational)
 
@@ -186,139 +189,107 @@ def _exact_constant(s0: int):
 
 
 # ---------------------------------------------------------------------------
-# Route (b): subtract the x-divergence, average the remainder
+# Route (b): average the alternating p-sum
 
-#: cells of route (b)'s node grid, the same for every s: float p-sums over
-#: 10^5 cells lose about 1e-6 to rounding, over 1000 cells about 1e-8
+#: cells of route (b)'s grid, the same for every s; at 1000 the route reads
+#: zeta within 2.1e-7 of max(1, |zeta|) over tools/zeta_scan.py's grid
 ROUTE_B_CELLS = 1000
 
 
 @functools.cache
 def _route_b_logs():
-    """ln n for n = 1..ROUTE_B_CELLS and ln x at the nodes x = k + a, in
-    double-double; the same for every s.  x is exact by TwoSum."""
-    ln_n = dd.log(DDArray(np.arange(1.0, ROUTE_B_CELLS + 1), 0.0))
-    ln_x = dd.log(DDArray(np.arange(float(ROUTE_B_CELLS))[:, None], 0.0)
-                  + DDArray(NODES, 0.0))
-    return ln_n, ln_x
+    """ln n for n = 1..ROUTE_B_CELLS in double-double; the same for every
+    s, so it is built on the first call only."""
+    return dd.log(DDArray(np.arange(1.0, ROUTE_B_CELLS + 1), 0.0))
 
 
 def _route_b_mp(s) -> list:
-    """Route (b)'s node values in double-double, for Re(s) < -0.3.
+    """The alternating p-sum of sum (-1)^{n+1} n^{-s} on route (b)'s cells,
+    in double-double.
 
-    The subtraction p-sum minus x^{1-s}/(1-s) cancels ~|1-Re(s)| leading
-    digits pointwise, which exhausts double precision once Re(s) < -1, so
-    each value is made in double-double (about 32 digits) with dd.exp and
-    dd.log: x^{1-s} is exp((1-s) ln x) with 1 - s exact, n^{-s} is
-    exp(-s ln n), and the p-sum is their exclusive prefix sum.  No mpmath
-    is used; the name is that of the mpmath build this replaced, kept so
-    that perfbench's tracer still times the build as zeta.route_b_mp_s.
-    Returns the real part, and the imaginary part for complex s, as
-    (cells, nodes) DDArrays.
+    The terms are exp(-s ln n) by dd.exp, so the p-sum's oscillation of
+    size n^{-Re s} keeps about 32 digits.  No mpmath is used; the name is
+    that of the mpmath build this replaced, kept so that perfbench's
+    tracer still times the build as zeta.route_b_mp_s.  Returns the real
+    part, and the imaginary part for complex s, as (cells, 1) DDArrays of
+    the step function's cell values.
     """
     sc = complex(s)
-    g_re, g_im = 1 - Fraction(sc.real), -Fraction(sc.imag)     # g = 1 - s
-    g_abs2 = g_re * g_re + g_im * g_im
-    inv_re, inv_im = (DDArray.from_fraction(q / g_abs2)       # 1/g
-                      for q in (g_re, -g_im))
-    ln_n, ln_x = _route_b_logs()
-    gx_re = ln_x * DDArray.from_fraction(g_re)
-    if not sc.imag:
-        psum = dd.exp(ln_n * -sc.real).exclusive_cumsum()
-        return [psum[:, None] - dd.exp(gx_re) * inv_re]
-    p_re, p_im = [p.exclusive_cumsum()[:, None]
-                  for p in dd.exp(ln_n * -sc.real, ln_n * -sc.imag)]
-    w_re, w_im = dd.exp(gx_re, ln_x * -sc.imag)
-    return [p_re - (w_re * inv_re - w_im * inv_im),
-            p_im - (w_re * inv_im + w_im * inv_re)]
-
-
-def _route_b(s):
-    """Route (b): average p-sum - x^{1-s}/(1-s) r = floor(-Re s) + 1 times
-    and fit the limit on the last decade of cells.
-
-    The node values come in doubles or, below Re(s) = -0.3, in
-    double-double from _route_b_mp; the passes run in double-double either
-    way.  Every pass is real-linear with real coefficients, so complex s
-    runs them on the real and imaginary parts.
-    """
-    sc = complex(s)
-    r = int(math.floor(-sc.real)) + 1
-    if sc.real < -0.3:
-        parts = _route_b_mp(sc)
-    else:
-        s_num, dtype = (sc, complex) if sc.imag else (sc.real, float)
-        ns = np.arange(1, ROUTE_B_CELLS, dtype=dtype)
-        xs = np.arange(ROUTE_B_CELLS, dtype=dtype)[:, None] + NODES
-        psum = np.concatenate([[0.0], np.cumsum(ns ** -s_num)])
-        vals = psum[:, None] - xs ** (1 - s_num) / (1 - s_num)
-        parts = [vals.real, vals.imag] if sc.imag else [vals]
-        parts = [DDArray(v, np.zeros_like(v)) for v in parts]
-    extras = [(e if sc.imag else e.real, 0)
-              for e in (-sc - j for j in range(8)) if -4 < e.real < -0.05]
-    return _average_and_fit(parts, r, extras), r
-
-
-def _average_and_fit(parts, r: int, terms, step: bool = False):
-    """Average route (b)'s node rows r times in double-double and fit the
-    limit, with TAIL_TERMS and the given terms, on the last decade of cells.
-
-    parts is the real part, and the imaginary part for complex s.  With
-    step the rows are a step function's cell values, shape (cells, 1): a
-    step pass runs first, and the fit reads the means of adjacent pairs of
-    cells, which damp a period-2 sign by one power of x.
-    """
-    means = []
-    for v in parts:
-        if step:
-            v = average_nodes(v, v[:, 0].exclusive_cumsum(), step=True)
-        for _ in range(r):
-            v = average_nodes(v, (v @ WEIGHTS).exclusive_cumsum())
-        means.append((v @ WEIGHTS).to_float())
-    ys = means[0] + 1j * means[1] if len(means) == 2 else means[0]
-    xs = np.arange(ROUTE_B_CELLS, dtype=float) + 0.5
-    if step:
-        xs, ys = xs[:-1] + 0.5, (ys[:-1] + ys[1:]) / 2
-    lo = ROUTE_B_CELLS // 10
-    return fit_limit_array(xs[lo:], ys[lo:], terms)
-
-
-def _eta_route_b(s):
-    """The averaging route of eta: the alternating p-sum on route (b)'s
-    grid, its limit and the count r = max(0, floor(-Re s) + 1) of smooth
-    passes.
-
-    The terms (-1)^{n+1} n^{-s} are made in double-double with dd.exp, so
-    the p-sum's oscillation of size n^{-Re s} keeps about 32 digits.  One
-    step pass and r smooth passes leave a decaying oscillation, which the
-    two-cell means damp, and the (ln x)^m/x content, m <= r, that each pass
-    adds.  Nothing is subtracted, so the route shares no constant with (a).
-    """
-    sc = complex(s)
-    r = max(0, math.floor(-sc.real) + 1)
-    ln_n = _route_b_logs()[0]
+    ln_n = _route_b_logs()
     terms = (dd.exp(ln_n * -sc.real, ln_n * -sc.imag) if sc.imag
              else [dd.exp(ln_n * -sc.real)])
     sign = np.resize([1.0, -1.0], ROUTE_B_CELLS)
-    parts = [(t * sign).exclusive_cumsum()[:, None] for t in terms]
-    return _average_and_fit(parts, r, [(-1, m) for m in range(2, r + 1)],
-                            step=True), r
+    return [(t * sign).exclusive_cumsum()[:, None] for t in terms]
+
+
+def _route_b(s):
+    """Route (b): eta's limit at s by averaging the alternating p-sum, and
+    the count r = max(0, floor(-Re s) + 1) of smooth passes.
+
+    One step pass and r smooth passes, in double-double, leave a decaying
+    oscillation, which the means of adjacent pairs of cells damp by one
+    power of x, and the (ln x)^m/x content, m <= r, that each pass adds;
+    the fit reads the last decade of cells with those columns.  Nothing is
+    subtracted, so the route shares no constant with route (a).  Every
+    pass is real-linear with real coefficients, so complex s runs them on
+    the real and imaginary parts.
+    """
+    sc = complex(s)
+    r = max(0, math.floor(-sc.real) + 1)
+    means = []
+    for v in _route_b_mp(sc):
+        v = average_nodes(v, v[:, 0].exclusive_cumsum(), step=True)
+        for _ in range(r):
+            v = average_nodes(v, (v @ WEIGHTS).exclusive_cumsum())
+        means.append((v @ WEIGHTS).to_float())
+    ys = means[0] + 1j * means[1] if sc.imag else means[0]
+    xs, ys = np.arange(1.0, ROUTE_B_CELLS), (ys[:-1] + ys[1:]) / 2
+    lo = ROUTE_B_CELLS // 10
+    return fit_limit_array(xs[lo:], ys[lo:],
+                           [(-1, m) for m in range(2, r + 1)]), r
 
 
 #: agreement window of the two routes for Re(s) >= -1
 CROSS_CHECK_TOL = 1e-6
 
+#: |1 - 2^{1-s}| below which zeta is not checked on eta's route.  Route
+#: (b)'s error reaches zeta's scale divided by this factor: 2.2e-5 at
+#: s = 0.999, and at s = 1 + 2 pi i k / ln 2 the factor vanishes.  The
+#: bound sends real s in about (0.86, 1.14), and the neighbourhoods of
+#: 1 +- 9.06ki, to the discrete check.
+ETA_FACTOR_FLOOR = 0.1
+
 
 def _route_b_tol(s) -> float:
     """Honest agreement tolerance for the averaging validator.
 
-    The averaged residual after subtracting the leading power carries
-    oscillatory content of scale x^{-Re(s)}; each unit deeper into Re(s) < 0
-    costs roughly a decade of attainable accuracy at a fixed horizon, so the
-    cross-check window widens with depth instead of pretending otherwise.
+    The alternating p-sum oscillates with amplitude x^{-Re(s)}, and each
+    smooth pass that takes one power off it leaves one more (ln x)^m/x
+    column for the fit; each unit deeper into Re(s) < 0 costs roughly a
+    decade of attainable accuracy at a fixed horizon, so the cross-check
+    window widens with depth instead of pretending otherwise.
     """
     depth = max(0.0, -complex(s).real - 1.0)
     return CROSS_CHECK_TOL * 10.0 ** depth
+
+
+def _eta_factor(s):
+    """1 - 2^{1-s} = -expm1(g), g = (1 - s) ln 2, without the cancellation
+    near s = 1; a float for real s."""
+    sc = complex(s)
+    g = (1 - sc) * math.log(2)
+    f = -2 * cmath.sinh(g / 2) * cmath.exp(g / 2)
+    return f if sc.imag else f.real
+
+
+def _cross_check(s, value, trunc_err, check, check_stderr, what: str):
+    """Raise CrossCheckMismatchError unless check, an independent route's
+    value at s, is within max(_route_b_tol(s), 30 check_stderr,
+    10 trunc_err) of value, whose truncation error trunc_err bounds."""
+    tol = max(_route_b_tol(s), 30 * check_stderr, 10 * trunc_err)
+    if abs(complex(check) - complex(value)) > tol:
+        raise CrossCheckMismatchError(f"{what} routes disagree at s={s}",
+                                      value_a=value, value_b=check)
 
 
 def _report_annihilator(s, r: int):
@@ -333,9 +304,13 @@ def zeta(s, cfg: LimitConfig = DEFAULT_CONFIG) -> ZetaEvaluation:
     """Continuation of sum n^{-s} with dual-route cross-checking.
 
     Inside Re(s) > 1 the series converges and route (a) is just an
-    accelerated tail; elsewhere the two routes are genuinely independent
-    and a disagreement beyond tolerance raises instead of returning.
-    At s = 1 the outcome is a pole signal carrying residue 1.
+    accelerated tail.  Elsewhere route (a)'s constant C is checked on
+    eta's averaging route, whose limit is f C with f = 1 - 2^{1-s}, or,
+    where |f| < ETA_FACTOR_FLOOR, on zeta_discrete_ext; a disagreement
+    beyond tolerance raises instead of returning.  The diagnostics give
+    the check's value on zeta's scale ("route_b"), its stderr and which
+    check ran ("route_b_check", "eta" or "discrete").  At s = 1 the
+    outcome is a pole signal carrying residue 1.
     """
     sc = complex(s)
     if abs(sc - 1) <= SNAP_RADIUS:
@@ -343,43 +318,40 @@ def zeta(s, cfg: LimitConfig = DEFAULT_CONFIG) -> ZetaEvaluation:
             s=s, value=PoleSignal(origin="dirichlet-series", log_power=1,
                                   residue=1), path="pole")
     s0 = _near_nonneg_int(-sc)
+    if s0 is None:
+        s_at = sc if sc.imag else sc.real
+        C, trunc_err = _psum_constant_mp(s_at)
+        if sc.real > 1:
+            return ZetaEvaluation(s=s, value=C, path="classical-sum",
+                                  C_constant=C,
+                                  diagnostics={"truncation": trunc_err})
+    else:
+        s_at, C, trunc_err = -s0, _exact_constant(-s0), 0.0
+    f = _eta_factor(s_at)
+    if abs(f) >= ETA_FACTOR_FLOOR:
+        fit_b, r = _route_b(s_at)
+        _cross_check(s_at, f * complex(C), abs(f) * trunc_err, fit_b.limit,
+                     fit_b.stderr, "continuation")
+        diagnostics = {"route_b": complex(fit_b.limit / f),
+                       "route_b_stderr": fit_b.stderr / abs(f),
+                       "route_b_check": "eta"}
+    else:
+        # |f| is this small only for Re s > 0.86, where route (b) makes no
+        # smooth pass
+        ext, r = zeta_discrete_ext(s_at), 0
+        stderr = ext.diagnostics["stderr"]
+        _cross_check(s_at, C, trunc_err, ext.value, stderr, "continuation")
+        diagnostics = {"route_b": complex(ext.value),
+                       "route_b_stderr": stderr, "route_b_check": "discrete"}
     if s0 is not None:
-        s_int = -s0
-        value = _exact_constant(s_int)
-        fit_b, r = _route_b(s_int)
-        if abs(complex(fit_b.limit) - complex(value)) > _route_b_tol(s_int):
-            raise CrossCheckMismatchError(
-                f"continuation routes disagree at s={s}",
-                value_a=value, value_b=fit_b.limit)
-        out = value if cfg.exact_mode else float(value)
-        return ZetaEvaluation(
-            s=s, value=out, path="continuous-cesaro",
-            q_used=_report_annihilator(s_int, r), C_constant=out,
-            diagnostics={"route_b": complex(fit_b.limit),
-                         "route_b_stderr": fit_b.stderr})
-    C, trunc_err = _psum_constant_mp(sc if sc.imag else sc.real)
-    if sc.real > 1:
-        return ZetaEvaluation(s=s, value=C, path="classical-sum",
-                              C_constant=C,
-                              diagnostics={"truncation": trunc_err})
-    fit_b, r = _route_b(s)
-    tol = max(_route_b_tol(sc), 30 * fit_b.stderr, 10 * trunc_err)
-    if abs(complex(fit_b.limit) - complex(C)) > tol:
-        raise CrossCheckMismatchError(
-            f"continuation routes disagree at s={s}",
-            value_a=C, value_b=fit_b.limit)
-    value = C
-    if cfg.exact_mode:
-        snapped = snap_to_rational(C, tol=1e-12)
-        if snapped is not None:
-            value = snapped
-    return ZetaEvaluation(
-        s=s, value=value, path="continuous-cesaro",
-        q_used=_report_annihilator(sc if sc.imag else sc.real, r),
-        C_constant=C,
-        diagnostics={"route_b": complex(fit_b.limit),
-                     "route_b_stderr": fit_b.stderr,
-                     "truncation": trunc_err})
+        C = value = C if cfg.exact_mode else float(C)
+    else:
+        diagnostics["truncation"] = trunc_err
+        snapped = snap_to_rational(C, tol=1e-12) if cfg.exact_mode else None
+        value = C if snapped is None else snapped
+    return ZetaEvaluation(s=s, value=value, path="continuous-cesaro",
+                          q_used=_report_annihilator(s_at, r), C_constant=C,
+                          diagnostics=diagnostics)
 
 
 def zeta_residue_at_1(cfg: LimitConfig = DEFAULT_CONFIG):
@@ -399,10 +371,10 @@ def eta(s, cfg: LimitConfig = DEFAULT_CONFIG):
     eta(s) = (1 - 2^{1-s}) zeta(s), so the value is route (a)'s: the factor
     times _psum_constant_mp(s), or at nonpositive integers times the exact
     constant, a Fraction in exact mode and a float otherwise, as zeta
-    returns it.  At s = 1 the value is the limit ln 2.  _eta_route_b
-    averages the alternating p-sum itself, and a disagreement beyond
-    zeta's tolerance rule raises CrossCheckMismatchError.  Of cfg only
-    exact_mode is read.
+    returns it.  At s = 1 the value is the limit ln 2.  Route (b) averages
+    the alternating p-sum itself, and a disagreement beyond the tolerance
+    rule that zeta also applies raises CrossCheckMismatchError.  Of cfg
+    only exact_mode is read.
     """
     sc = complex(s)
     if abs(sc - 1) <= SNAP_RADIUS:
@@ -413,16 +385,9 @@ def eta(s, cfg: LimitConfig = DEFAULT_CONFIG):
         value, trunc_err = exact if cfg.exact_mode else float(exact), 0.0
     else:
         C, trunc_err = _psum_constant_mp(sc if sc.imag else sc.real)
-        # 1 - 2^{1-s} = -expm1(g), without the cancellation near s = 1
-        g = (1 - sc) * math.log(2)
-        factor = -2 * cmath.sinh(g / 2) * cmath.exp(g / 2)
-        value = C * (factor if sc.imag else factor.real)
-    fit_b = _eta_route_b(s if s0 is None else -s0)[0]
-    tol = max(_route_b_tol(sc), 30 * fit_b.stderr, 10 * trunc_err)
-    if abs(complex(fit_b.limit) - complex(value)) > tol:
-        raise CrossCheckMismatchError(
-            f"eta routes disagree at s={s}",
-            value_a=value, value_b=fit_b.limit)
+        value = C * _eta_factor(sc)
+    fit_b = _route_b(s if s0 is None else -s0)[0]
+    _cross_check(s, value, trunc_err, fit_b.limit, fit_b.stderr, "eta")
     return value
 
 

@@ -18,12 +18,11 @@ from cesaro.config import DEFAULT_CONFIG, SNAP_RADIUS
 from cesaro.errors import (CrossCheckMismatchError, FitFailureError,
                            MissingDerivativeTermError, SAtPoleError, is_pole)
 from cesaro.operators import apply_P_D, apply_P_D_inverse
-from cesaro.seqfun import NODES
 from cesaro.zeta import (ROUTE_B_CELLS, U_BITS, FaulhaberPoly,
                          _apply_factor_mp, _binomial_coefficients,
-                         _eta_route_b, _exact_constant, _log_table,
-                         _polynomial_branch, _psum_constant_mp, _route_b,
-                         _route_b_mp, _route_b_tol,
+                         _exact_constant, _log_table, _polynomial_branch,
+                         _psum_constant_mp, _route_b, _route_b_mp,
+                         _route_b_tol,
                          discrete_eigensequence, eta, faulhaber, zeta,
                          zeta_discrete_corrected, zeta_discrete_ext,
                          zeta_integral_rep, zeta_residue_at_1)
@@ -95,47 +94,42 @@ def test_zeta_dual_route_diagnostics_present():
     assert abs(ev.diagnostics["route_b"] - complex(ev.value)) < 1e-4
 
 
-# route (b)'s limits as its averaging passes gave them in 35-digit mpmath
-# object arrays; the double-double passes reproduce them
-ROUTE_B_PINNED = {
-    -2: -8.719143122851894e-06,
-    -6: -0.0019066408954588276,
-    complex(-1.801101, 0.453996): complex(0.0009965596553875317,
-                                          -0.018950921088313824),
-}
+# route (b) below Re s = -1, with 2 to 7 smooth passes
+ROUTE_B_POINTS = [-2, -6, complex(-1.801101, 0.453996)]
 
 
-@pytest.mark.parametrize("s", list(ROUTE_B_PINNED))
+@pytest.mark.parametrize("s", ROUTE_B_POINTS)
 def test_route_b_mp_limit_pinned(s):
+    # route (b)'s limit over 1 - 2^{1-s} is zeta's to 1e-6 absolute
     fit, _ = _route_b(s)
-    want = ROUTE_B_PINNED[s]
-    assert abs(complex(fit.limit) - want) <= 1e-12 * abs(want)
+    with mpmath.workdps(30):
+        want = complex(mpmath.zeta(s))
+    assert abs(complex(fit.limit) / (1 - 2 ** (1 - s)) - want) <= 1e-6
 
 
 def _route_b_mp_reference(s):
-    """Route (b)'s node values as a 35-digit mpmath build makes them."""
+    """Route (b)'s cell values, the alternating p-sum, as a 35-digit mpmath
+    build makes them."""
     sc = complex(s)
     with mpmath.workdps(35):
         smp = mpmath.mpmathify(sc) if sc.imag else mpmath.mpf(sc.real)
-        g = 1 - smp
         psum = [mpmath.mpf(0)]
         for n in range(1, ROUTE_B_CELLS):
-            psum.append(psum[-1] + mpmath.power(n, -smp))
-        return [[psum[k] - mpmath.power(k + mpmath.mpf(a), g) / g
-                 for a in NODES] for k in range(ROUTE_B_CELLS)]
+            psum.append(psum[-1] + (-1) ** (n + 1) * mpmath.power(n, -smp))
+        return psum
 
 
-@pytest.mark.parametrize("s", list(ROUTE_B_PINNED))
+@pytest.mark.parametrize("s", ROUTE_B_POINTS)
 def test_route_b_node_values_match_a_35_digit_build(s):
     parts = _route_b_mp(s)
     want = _route_b_mp_reference(s)
+    assert all(p.hi.shape == (ROUTE_B_CELLS, 1) for p in parts)
     with mpmath.workdps(40):
         for k in range(ROUTE_B_CELLS):
-            for i in range(len(NODES)):
-                got = [mpmath.mpf(float(p.hi[k, i])) + float(p.lo[k, i])
-                       for p in parts]
-                got = got[0] + 1j * got[1] if len(got) == 2 else got[0]
-                assert abs(got - want[k][i]) <= 1e-25 * abs(want[k][i])
+            got = [mpmath.mpf(float(p.hi[k, 0])) + float(p.lo[k, 0])
+                   for p in parts]
+            got = got[0] + 1j * got[1] if len(got) == 2 else got[0]
+            assert abs(got - want[k]) <= 1e-25 * abs(want[k])
 
 
 def _no_mpmath_power(*args):
@@ -147,14 +141,15 @@ def test_route_b_below_the_float_branch_makes_no_mpmath_call(s, monkeypatch):
     want = complex(mpmath.zeta(s))
     monkeypatch.setattr(mpmath, "power", _no_mpmath_power)
     fit, _ = _route_b(s)
-    assert abs(complex(fit.limit) - want) <= _route_b_tol(s)
+    got = complex(fit.limit) / (1 - 2 ** (1 - s))
+    assert abs(got - want) <= _route_b_tol(s)
 
 
 @pytest.mark.parametrize("s", [0.06, 0.10, 0.12, 0.14, complex(0.12, 0.3),
                                -0.2, complex(0.5, 1.0)])
 def test_zeta_shallow_strip(s):
-    # route (b) on doubles: over 10^5 cells the float p-sums lost ~1e-6,
-    # which broke the cross-check at these points; 1000 cells keep ~1e-8
+    # the cross-check once broke at these points, when route (b) ran on
+    # float p-sums over 10^5 cells
     with mpmath.workdps(30):
         want = complex(mpmath.zeta(s))
     ev = zeta(s, CFG)
@@ -183,7 +178,7 @@ def test_eta_zeta_functional_relation():
     # eta(s) = (1 - 2^{1-s}) zeta(s), two independently computed sides: the
     # averaged alternating p-sum and zeta's value
     for s in (0.5, -0.5, 2.0):
-        lhs = complex(_eta_route_b(s)[0].limit)
+        lhs = complex(_route_b(s)[0].limit)
         rhs = (1 - 2 ** (1 - s)) * complex(zeta(s, CFG).value)
         assert lhs == pytest.approx(rhs, abs=1e-6)
 
@@ -203,7 +198,7 @@ def test_eta_matches_altzeta_on_the_box(re, im):
         want = complex(mpmath.altzeta(mpmath.mpmathify(s)))
     assert abs(value - want) <= 1e-12 * abs(want)
     # the averaging route, within the tolerance that eta applies to it
-    fit, _r = _eta_route_b(s)
+    fit, _r = _route_b(s)
     trunc = _psum_constant_mp(s)[1] if near is None else 0.0
     tol = max(_route_b_tol(s), 30 * fit.stderr, 10 * trunc)
     assert abs(complex(fit.limit) - want) <= tol
@@ -228,6 +223,53 @@ def test_eta_cross_check_can_fail(monkeypatch):
     monkeypatch.setattr(sys.modules["cesaro.zeta"], "_psum_constant_mp", off)
     with pytest.raises(CrossCheckMismatchError):
         eta(-0.5, CFG)
+
+
+@settings(max_examples=25, deadline=None)
+@given(re=st.floats(-6.0, 1.0), im=st.floats(-3.0, 3.0))
+@example(re=-5.8, im=0.0)
+@example(re=-4.9, im=0.0)
+@example(re=-2.0, im=2.0)
+@example(re=-3.0, im=3.0)
+@example(re=-5.0, im=3.0)
+def test_zeta_matches_mpmath_on_the_box(re, im):
+    # the examples raised CrossCheckMismatchError while zeta's route (b)
+    # subtracted x^{1-s}/(1-s) from the p-sum
+    s = complex(re, im) if im else re
+    near = _near_nonneg_int(-complex(s))
+    assume(near is None or s == -near)  # snapped points: only the integers
+    assume(abs(complex(s) - 1) > SNAP_RADIUS)
+    value = complex(zeta(s, CFG).value)
+    with mpmath.workdps(30):
+        want = complex(mpmath.zeta(mpmath.mpmathify(s)))
+    assert abs(value - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("s,check", [(0.999, "discrete"),
+                                     (complex(1, 9.06), "discrete"),
+                                     (complex(0.9, 9.06), "discrete"),
+                                     (-0.5, "eta")])
+def test_zeta_check_where_the_eta_factor_is_small(s, check):
+    # 1 - 2^{1-s} vanishes at 1 + 2 pi i / ln 2 = 1 + 9.06i and is 7e-4
+    # at 0.999, so there eta's route cannot check zeta
+    ev = zeta(s, CFG)
+    with mpmath.workdps(30):
+        want = complex(mpmath.zeta(s))
+    assert abs(complex(ev.value) - want) <= 1e-12 * abs(want)
+    assert ev.diagnostics["route_b_check"] == check
+    assert abs(ev.diagnostics["route_b"] - want) <= 1e-6 * abs(want)
+
+
+@pytest.mark.parametrize("s", [-0.5, 0.95])
+def test_zeta_cross_check_can_fail(s, monkeypatch):
+    # -0.5 is checked on eta's route, 0.95 on the discrete evaluation
+    def off(s):
+        value, trunc = _psum_constant_mp(s)
+        return value + 1e-2 * abs(value), trunc
+
+    monkeypatch.setattr(sys.modules["cesaro.zeta"], "_psum_constant_mp", off)
+    with pytest.raises(CrossCheckMismatchError):
+        zeta(s, CFG)
 
 
 def test_faulhaber_matches_power_sums():
