@@ -12,6 +12,13 @@ continued value.  Two independent routes compute it:
       on a fixed grid of cells, in double-double arithmetic (cesaro.dd);
       nothing is subtracted, so it shares no constant with route (a).
 
+Both routes, and the discrete evaluation, take n^{-s} from one sieve
+builder, _fixed_powers, each with its own horizon and precision, so the
+routes share no value.  Nor would a fault in the builder cancel: were the
+entry at some n <= ROUTE_A_TERMS off by delta, C would move by delta and
+eta's limit by +-delta, and the check of f C against eta, f = 1 - 2^{1-s},
+would still fail unless f = +-1.
+
 Route (a) is the precision workhorse, route (b) the structural validator;
 they must agree or the evaluation raises, never guesses.  eta takes its
 value from route (a) as well, times 1 - 2^{1-s}.  zeta compares route (b)
@@ -47,7 +54,6 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from . import dd
 from .asymptotics import zeta_psum_expansion
 from .climits import (GUARD_BITS, Fixed, cesaro_limit_discrete, _fixed,
                       _gamma_ratio_values, _near_nonneg_int)
@@ -152,33 +158,67 @@ def zeta_integral_rep(s0: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# The terms n^{-s} at high precision
+
+def _sieve_table(horizon: int, one, at_prime, times) -> list:
+    """f(1..horizon) for f completely multiplicative under times, with
+    f(1) = one and f(p) = at_prime(p): f(j) = times(f(p), f(j/p)) for the
+    least prime p of j, from a least-prime-factor sieve."""
+    least = list(range(horizon + 1))
+    for p in range(math.isqrt(horizon), 1, -1):     # the least p writes last
+        least[p * p::p] = [p] * len(range(p * p, horizon + 1, p))
+    table = [one, one]
+    for j, p in enumerate(least[2:], 2):
+        table.append(at_prime(j) if p == j else times(table[p], table[j // p]))
+    return table[1:]
+
+
+def _mp_s(s):
+    """s as an mpmath number at the working precision, real when s is."""
+    sc = complex(s)
+    return mpmath.mpmathify(sc) if sc.imag else mpmath.mpf(sc.real)
+
+
+def _fixed_powers(s, horizon: int) -> Fixed:
+    """n^{-s} for n = 1..horizon, s an mpmath number, as a Fixed of ints
+    scaled by 2^bits, bits the working precision plus GUARD_BITS.  mpmath
+    gives the powers at the primes; elsewhere n^{-s} is the floored
+    fixed-point product of p^{-s} and (n/p)^{-s}, p the least prime of n.
+    """
+    bits = mpmath.mp.prec + GUARD_BITS
+    table = _sieve_table(
+        horizon, (1 << bits, 0), lambda p: _fixed(mpmath.power(p, -s), bits),
+        lambda x, y: ((x[0] * y[0] - x[1] * y[1]) >> bits,
+                      (x[0] * y[1] + x[1] * y[0]) >> bits))
+    return Fixed(*zip(*table), bits)
+
+
+# ---------------------------------------------------------------------------
 # Route (a): constant extraction at high precision
 
 #: route (a)'s direct terms, Euler-Maclaurin order and working digits
 ROUTE_A_TERMS, ROUTE_A_ORDER, ROUTE_A_DPS = 400, 12, 40
+#: working digits of route (b)'s terms, which keep about 32 in double-double
+ROUTE_B_DPS = 35
 
 
 def _psum_constant_mp(s):
     """Unknown constant of the p-sum model, by high-precision subtraction.
 
-    Computes sum_{n<=K} n^{-s}, K = ROUTE_A_TERMS, minus the p-sum model
-    evaluated at K, both at working precision; the truncation error is on
-    the order of the first omitted Bernoulli term, reported as a
-    diagnostic bound.
+    Computes sum_{n<=K} n^{-s}, K = ROUTE_A_TERMS, exactly in the ints of
+    _fixed_powers and rounded once, minus the p-sum model evaluated at K
+    at working precision; the truncation error is on the order of the
+    first omitted Bernoulli term, reported as a diagnostic bound.
     """
     with mpmath.workdps(ROUTE_A_DPS):
-        sc = mpmath.mpmathify(complex(s)) if complex(s).imag else mpmath.mpf(
-            complex(s).real)
-        total = mpmath.mpf(0)
-        for n in range(1, ROUTE_A_TERMS + 1):
-            total += mpmath.power(n, -sc)
+        sc = _mp_s(s)
+        re, im, bits = _fixed_powers(sc, ROUTE_A_TERMS)
+        total = mpmath.mpc(sum(re), sum(im)) / (1 << bits)
         k = mpmath.mpf(ROUTE_A_TERMS)
         model = zeta_psum_expansion(sc, ROUTE_A_ORDER)
         C = total - model.evaluate(k)
         err = float(abs(model.terms[-1].evaluate(k)))
-        if abs(complex(s).imag) > 0:
-            return complex(C), err
-        return float(mpmath.re(C)), err
+        return (complex(C) if sc.imag else float(C.real)), err
 
 
 def _exact_constant(s0: int):
@@ -196,30 +236,23 @@ def _exact_constant(s0: int):
 ROUTE_B_CELLS = 1000
 
 
-@functools.cache
-def _route_b_logs():
-    """ln n for n = 1..ROUTE_B_CELLS in double-double; the same for every
-    s, so it is built on the first call only."""
-    return dd.log(DDArray(np.arange(1.0, ROUTE_B_CELLS + 1), 0.0))
-
-
 def _route_b_mp(s) -> list:
     """The alternating p-sum of sum (-1)^{n+1} n^{-s} on route (b)'s cells,
     in double-double.
 
-    The terms are exp(-s ln n) by dd.exp, so the p-sum's oscillation of
-    size n^{-Re s} keeps about 32 digits.  No mpmath is used; the name is
-    that of the mpmath build this replaced, kept so that perfbench's
-    tracer still times the build as zeta.route_b_mp_s.  Returns the real
-    part, and the imaginary part for complex s, as (cells, 1) DDArrays of
-    the step function's cell values.
+    The terms n^{-s}, n < ROUTE_B_CELLS, come from _fixed_powers at
+    ROUTE_B_DPS digits, with mpmath powers at the primes only; the prefix
+    sums are exact in ints, and each cell is rounded once to hi + lo, so
+    the p-sum's oscillation of size n^{-Re s} keeps about 32 digits.
+    Returns the real part, and the imaginary part for complex s, as
+    (cells, 1) DDArrays of the step function's cell values.
     """
-    sc = complex(s)
-    ln_n = _route_b_logs()
-    terms = (dd.exp(ln_n * -sc.real, ln_n * -sc.imag) if sc.imag
-             else [dd.exp(ln_n * -sc.real)])
-    sign = np.resize([1.0, -1.0], ROUTE_B_CELLS)
-    return [(t * sign).exclusive_cumsum()[:, None] for t in terms]
+    with mpmath.workdps(ROUTE_B_DPS):
+        re, im, bits = _fixed_powers(_mp_s(s), ROUTE_B_CELLS - 1)
+    return [DDArray.from_fixed([0, *itertools.accumulate(
+                x if n % 2 else -x for n, x in enumerate(part, 1))],
+                bits)[:, None]
+            for part in ((re, im) if complex(s).imag else (re,))]
 
 
 def _route_b(s):
@@ -385,7 +418,8 @@ def eta(s, cfg: LimitConfig = DEFAULT_CONFIG):
         value, trunc_err = exact if cfg.exact_mode else float(exact), 0.0
     else:
         C, trunc_err = _psum_constant_mp(sc if sc.imag else sc.real)
-        value = C * _eta_factor(sc)
+        f = _eta_factor(sc)
+        value, trunc_err = C * f, abs(f) * trunc_err
     fit_b = _route_b(s if s0 is None else -s0)[0]
     _cross_check(s, value, trunc_err, fit_b.limit, fit_b.stderr, "eta")
     return value
@@ -406,8 +440,8 @@ def _psum_content(s, order=None) -> list:
     return [(t.coeff, t.exponent) for t in zeta_psum_expansion(s, order).terms]
 
 
-#: p-sums of the discrete evaluation off the integers
-EXT_MP_HORIZON = 4000
+#: p-sums of the discrete evaluations, at and off the integers
+DISCRETE_HORIZON = 4000
 
 
 def _ext_mp(s, cfg: LimitConfig):
@@ -419,27 +453,21 @@ def _ext_mp(s, cfg: LimitConfig):
     a p-sum of ~1e14 is an error of order 1 in the value.  So the model is
     built at an mpmath s, with its corrections down to the driver's ledger
     floor, and the p-sums are ints scaled by 2^B, B the working precision
-    plus GUARD_BITS: n^{-s} from mpmath at the primes, fixed-point products
-    over the least-prime sieve elsewhere.  The driver peels in the same
-    fixed point.  The p-sum reaches EXT_MP_HORIZON^{1-Re s}, so the
+    plus GUARD_BITS, summed from _fixed_powers.  The driver peels in the
+    same fixed point.  The p-sum reaches DISCRETE_HORIZON^{1-Re s}, so the
     precision grows with depth to keep 15 digits after the cancellation,
     and is never below 30 digits.
     """
     sc = complex(s)
-    dps = max(30, math.ceil(15 + (1 - sc.real) * math.log10(EXT_MP_HORIZON)))
+    dps = max(30, math.ceil(15 + (1 - sc.real) * math.log10(DISCRETE_HORIZON)))
     with mpmath.workdps(dps):
-        bits = mpmath.mp.prec + GUARD_BITS
-        smp = mpmath.mpmathify(sc) if sc.imag else mpmath.mpf(sc.real)
-        powers = _sieve_table(
-            EXT_MP_HORIZON, (1 << bits, 0),
-            lambda p: _fixed(mpmath.power(p, -smp), bits),
-            lambda x, y: ((x[0] * y[0] - x[1] * y[1]) >> bits,
-                          (x[0] * y[1] + x[1] * y[0]) >> bits))
-        psums = [list(itertools.accumulate(part)) for part in zip(*powers)]
+        smp = _mp_s(sc)
+        re, im, bits = _fixed_powers(smp, DISCRETE_HORIZON)
+        psums = [list(itertools.accumulate(part)) for part in (re, im)]
         order = math.ceil(1 - LEDGER_FLOOR - sc.real) - 1
         return cesaro_limit_discrete(Fixed(*psums, bits),
                                      _psum_content(smp, order),
-                                     cfg.with_(horizon=EXT_MP_HORIZON))
+                                     cfg.with_(horizon=DISCRETE_HORIZON))
 
 
 def zeta_discrete_ext(s, cfg: LimitConfig = DEFAULT_CONFIG) -> ZetaEvaluation:
@@ -459,7 +487,7 @@ def zeta_discrete_ext(s, cfg: LimitConfig = DEFAULT_CONFIG) -> ZetaEvaluation:
         result = _ext_mp(s, cfg)
         value = result.limit
     else:
-        horizon = min(cfg.horizon, 4000)
+        horizon = min(cfg.horizon, DISCRETE_HORIZON)
         result = cesaro_limit_discrete(
             itertools.accumulate(n ** s0 for n in range(1, horizon + 1)),
             _psum_content(-s0), cfg.with_(horizon=horizon))
@@ -501,19 +529,6 @@ def _apply_factor_mp(u, lam) -> list:
     Fraction.  Both divisions floor, so a pass is off by under one unit."""
     return [acc // k - v * lam.numerator // lam.denominator
             for k, (acc, v) in enumerate(zip(itertools.accumulate(u), u), 1)]
-
-
-def _sieve_table(horizon: int, one, at_prime, times) -> list:
-    """f(1..horizon) for f completely multiplicative under times, with
-    f(1) = one and f(p) = at_prime(p): f(j) = times(f(p), f(j/p)) for the
-    least prime p of j, from a least-prime-factor sieve."""
-    least = list(range(horizon + 1))
-    for p in range(math.isqrt(horizon), 1, -1):     # the least p writes last
-        least[p * p::p] = [p] * len(range(p * p, horizon + 1, p))
-    table = [one, one]
-    for j, p in enumerate(least[2:], 2):
-        table.append(at_prime(j) if p == j else times(table[p], table[j // p]))
-    return table[1:]
 
 
 @functools.cache
@@ -596,7 +611,7 @@ def zeta_discrete_corrected(s0: int, cfg: LimitConfig = DEFAULT_CONFIG):
             c *= Fraction(2 - s0 - i, 1 - s0 - i)
     lam_primes = [lam * lam for lam in lams]
 
-    horizon = min(cfg.horizon, 4000)
+    horizon = min(cfg.horizon, DISCRETE_HORIZON)
     poly_branch = _polynomial_branch(_binomial_coefficients(faulhaber(-s0)),
                                      lams, lam_primes, horizon)
 

@@ -1,13 +1,14 @@
-"""Double-double arrays against 40-digit mpmath: the averaging kernel and
-the elementwise exp and log."""
+"""Double-double arrays against 40-digit mpmath and exact rationals: the
+averaging kernel and the rounding of scaled ints."""
 
+import math
+import random
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
-from cesaro import dd
 from cesaro.dd import DDArray
 from cesaro.operators import average_nodes
 from cesaro.seqfun import NODES, PARTIAL_FROM_VALUES, WEIGHTS
@@ -88,58 +89,18 @@ def test_division_keeps_the_low_part():
     assert q.hi[0] == pytest.approx(1 / 3)
 
 
-def _mp(x, i=()):
-    return mpmath.mpf(float(x.hi[i])) + mpmath.mpf(float(x.lo[i]))
-
-
-def test_constants_are_hi_plus_lo_of_ln2_and_two_pi():
-    with mpmath.workdps(40):
-        for c, want in ((dd._LN2, mpmath.log(2)), (dd._TWO_PI, 2 * mpmath.pi)):
-            assert float(c.hi) == float(want)
-            assert abs(_mp(c) - want) <= want * 2.0 ** -106
-        third = DDArray.from_fraction(Fraction(1, 3))
-        assert abs(_mp(third) - mpmath.mpf(1) / 3) <= 2.0 ** -108
-
-
-NODE_BASES = [DDArray(np.full(len(NODES), float(k)), 0.0) + DDArray(NODES, 0.0)
-              for k in (0, 1, 9, 999)]
-
-
-def test_log_at_the_nodes_matches_mpmath():
-    with mpmath.workdps(40):
-        for x in NODE_BASES:
-            got = dd.log(x)
-            for i in range(len(NODES)):
-                want = mpmath.log(_mp(x, i))
-                assert abs(_mp(got, i) - want) <= 1e-28 * abs(want)
-
-
-@pytest.mark.parametrize("w", [0.5, 2.8, 7.0, -6.0, complex(3.5, -3.0),
-                               complex(7.0, 0.45), complex(1.35, 2.9),
-                               complex(-0.2, 3.0)])
-def test_exp_of_scaled_logs_matches_mpmath_powers(w):
-    # x^w = exp(w ln x) at the nodes k + a, Re w up to 7, |Im w| up to 3
-    w = complex(w)
-    with mpmath.workdps(40):
-        for x in NODE_BASES:
-            ln_x = dd.log(x)
-            if w.imag:
-                re, im = dd.exp(ln_x * w.real, ln_x * w.imag)
-            else:
-                re, im = dd.exp(ln_x * w.real), None
-            for i in range(len(NODES)):
-                want = mpmath.power(_mp(x, i), mpmath.mpc(w.real, w.imag))
-                got = _mp(re, i) + (1j * _mp(im, i) if im is not None else 0)
-                assert abs(got - want) <= 1e-28 * abs(want)
-
-
-def test_exp_reduces_large_arguments():
-    # m ln 2 and q 2 pi reductions far from 0, and an argument of 0
-    re = DDArray(np.array([-40.3, 0.0, 48.75, 300.0]), 0.0)
-    im = DDArray(np.array([21.0, 0.0, -19.5, 1e3]), 0.0)
-    got_re, got_im = dd.exp(re, im)
-    with mpmath.workdps(40):
-        for i in range(4):
-            want = mpmath.exp(mpmath.mpc(re.hi[i], im.hi[i]))
-            got = _mp(got_re, i) + 1j * _mp(got_im, i)
-            assert abs(got - want) <= 1e-28 * abs(want)
+def test_from_fixed_rounds_each_part_once():
+    # 0, values below 1, negative ints and ints above 2^200, at 150 bits
+    rng = random.Random(20261019)
+    bits = 150
+    xs = [0, 1, -1, 3 << 100, -(1 << 149) - 12345, (1 << 260) + 1,
+          -(3 << 210) - 7]
+    xs += [rng.choice((1, -1)) * rng.getrandbits(k)
+           for k in (40, 120, 151, 220, 300)]
+    got = DDArray.from_fixed(xs, bits)
+    for x, hi, lo in zip(xs, got.hi, got.lo):
+        want = Fraction(x, 1 << bits)
+        assert hi == float(want)
+        assert abs(Fraction(hi) + Fraction(lo) - want) \
+            <= abs(want) * Fraction(1, 1 << 106)
+        assert abs(lo) <= math.ulp(hi) / 2

@@ -129,18 +129,21 @@ def test_route_b_node_values_match_a_35_digit_build(s):
             got = [mpmath.mpf(float(p.hi[k, 0])) + float(p.lo[k, 0])
                    for p in parts]
             got = got[0] + 1j * got[1] if len(got) == 2 else got[0]
-            assert abs(got - want[k]) <= 1e-25 * abs(want[k])
-
-
-def _no_mpmath_power(*args):
-    raise AssertionError("route (b) called mpmath.power")
+            assert abs(got - want[k]) <= 1e-31 * abs(want[k])
 
 
 @pytest.mark.parametrize("s", [-2.5, complex(-1.8, 0.45)])
-def test_route_b_below_the_float_branch_makes_no_mpmath_call(s, monkeypatch):
+def test_route_b_takes_powers_at_primes_only(s, monkeypatch):
+    # n^{-s} comes from mpmath at the 168 primes below ROUTE_B_CELLS and
+    # from fixed-point products over the least-prime sieve everywhere else
     want = complex(mpmath.zeta(s))
-    monkeypatch.setattr(mpmath, "power", _no_mpmath_power)
+    calls, power = [], mpmath.power
+    monkeypatch.setattr(mpmath, "power",
+                        lambda *args: calls.append(args[0]) or power(*args))
     fit, _ = _route_b(s)
+    primes = [p for p in range(2, ROUTE_B_CELLS)
+              if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    assert len(primes) == 168 and sorted(calls) == primes
     got = complex(fit.limit) / (1 - 2 ** (1 - s))
     assert abs(got - want) <= _route_b_tol(s)
 

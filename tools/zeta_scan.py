@@ -1,13 +1,17 @@
-"""Scan zeta(s) over a fixed grid and report where its cross-check fails.
+"""Scan zeta(s) and eta(s) over a fixed grid and report where their
+cross-checks fail.
 
     python3 tools/zeta_scan.py CHECKOUT
 
-Imports CHECKOUT/src/cesaro and calls zeta at real s from -6 to 0.98 in
-steps of 0.02, and at Re s = -6, -5.5, ..., 0.5 with Im s = 2 and 3: 378
-points.  Prints each point that raises, the worst error of the value and
-of route (b) (diagnostics["route_b"]) against 30-digit mpmath.zeta,
-relative to max(1, |zeta|), and how many points each check
-(diagnostics["route_b_check"]) served.  The exit status is 1 if any point
+Imports CHECKOUT/src/cesaro and calls zeta, then eta, at real s from -6 to
+0.98 in steps of 0.02, and at Re s = -6, -5.5, ..., 0.5 with Im s = 2 and
+3: 378 points.  For each function prints each point that raises, and the
+worst error of the value and of route (b) against 30-digit mpmath (zeta
+and altzeta), relative to max(1, |zeta|) or max(1, |eta|).  Route (b) is
+zeta's diagnostics["route_b"], and for eta the averaged limit of
+cesaro.zeta._route_b, which eta always checks its value on.  How many
+points each check served is printed too: for zeta the
+diagnostics["route_b_check"] that ran.  The exit status is 1 if any point
 raises.
 """
 
@@ -25,6 +29,36 @@ def scan_points() -> list:
     return real + off_axis
 
 
+def scan(name: str, evaluate, oracle) -> int:
+    """Print name's raises and worst errors over scan_points(); evaluate(s)
+    gives (value, route (b)'s value, the name of the check that ran).
+    Returns the number of points that raise."""
+    raised, checks = 0, Counter()
+    worst = {"value": (0.0, None), "route (b)": (0.0, None)}
+    for s in scan_points():
+        try:
+            value, route_b, check = evaluate(s)
+        except Exception as exc:     # a raise is what the scan looks for
+            raised += 1
+            print(f"{name} raises at s={s}: {type(exc).__name__}: {exc}")
+            continue
+        want = oracle(s)
+        scale = max(1.0, abs(want))
+        checks[check] += 1
+        for key, got in (("value", value), ("route (b)", route_b)):
+            err = abs(complex(got) - want) / scale
+            if err > worst[key][0]:
+                worst[key] = (err, s)
+    print(f"{name}: {len(scan_points())} points, {raised} raised")
+    for key, (err, s) in worst.items():
+        where = "" if s is None else f" at s={s}"
+        print(f"worst {key} error relative to max(1, |{name}|): {err:.2g}"
+              + where)
+    print("checks: " + ", ".join(f"{check} {n}"
+                                 for check, n in sorted(checks.items())))
+    return raised
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("checkout", type=Path,
@@ -35,33 +69,23 @@ def main(argv=None):
         raise SystemExit(f"no cesaro sources under {src}")
     sys.path[:0] = [str(src)]
     import mpmath
-    from cesaro.zeta import zeta
+    from cesaro.zeta import _route_b, eta, zeta
 
-    raised, checks = 0, Counter()
-    worst = {"value": (0.0, None), "route (b)": (0.0, None)}
-    for s in scan_points():
-        try:
-            ev = zeta(s)
-        except Exception as exc:     # a raise is what the scan looks for
-            raised += 1
-            print(f"raises at s={s}: {type(exc).__name__}: {exc}")
-            continue
-        with mpmath.workdps(30):
-            want = complex(mpmath.zeta(s))
-        scale = max(1.0, abs(want))
-        checks[ev.diagnostics.get("route_b_check", "unnamed")] += 1
-        for key, got in (("value", ev.value),
-                         ("route (b)", ev.diagnostics["route_b"])):
-            err = abs(complex(got) - want) / scale
-            if err > worst[key][0]:
-                worst[key] = (err, s)
-    print(f"{len(scan_points())} points, {raised} raised")
-    for key, (err, s) in worst.items():
-        where = "" if s is None else f" at s={s}"
-        print(f"worst {key} error relative to max(1, |zeta|): {err:.2g}"
-              + where)
-    print("checks: " + ", ".join(f"{name} {n}"
-                                 for name, n in sorted(checks.items())))
+    def zeta_routes(s):
+        ev = zeta(s)
+        return (ev.value, ev.diagnostics["route_b"],
+                ev.diagnostics.get("route_b_check", "unnamed"))
+
+    def oracle(f):
+        def at(s):
+            with mpmath.workdps(30):
+                return complex(f(s))
+        return at
+
+    raised = scan("zeta", zeta_routes, oracle(mpmath.zeta))
+    raised += scan("eta",
+                   lambda s: (eta(s), _route_b(s)[0].limit, "averaging"),
+                   oracle(mpmath.altzeta))
     sys.exit(1 if raised else 0)
 
 
