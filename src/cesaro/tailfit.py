@@ -10,7 +10,8 @@ the extracted constant by four to six orders of magnitude.
 The model is one list of (exponent, log power) terms (e, m), each the
 column x^e (ln x)^m.  TAIL_TERMS is the default list, and every caller
 names the further terms its residual is known to carry.  term_column builds
-a column and fit_terms is the one least-squares fit.
+a column and fit_terms is the one least-squares fit, read off one QR
+factorisation of the columns with the samples appended.
 """
 
 from __future__ import annotations
@@ -127,29 +128,28 @@ def fit_terms(xs, ys, terms) -> TailFit:
     """Least-squares fit of ys on the columns of the (exponent, log power)
     terms, each scaled to unit maximum; xs may be a TailDesign.
 
-    A repeated term enters once.  limit is the coefficient of the first
-    term, with its standard error from the normal-equation inverse;
-    coefficients maps each term to its coefficient.
+    R of one QR factorisation of the k columns with ys appended is the
+    whole fit: R[:k, :k] c = R[:k, k] gives the coefficients (solve's LU
+    pivots nowhere on a triangle), |R[k, k]| the residual norm and row 0
+    of R[:k, :k]^{-1} the constant's stderr.  A repeated term enters once,
+    which keeps R nonsingular.  limit is the coefficient of the first
+    term; coefficients maps each term to its coefficient.
     """
     unique = {}
     for e, m in terms:
         unique.setdefault((complex(e), m), (e, m))
     terms = list(unique.values())
+    n, k = len(ys), len(terms)
+    if n <= k:
+        raise ValueError(f"{n} samples cannot fit {k} terms")
     design = xs if isinstance(xs, TailDesign) else TailDesign(xs)
     complex_ = np.iscomplexobj(ys) or any(complex(e).imag for e, _m in terms)
     cols, norms = zip(*(design.column(e, m, complex_) for e, m in terms))
-    An, norms = np.column_stack(cols), np.array(norms)
-    coef, *_ = np.linalg.lstsq(An, ys, rcond=None)
-    resid = ys - An @ coef
-    rms = float(np.sqrt(np.mean(np.abs(resid) ** 2)))
-    try:
-        cov = np.linalg.inv(An.conj().T @ An)
-        dof = max(1, len(ys) - len(coef))
-        stderr = float(np.sqrt(np.abs(cov[0, 0]) * rms**2 * len(ys) / dof)
-                       / norms[0])
-    except np.linalg.LinAlgError:
-        stderr = rms
-    coef = coef / norms
+    R = np.linalg.qr(np.column_stack([*cols, ys]), mode="r")
+    coef = np.linalg.solve(R[:k, :k], R[:k, k]) / np.array(norms)
+    rms = float(abs(R[k, k]) / np.sqrt(n))
+    stderr = float(np.linalg.norm(np.linalg.solve(R[:k, :k], np.eye(k))[0])
+                   * rms * np.sqrt(n / (n - k)) / norms[0])
     limit = coef[0] if np.iscomplexobj(ys) else float(np.real(coef[0]))
     return TailFit(limit=limit, stderr=stderr, residual_rms=rms,
                    coefficients=dict(zip(terms, coef)))

@@ -595,7 +595,7 @@ def zeta_discrete_corrected(s0: int, cfg: LimitConfig = DEFAULT_CONFIG):
 
     The fitted limit is snapped to a rational of denominator at most 2520.
     In exact mode that rational is returned, and FitFailureError, carrying
-    the fitted value, is raised when there is none, as at s0 = -6.
+    the fitted value, is raised when there is none, as at s0 = -8.
     """
     if s0 != int(s0) or s0 > 0:
         raise ValueError("defined for integer s0 <= 0")

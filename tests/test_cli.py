@@ -188,8 +188,8 @@ def test_zeta_corrected_exact(capsys):
 
 
 def test_zeta_corrected_exact_without_a_rational_fails(capsys):
-    # the fit at -6 gives 2.66e-5 where zeta(-6) = 0: no value, exit 1
-    assert run(["zeta", "--s", "-6", "--corrected", "--exact"]) == 1
+    # the fit at -8 gives -1.65e-5 where zeta(-8) = 0: no value, exit 1
+    assert run(["zeta", "--s", "-8", "--corrected", "--exact"]) == 1
     assert capsys.readouterr().err.startswith("failed: ")
 
 

@@ -31,13 +31,19 @@ def _tail():
 
 @pytest.mark.parametrize("repeat", [(-1, 0), (-2.0, 0), (-1 + 0j, 1)])
 def test_a_repeated_term_enters_once(repeat):
-    # a duplicate column made the normal matrix singular, and the stderr
-    # fell back to the residual rms
+    # a duplicate column would make the triangular factor R singular
     plain = fit_limit_array(XS, _tail())
     again = fit_limit_array(XS, _tail(), [repeat])
     assert (again.limit, again.stderr) == (plain.limit, plain.stderr)
     assert plain.stderr < 0.75 * plain.residual_rms
     assert list(again.coefficients) == list(TAIL_TERMS)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_a_fit_needs_more_samples_than_terms(n):
+    # four terms through four points or fewer leave no constant to read
+    with pytest.raises(ValueError):
+        fit_limit_array(XS[:n], _tail()[:n])
 
 
 def test_negative_integer_powers_are_reciprocals():
@@ -48,17 +54,19 @@ def test_negative_integer_powers_are_reciprocals():
 
 
 def _whole_design_fit(xs, ys, terms):
-    """The fit with its design stacked, then scaled as one matrix."""
+    """The fit with its design stacked, then scaled as one matrix, and
+    solved by one QR factorisation of it with ys appended."""
     A = np.column_stack([term_column(xs, e, m) for e, m in terms])
     if np.iscomplexobj(ys) and not np.iscomplexobj(A):
         A = A.astype(complex)
     norms = np.max(np.abs(A), axis=0)
-    An = A / norms
-    coef, *_ = np.linalg.lstsq(An, ys, rcond=None)
-    rms = float(np.sqrt(np.mean(np.abs(ys - An @ coef) ** 2)))
-    cov = np.linalg.inv(An.conj().T @ An)
-    stderr = float(np.sqrt(np.abs(cov[0, 0]) * rms**2 * len(ys)
-                           / (len(ys) - len(coef))) / norms[0])
+    n, k = A.shape
+    R = np.linalg.qr(np.column_stack([A / norms, ys]), mode="r")
+    coef = np.linalg.solve(R[:k, :k], R[:k, k])
+    rms = float(abs(R[k, k]) / np.sqrt(n))
+    row0 = np.linalg.solve(R[:k, :k], np.eye(k))[0]
+    stderr = float(np.linalg.norm(row0) * rms * np.sqrt(n / (n - k))
+                   / norms[0])
     return coef / norms, stderr, rms
 
 
@@ -74,6 +82,19 @@ def test_a_kept_design_fits_each_sample_set_bit_for_bit(extra, kind):
         coef, stderr, rms = _whole_design_fit(XS, ys, terms)
         assert list(fit.coefficients.values()) == list(coef)
         assert (fit.stderr, fit.residual_rms) == (stderr, rms)
+
+
+@pytest.mark.parametrize("extra", [(-1, 3), (-0.5 + 2j, 0)])
+def test_a_fit_does_not_move_with_the_design_layout(extra, monkeypatch):
+    # the normal-equation inverse moved the stderr with the memory order
+    terms = [*TAIL_TERMS, (-1, 2), extra]
+    plain = fit_terms(XS, _tail(), terms)
+    stack = np.column_stack
+    monkeypatch.setattr(np, "column_stack",
+                        lambda arrays: np.asfortranarray(stack(arrays)))
+    fortran = fit_terms(XS, _tail(), terms)
+    assert (fortran.limit, fortran.stderr, fortran.residual_rms) == \
+        (plain.limit, plain.stderr, plain.residual_rms)
 
 
 def test_a_driver_builds_each_tail_column_once_per_call(monkeypatch):

@@ -20,7 +20,8 @@ from cesaro.errors import (CrossCheckMismatchError, FitFailureError,
 from cesaro.operators import apply_P_D, apply_P_D_inverse
 from cesaro.zeta import (ROUTE_B_CELLS, U_BITS, FaulhaberPoly,
                          _apply_factor_mp, _binomial_coefficients,
-                         _exact_constant, _log_table, _polynomial_branch,
+                         _eta_factor, _exact_constant, _log_table,
+                         _polynomial_branch,
                          _psum_constant_mp, _route_b, _route_b_mp,
                          _route_b_tol,
                          discrete_eigensequence, eta, faulhaber, zeta,
@@ -105,6 +106,16 @@ def test_route_b_mp_limit_pinned(s):
     with mpmath.workdps(30):
         want = complex(mpmath.zeta(s))
     assert abs(complex(fit.limit) / (1 - 2 ** (1 - s)) - want) <= 1e-6
+
+
+@pytest.mark.parametrize("s", [-5, -6, complex(-6, 3)])
+def test_route_b_stderr_bounds_its_error(s):
+    # the true error of route (b) is at most 10 times its stderr; the
+    # normal-equation inverse read it 84 to 162 times low here
+    fit, _ = _route_b(s)
+    with mpmath.workdps(30):
+        want = complex(mpmath.altzeta(s))
+    assert abs(complex(fit.limit) - want) <= 10 * fit.stderr
 
 
 def _route_b_mp_reference(s):
@@ -200,9 +211,11 @@ def test_eta_matches_altzeta_on_the_box(re, im):
     with mpmath.workdps(30):
         want = complex(mpmath.altzeta(mpmath.mpmathify(s)))
     assert abs(value - want) <= 1e-12 * abs(want)
-    # the averaging route, within the tolerance that eta applies to it
+    # the averaging route, within the tolerance that eta applies to it:
+    # route (a)'s truncation error scaled by |1 - 2^{1-s}|
     fit, _r = _route_b(s)
-    trunc = _psum_constant_mp(s)[1] if near is None else 0.0
+    trunc = (abs(_eta_factor(s)) * _psum_constant_mp(s)[1] if near is None
+             else 0.0)
     tol = max(_route_b_tol(s), 30 * fit.stderr, 10 * trunc)
     assert abs(complex(fit.limit) - want) <= tol
 
@@ -426,7 +439,8 @@ def test_discrete_ext_takes_powers_at_primes_only(monkeypatch):
 
 
 def test_discrete_corrected_values():
-    want = {0: -0.5, -1: -1 / 12, -2: 0.0, -3: 1 / 120}
+    want = {0: -0.5, -1: -1 / 12, -2: 0.0, -3: 1 / 120, -4: 0.0,
+            -5: -1 / 252, -6: 0.0}
     for s0, w in want.items():
         assert float(zeta_discrete_corrected(s0, CFG)) == pytest.approx(
             w, abs=1e-6)
@@ -434,17 +448,18 @@ def test_discrete_corrected_values():
 
 def test_discrete_corrected_exact_mode():
     cfg = CFG.with_(exact_mode=True)
-    got = [zeta_discrete_corrected(s0, cfg) for s0 in (0, -1, -2, -3)]
+    got = [zeta_discrete_corrected(s0, cfg) for s0 in range(0, -7, -1)]
     assert got == [Fraction(-1, 2), Fraction(-1, 12), Fraction(0),
-                   Fraction(1, 120)]
+                   Fraction(1, 120), Fraction(0), Fraction(-1, 252),
+                   Fraction(0)]
 
 
 def test_discrete_corrected_exact_mode_raises_without_a_rational():
-    # zeta(-6) = 0, but the fit gives 2.66e-5, which snaps to no rational
+    # zeta(-8) = 0, but the fit gives -1.65e-5, which snaps to no rational
     with pytest.raises(FitFailureError) as info:
-        zeta_discrete_corrected(-6, CFG.with_(exact_mode=True))
+        zeta_discrete_corrected(-8, CFG.with_(exact_mode=True))
     assert abs(info.value.value) > 1e-6
-    assert zeta_discrete_corrected(-6, CFG) == info.value.value
+    assert zeta_discrete_corrected(-8, CFG) == info.value.value
 
 
 def test_discrete_corrected_deep_point():
