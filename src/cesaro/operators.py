@@ -54,27 +54,18 @@ def apply_P(f: PiecewiseFn) -> PiecewiseFn:
         point_value=pv, label=f"P[{f.label}]")
 
 
-def average_nodes(vals, pre, step: bool = False):
-    """Node values of (1/x) * integral_0^x f on cells 0, 1, ..., from f's
-    node values there and its integral up to each cell's start (step: f is
-    constant on each cell).  Float or complex arrays, whose partial
-    integrals are turned into the averages in place, or double-double
-    arrays (cesaro.dd.DDArray) for the smooth kind."""
+def average_pass(vals, step: bool = False):
+    """One averaging pass over float or complex node rows of cells 0..n-1:
+    the node values of (1/x) * integral_0^x f there, from f's node values
+    (step: f is constant on each cell).  The partial integrals are turned
+    into the averages in place."""
     if step:
         partial = vals[:, :1] * NODES[None, :]
     else:
         partial = vals @ PARTIAL_FROM_VALUES.T
-    ks = np.arange(len(vals), dtype=np.float64)[:, None]
-    if not isinstance(partial, np.ndarray):
-        return (pre[:, None] + partial) / (ks + NODES[None, :])
-    partial += pre[:, None]
-    partial /= ks + NODES[None, :]
+    partial += cell_prefix(vals, step)[:-1, None]
+    partial /= np.arange(len(vals), dtype=np.float64)[:, None] + NODES[None, :]
     return partial
-
-
-def average_pass(vals, step: bool = False):
-    """One averaging pass over float or complex node rows of cells 0..n-1."""
-    return average_nodes(vals, cell_prefix(vals, step)[:-1], step)
 
 
 def P_on_term(rho, m: int):

@@ -145,7 +145,7 @@ def fit_terms(xs, ys, terms) -> TailFit:
     design = xs if isinstance(xs, TailDesign) else TailDesign(xs)
     complex_ = np.iscomplexobj(ys) or any(complex(e).imag for e, _m in terms)
     cols, norms = zip(*(design.column(e, m, complex_) for e, m in terms))
-    R = np.linalg.qr(np.column_stack([*cols, ys]), mode="r")
+    R = np.linalg.qr(np.vstack([*cols, ys]).T, mode="r")
     coef = np.linalg.solve(R[:k, :k], R[:k, k]) / np.array(norms)
     rms = float(abs(R[k, k]) / np.sqrt(n))
     stderr = float(np.linalg.norm(np.linalg.solve(R[:k, :k], np.eye(k))[0])

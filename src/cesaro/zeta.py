@@ -8,9 +8,11 @@ continued value.  Two independent routes compute it:
       the exact partial sums at moderate k (high-precision arithmetic, the
       truncation error is the first omitted correction term);
   (b) averaging: drive the alternating p-sum of sum (-1)^{n+1} n^{-s},
-      whose limit is eta(s) = (1 - 2^{1-s}) zeta(s), with pure averaging
-      on a fixed grid of cells, in double-double arithmetic (cesaro.dd);
-      nothing is subtracted, so it shares no constant with route (a).
+      whose limit is eta(s) = (1 - 2^{1-s}) zeta(s), to its limit on a
+      fixed grid of cells: repeated two-cell means of the exact int
+      p-sums, Euler's (E, 1) transform, damp its oscillation, and one
+      float running-average pass and a tail fit read the limit; nothing
+      is subtracted, so it shares no constant with route (a).
 
 Both routes, and the discrete evaluation, take n^{-s} from one sieve
 builder, _fixed_powers, each with its own horizon and precision, so the
@@ -48,7 +50,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import mpmath
@@ -58,11 +60,10 @@ from .asymptotics import zeta_psum_expansion
 from .climits import (GUARD_BITS, Fixed, cesaro_limit_discrete, _fixed,
                       _gamma_ratio_values, _near_nonneg_int)
 from .config import DEFAULT_CONFIG, LEDGER_FLOOR, LimitConfig, SNAP_RADIUS
-from .dd import DDArray
 from .errors import (CrossCheckMismatchError, FitFailureError,
-                     LambdaIsOneError, MissingDerivativeTermError,
-                     NonIntegerRhoError, PoleSignal, SAtPoleError, is_pole)
-from .operators import average_nodes, average_pass, build_regular_polynomial
+                     MissingDerivativeTermError, NonIntegerRhoError,
+                     PoleSignal, SAtPoleError, is_pole)
+from .operators import average_pass
 from .seqfun import WEIGHTS, n_pow_minus_s, psum_function
 from .tailfit import (fit_limit, fit_limit_array, sequence_tail,
                       snap_to_rational)
@@ -198,7 +199,8 @@ def _fixed_powers(s, horizon: int) -> Fixed:
 
 #: route (a)'s direct terms, Euler-Maclaurin order and working digits
 ROUTE_A_TERMS, ROUTE_A_ORDER, ROUTE_A_DPS = 400, 12, 40
-#: working digits of route (b)'s terms, which keep about 32 in double-double
+#: working digits of route (b)'s terms, whose prefix sums and two-cell means
+#: are exact ints over the same scale
 ROUTE_B_DPS = 35
 
 
@@ -232,61 +234,76 @@ def _exact_constant(s0: int):
 # Route (b): average the alternating p-sum
 
 #: cells of route (b)'s grid, the same for every s; at 1000 the route reads
-#: zeta within 2.1e-7 of max(1, |zeta|) over tools/zeta_scan.py's grid
+#: eta within 6.1e-12 of max(1, |eta|) over tools/zeta_scan.py's grid, and
+#: its two-cell means may take at most half the cells
 ROUTE_B_CELLS = 1000
 
 
-def _route_b_mp(s) -> list:
+def _route_b_mp(s) -> Fixed:
     """The alternating p-sum of sum (-1)^{n+1} n^{-s} on route (b)'s cells,
-    in double-double.
+    exactly.
 
     The terms n^{-s}, n < ROUTE_B_CELLS, come from _fixed_powers at
-    ROUTE_B_DPS digits, with mpmath powers at the primes only; the prefix
-    sums are exact in ints, and each cell is rounded once to hi + lo, so
-    the p-sum's oscillation of size n^{-Re s} keeps about 32 digits.
-    Returns the real part, and the imaginary part for complex s, as
-    (cells, 1) DDArrays of the step function's cell values.
+    ROUTE_B_DPS digits, with mpmath powers at the primes only.  Returns the
+    prefix sums S_0 = 0, S_1, ..., S_{ROUTE_B_CELLS - 1} as a Fixed, int
+    real and imaginary parts over the scale 2^bits; nothing is rounded.
     """
     with mpmath.workdps(ROUTE_B_DPS):
         re, im, bits = _fixed_powers(_mp_s(s), ROUTE_B_CELLS - 1)
-    return [DDArray.from_fixed([0, *itertools.accumulate(
-                x if n % 2 else -x for n, x in enumerate(part, 1))],
-                bits)[:, None]
-            for part in ((re, im) if complex(s).imag else (re,))]
+    return Fixed(*([0, *itertools.accumulate(
+        x if n % 2 else -x for n, x in enumerate(part, 1))]
+        for part in (re, im)), bits)
 
 
 def _route_b(s):
     """Route (b): eta's limit at s by averaging the alternating p-sum, and
-    the count r = max(0, floor(-Re s) + 1) of smooth passes.
+    the count k of two-cell means taken.
 
-    One step pass and r smooth passes, in double-double, leave a decaying
-    oscillation, which the means of adjacent pairs of cells damp by one
-    power of x, and the (ln x)^m/x content, m <= r, that each pass adds;
-    the fit reads the last decade of cells with those columns.  Nothing is
-    subtracted, so the route shares no constant with route (a).  Every
-    pass is real-linear with real coefficients, so complex s runs them on
-    the real and imaginary parts.
+    The p-sum oscillates about eta with amplitude n^{-Re s}, and its only
+    smooth part is that limit.  A two-cell mean S_n + S_{n+1}, over 2,
+    takes one power of n off the oscillation, or a factor of about |s|/n,
+    and adds no smooth content; k of them are Euler's (E, 1) transform.
+    They run in _route_b_mp's ints, so nothing is rounded until each cell
+    is, once, to a double.  With k = depth + 12 + ceil(|Im s|), depth =
+    max(0, floor(-Re s) + 1), the cells are eta plus a decaying O(1)
+    oscillation.  One step pass of the running average, the cell means and
+    one more two-cell mean leave eta + c/x and a smaller oscillation, and
+    TAIL_TERMS fitted to the last decade read the limit.  The fit's stderr
+    takes the oscillating residual for noise and reads low, so the stderr
+    returned is at least |b(k) - b(k - 6)|, b(j) the limit read after j
+    means.  Nothing is subtracted, so the route shares no constant with
+    route (a).  Where k exceeds half the cells the route cannot check s,
+    and CrossCheckMismatchError is raised.
     """
     sc = complex(s)
-    r = max(0, math.floor(-sc.real) + 1)
-    means = []
-    for v in _route_b_mp(sc):
-        v = average_nodes(v, v[:, 0].exclusive_cumsum(), step=True)
-        for _ in range(r):
-            v = average_nodes(v, (v @ WEIGHTS).exclusive_cumsum())
-        means.append((v @ WEIGHTS).to_float())
-    ys = means[0] + 1j * means[1] if sc.imag else means[0]
-    xs, ys = np.arange(1.0, ROUTE_B_CELLS), (ys[:-1] + ys[1:]) / 2
-    lo = ROUTE_B_CELLS // 10
-    return fit_limit_array(xs[lo:], ys[lo:],
-                           [(-1, m) for m in range(2, r + 1)]), r
+    depth = max(0, math.floor(-sc.real) + 1)
+    k = depth + 12 + math.ceil(abs(sc.imag))
+    if k > ROUTE_B_CELLS // 2:
+        raise CrossCheckMismatchError(
+            f"route (b) cannot check s={s}: at |Im s| = {abs(sc.imag):g} it "
+            f"needs {k} two-cell means of {ROUTE_B_CELLS} cells")
+    re, im, bits = _route_b_mp(sc)
+    parts = [np.array(p, dtype=object)
+             for p in ((re, im) if sc.imag else (re,))]
+    lo, limits = ROUTE_B_CELLS // 10, []
+    for j in range(1, k + 1):
+        parts = [p[:-1] + p[1:] for p in parts]
+        if j in (k - 6, k):
+            scale = 1 << (bits + j)
+            re, *im = (np.array([x / scale for x in p]) for p in parts)
+            means = average_pass((re + 1j * im[0] if im else re)[:, None],
+                                 step=True) @ WEIGHTS
+            xs, ys = np.arange(1.0, len(means)), (means[:-1] + means[1:]) / 2
+            fit = fit_limit_array(xs[lo:], ys[lo:])
+            limits.append(complex(fit.limit))
+    return replace(fit, stderr=max(fit.stderr, abs(limits[1] - limits[0]))), k
 
 
 #: agreement window of the two routes for Re(s) >= -1
 CROSS_CHECK_TOL = 1e-6
 
 #: |1 - 2^{1-s}| below which zeta is not checked on eta's route.  Route
-#: (b)'s error reaches zeta's scale divided by this factor: 2.2e-5 at
+#: (b)'s error reaches zeta's scale divided by this factor: 7.6e-10 at
 #: s = 0.999, and at s = 1 + 2 pi i k / ln 2 the factor vanishes.  The
 #: bound sends real s in about (0.86, 1.14), and the neighbourhoods of
 #: 1 +- 9.06ki, to the discrete check.
@@ -294,13 +311,13 @@ ETA_FACTOR_FLOOR = 0.1
 
 
 def _route_b_tol(s) -> float:
-    """Honest agreement tolerance for the averaging validator.
+    """Agreement tolerance for the averaging validator.
 
-    The alternating p-sum oscillates with amplitude x^{-Re(s)}, and each
-    smooth pass that takes one power off it leaves one more (ln x)^m/x
-    column for the fit; each unit deeper into Re(s) < 0 costs roughly a
-    decade of attainable accuracy at a fixed horizon, so the cross-check
-    window widens with depth instead of pretending otherwise.
+    The window widens a decade per unit of depth below Re(s) = -1, as the
+    error of an earlier route (b), which fitted log columns after smooth
+    passes, did.  Route (b) now reads eta within about 1e-11 of
+    max(1, |eta|), so the window is loose at depth; it is absolute, while
+    |eta| grows with |Im s|.
     """
     depth = max(0.0, -complex(s).real - 1.0)
     return CROSS_CHECK_TOL * 10.0 ** depth
@@ -323,14 +340,6 @@ def _cross_check(s, value, trunc_err, check, check_stderr, what: str):
     if abs(complex(check) - complex(value)) > tol:
         raise CrossCheckMismatchError(f"{what} routes disagree at s={s}",
                                       value_a=value, value_b=check)
-
-
-def _report_annihilator(s, r: int):
-    lam = 1 / (2 - s)
-    try:
-        return build_regular_polynomial([(lam, 1)], pure_power=r)
-    except LambdaIsOneError:
-        return None
 
 
 def zeta(s, cfg: LimitConfig = DEFAULT_CONFIG) -> ZetaEvaluation:
@@ -362,16 +371,14 @@ def zeta(s, cfg: LimitConfig = DEFAULT_CONFIG) -> ZetaEvaluation:
         s_at, C, trunc_err = -s0, _exact_constant(-s0), 0.0
     f = _eta_factor(s_at)
     if abs(f) >= ETA_FACTOR_FLOOR:
-        fit_b, r = _route_b(s_at)
+        fit_b = _route_b(s_at)[0]
         _cross_check(s_at, f * complex(C), abs(f) * trunc_err, fit_b.limit,
                      fit_b.stderr, "continuation")
         diagnostics = {"route_b": complex(fit_b.limit / f),
                        "route_b_stderr": fit_b.stderr / abs(f),
                        "route_b_check": "eta"}
     else:
-        # |f| is this small only for Re s > 0.86, where route (b) makes no
-        # smooth pass
-        ext, r = zeta_discrete_ext(s_at), 0
+        ext = zeta_discrete_ext(s_at)
         stderr = ext.diagnostics["stderr"]
         _cross_check(s_at, C, trunc_err, ext.value, stderr, "continuation")
         diagnostics = {"route_b": complex(ext.value),
@@ -383,8 +390,7 @@ def zeta(s, cfg: LimitConfig = DEFAULT_CONFIG) -> ZetaEvaluation:
         snapped = snap_to_rational(C, tol=1e-12) if cfg.exact_mode else None
         value = C if snapped is None else snapped
     return ZetaEvaluation(s=s, value=value, path="continuous-cesaro",
-                          q_used=_report_annihilator(s_at, r), C_constant=C,
-                          diagnostics=diagnostics)
+                          C_constant=C, diagnostics=diagnostics)
 
 
 def zeta_residue_at_1(cfg: LimitConfig = DEFAULT_CONFIG):

@@ -168,6 +168,11 @@ def test_zeta_cross_check_failure_exits_one(capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("failed: ")
 
 
+def test_zeta_where_route_b_cannot_run_exits_one(capsys):
+    assert run(["zeta", "--s", "0.5,1000"]) == 1
+    assert capsys.readouterr().err.startswith("failed: ")
+
+
 def test_zeta_discrete_pole_record_matches_the_continuous_one(capsys):
     want = _json_out(capsys, ["zeta", "--s", "1"], expect_code=3)
     got = _json_out(capsys, ["zeta", "--s", "1", "--discrete"], expect_code=3)
