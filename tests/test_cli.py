@@ -239,6 +239,16 @@ def test_integral_of_the_mellin_integrand_uses_its_expansions(capsys, s):
         math.pi / cmath.sin(math.pi * sc), abs=1e-8)
 
 
+def test_integral_undeclared_slow_end_fails(capsys):
+    # x^{-1.05} is too close to non-integrable at infinity for the rule to
+    # settle there; the failure names the piece and the remedy
+    code = run(["integral", "--f", "mellin(0.95)", "--spec", "[]"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "[1.0, inf]" in err
+    assert "declare" in err
+
+
 def test_integral_unknown_function(capsys):
     code = run(["integral", "--f", "nope", "--spec", "[]"])
     assert code == 2

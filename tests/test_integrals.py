@@ -13,9 +13,10 @@ import cesaro
 from cesaro.asymptotics import AsymptoticExpansion, ExpansionTerm
 from cesaro.config import DEFAULT_CONFIG
 from cesaro.errors import (FitFailureError, IllegalCancellationError,
-                           PoleSignal, is_pole)
-from cesaro.integrals import (DomainSpec, SingularPoint, cesaro_integral,
-                              fit_endpoint_expansion, mellin_1_over_1px)
+                           PoleSignal, QuadratureError, is_pole)
+from cesaro.integrals import (DomainSpec, SingularPoint, _quad_piece,
+                              cesaro_integral, fit_endpoint_expansion,
+                              mellin_1_over_1px, mellin_integrand)
 
 CFG = DEFAULT_CONFIG
 
@@ -30,14 +31,57 @@ def _classical(f):
 
 
 def test_import_defers_scipy_integrate():
-    # scipy.integrate is most of the import's cost; only quadrature needs it
+    # quadrature is numpy's: a fresh process that integrates through the CLI
+    # loads no scipy module at all
     src = os.path.dirname(os.path.dirname(os.path.abspath(cesaro.__file__)))
-    code = "import sys, cesaro.cli; print('scipy.integrate' in sys.modules)"
+    code = ("import contextlib, io, sys, cesaro.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [cesaro.cli.run(['mellin', '--s', '0.5']),\n"
+            "             cesaro.cli.run(['integral', '--f', 'exp',\n"
+            "                             '--spec', '[]'])]\n"
+            "print(codes, [m for m in sys.modules if m.startswith('scipy')])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=60,
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[0, 0] []"
+
+
+# -- the tanh-sinh rule ----------------------------------------------------
+
+@pytest.mark.parametrize("f,a,b,want", [
+    (lambda x: x ** -0.5, 0.0, 1.0, 2.0),
+    (math.log, 0.0, 1.0, -1.0),
+    (lambda x: x ** -2.0, 1.0, math.inf, 1.0),
+    (lambda x: math.exp(-x), 1.0, math.inf, math.exp(-1.0)),
+    (lambda x: complex(x) ** (-0.5 + 2j), 0.0, 1.0, 1 / (0.5 + 2j)),
+], ids=["inv_sqrt", "log", "inv_square", "exp", "complex_power"])
+def test_quad_piece_closed_forms(f, a, b, want):
+    got = _quad_piece(f, a, b, isinstance(want, complex))
+    assert abs(got - want) <= 1e-12
+
+
+def test_quad_piece_raises_on_a_divergent_piece():
+    with pytest.raises(QuadratureError, match=r"\[1\.0, inf\]") as info:
+        _quad_piece(lambda x: 1.0 / x, 1.0, math.inf, False)
+    assert info.value.interval == (1.0, math.inf)
+
+
+def test_undeclared_mellin_ends_land_or_raise():
+    # with no declared endpoint, x^{s-1}/(1+x) is nearly non-integrable at
+    # 0 for s near 0 and at infinity for s near 1: the rule may then fail
+    # to settle, but never returns a value off pi/sin(pi s)
+    raised = []
+    for k in range(1, 50):
+        s = 0.02 * k
+        try:
+            got = cesaro_integral(mellin_integrand(s), DomainSpec(points=()),
+                                  CFG).value
+        except QuadratureError:
+            raised.append(s)
+            continue
+        assert abs(got - math.pi / math.sin(math.pi * s)) <= 1e-10, s
+    assert all(s < 0.1 or s > 0.85 for s in raised), raised
 
 
 def test_spec_validation():

@@ -198,16 +198,28 @@ def test_eta_zeta_functional_relation():
         assert lhs == pytest.approx(rhs, abs=1e-6)
 
 
-@settings(max_examples=25, deadline=None)
-@given(re=st.floats(-6.0, 1.0), im=st.floats(-3.0, 3.0))
-@example(re=-3.5, im=0.0)
-@example(re=-2.0, im=0.0)
-@example(re=-5.8, im=3.0)
-def test_eta_matches_altzeta_on_the_box(re, im):
+def _on_the_box(test):
+    """test(re, im) over Re s in [-6, 1], |Im s| <= 3, and three pinned
+    points: the strip of the bench's eta and zeta cases."""
+    for re, im in ((-5.8, 3.0), (-2.0, 0.0), (-3.5, 0.0)):
+        test = example(re=re, im=im)(test)
+    return settings(max_examples=25, deadline=None)(given(
+        re=st.floats(-6.0, 1.0), im=st.floats(-3.0, 3.0))(test))
+
+
+def _box_point(re, im):
+    """s at (re, im), skipping the snapped points but the integers, and
+    s = 1; with the integer it is snapped to, or None."""
     s = complex(re, im) if im else re
     near = _near_nonneg_int(-complex(s))
-    assume(near is None or s == -near)  # snapped points: only the integers
+    assume(near is None or s == -near)
     assume(abs(complex(s) - 1) > SNAP_RADIUS)
+    return s, near
+
+
+@_on_the_box
+def test_eta_matches_altzeta_on_the_box(re, im):
+    s, near = _box_point(re, im)
     value = complex(eta(s, CFG))
     with mpmath.workdps(30):
         want = complex(mpmath.altzeta(mpmath.mpmathify(s)))
@@ -220,6 +232,15 @@ def test_eta_matches_altzeta_on_the_box(re, im):
     tol = max(_route_b_tol(s), 30 * fit.stderr, 10 * trunc)
     assert abs(complex(fit.limit) - want) <= tol
     assert abs(complex(fit.limit) - want) <= 1e-10 * max(1, abs(want))
+
+
+@_on_the_box
+def test_eta_is_the_zeta_identity_on_the_box(re, im):
+    # eta(s) = (1 - 2^{1-s}) zeta(s) between the two computed values
+    s, _near = _box_point(re, im)
+    lhs = complex(eta(s, CFG))
+    rhs = complex(_eta_factor(s)) * complex(zeta(s, CFG).value)
+    assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
 
 
 @pytest.mark.parametrize("s", [complex(-2, 10), complex(-3, 15),
