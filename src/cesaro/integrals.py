@@ -124,16 +124,16 @@ def _level(k: int) -> tuple:
 def _quad_piece(f, a: float, b: float, complex_valued: bool):
     """Integral of f over (a, b) by the tanh-sinh rule (Takahasi and Mori,
     1974): x = a + (b - a) u, u = 1/(1 + e^{-pi sinh t}), each node placed
-    from its nearer end so an end singularity is sampled without
-    cancellation.  The step halves from 1 until two levels agree within
-    QUAD_EPSABS or QUAD_EPSREL; (a, inf), a > 0, maps through x = 1/y onto
-    (0, 1/a).  A rule that does not settle raises QuadratureError."""
+    from its nearer end.  The step halves from 1 until two levels agree and
+    the tail cut off at |t| = t_max is small, within QUAD_EPSABS or
+    QUAD_EPSREL; (a, inf), a > 0, maps through x = 1/y onto (0, 1/a).  A
+    rule that does not settle raises QuadratureError."""
     lo, hi, t_max, g = a, b, T_FINITE, f
     if b == math.inf:
         lo, hi, t_max = 0.0, 1.0 / a, T_INFINITE
         g = lambda y: f(1.0 / y) / (y * y)
     width, total = hi - lo, 0j if complex_valued else 0.0
-    est = diff = math.nan
+    est = diff = edge = cut = math.nan
     try:
         for k in range(QUAD_LEVELS):
             for t, q, w in _level(k):
@@ -141,20 +141,21 @@ def _quad_piece(f, a: float, b: float, complex_valued: bool):
                 if t > t_max or (x_lo == lo and x_hi == hi):
                     break     # out of range, or both nodes round onto ends
                 if x_lo != lo:
-                    total += w * g(x_lo)
+                    total += (edge := w * g(x_lo))
                 if t and x_hi != hi:
                     total += w * g(x_hi)
             est, prev = width * total * 2.0 ** -k, est
-            diff = abs(est - prev)
-            if diff <= max(QUAD_EPSABS, QUAD_EPSREL * abs(est)):
+            # at lo = 0, |t| <= t_max (not rounding) cuts off a tail
+            diff, cut = abs(est - prev), width * abs(edge) if lo == 0 else 0.0
+            if max(diff, cut) <= max(QUAD_EPSABS, QUAD_EPSREL * abs(est)):
                 return est
     except (ArithmeticError, ValueError, TypeError) as exc:
         raise QuadratureError(f"quadrature failed on [{a}, {b}]: {exc}",
                               interval=(a, b)) from exc
     raise QuadratureError(
-        f"quadrature did not converge on [{a}, {b}]: its last two levels "
-        f"differ by {diff:.3g}; declare a singular or slowly decaying end "
-        f"there as a singular point", interval=(a, b))
+        f"quadrature did not converge on [{a}, {b}]: its last levels differ "
+        f"by {diff:.3g} and cut off about {cut:.3g}; declare a singular or "
+        f"slowly decaying end there as a singular point", interval=(a, b))
 
 
 def _sample_xs() -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -61,10 +62,17 @@ def test_quad_piece_closed_forms(f, a, b, want):
     assert abs(got - want) <= 1e-12
 
 
-def test_quad_piece_raises_on_a_divergent_piece():
-    with pytest.raises(QuadratureError, match=r"\[1\.0, inf\]") as info:
-        _quad_piece(lambda x: 1.0 / x, 1.0, math.inf, False)
-    assert info.value.interval == (1.0, math.inf)
+@pytest.mark.parametrize("f,a,b", [
+    (lambda x: 1.0 / x, 1.0, math.inf),
+    # two levels agree within 3e-10 on x^{-0.966} over (0, 1), but the
+    # range |t| <= 6 stops at x ~ 1e-275 and cuts off 1.3e-8 of it
+    (lambda x: x ** -0.966, 0.0, 1.0),
+], ids=["divergent", "tail_cut_off_at_zero"])
+def test_quad_piece_raises_where_it_cannot_settle(f, a, b):
+    with pytest.raises(QuadratureError, match=re.escape(f"[{a}, {b}]")) \
+            as info:
+        _quad_piece(f, a, b, False)
+    assert info.value.interval == (a, b)
 
 
 def test_undeclared_mellin_ends_land_or_raise():
@@ -72,8 +80,9 @@ def test_undeclared_mellin_ends_land_or_raise():
     # 0 for s near 0 and at infinity for s near 1: the rule may then fail
     # to settle, but never returns a value off pi/sin(pi s)
     raised = []
-    for k in range(1, 50):
-        s = 0.02 * k
+    # 0.034 and 0.89 sit where the rule's levels agree but its range cuts
+    # off a tail of 1e-8 at 0 and 7e-10 at infinity
+    for s in [0.02 * k for k in range(1, 50)] + [0.034, 0.89]:
         try:
             got = cesaro_integral(mellin_integrand(s), DomainSpec(points=()),
                                   CFG).value
