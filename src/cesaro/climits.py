@@ -304,15 +304,45 @@ def _gamma_ratio_fixed(rho, n_max: int, bits: int) -> tuple:
     return tuple(np.array(part, dtype=object) for part in zip(*out))
 
 
+def _over_n_minus(g, rho, bits: int) -> tuple:
+    """g[n] / (n - rho), n = 1, 2, ..., on (re, im) object arrays of ints
+    scaled by 2^bits, each entry floored as a step of the recurrence in
+    _gamma_ratio_fixed is."""
+    (a, b), (g_re, g_im) = _fixed(rho, bits), g
+    d = (np.arange(1, len(g_re) + 1, dtype=object) << bits) - a
+    if b:                               # n - rho = (d - i b) / 2^bits
+        q = d * d + b * b
+        # in place, so fewer arrays of big ints are alive at once
+        re = g_re * d
+        re -= g_im * b
+        re <<= bits
+        re //= q
+        im = g_re * b
+        im += g_im * d
+        im <<= bits
+        im //= q
+        return re, im
+    return (g_re << bits) // d, (g_im << bits) // d
+
+
 def _peel_fixed(re, im, removed, bits: int, scaled) -> tuple:
     """re + i im minus c Gamma(n)/Gamma(n-rho) for each removed (c, rho),
     on object arrays of ints; scaled(c) is c as (re, im) at their scale,
-    and the eigensequence is scaled by 2^bits."""
+    and the eigensequence is scaled by 2^bits.
+
+    A rung whose exponent is one below the previous rung's, and not a
+    nonnegative integer, is derived from that rung's eigensequence:
+    Gamma(n)/Gamma(n-rho+1) = g_rho[n]/(n - rho), one floored division
+    per entry in place of a new recurrence from 1/Gamma(1-rho)."""
+    g = prev = None
     for c, e in removed:
-        g, g_im = _gamma_ratio_fixed(e, len(re), bits)
-        c_re, c_im = scaled(c)
-        re, im = (re - (c_re * g - c_im * g_im >> bits),
-                  im - (c_re * g_im + c_im * g >> bits))
+        if g is not None and _near_nonneg_int(e) is None and e == prev - 1:
+            g = _over_n_minus(g, prev, bits)
+        else:
+            g = _gamma_ratio_fixed(e, len(re), bits)
+        (g_re, g_im), (c_re, c_im), prev = g, scaled(c), e
+        re, im = (re - (c_re * g_re - c_im * g_im >> bits),
+                  im - (c_re * g_im + c_im * g_re >> bits))
     return re, im
 
 
@@ -354,9 +384,11 @@ def cesaro_limit_discrete(a, eigendecomposition: Sequence[tuple],
 
     Exact and mpmath input is peeled in one arithmetic, Python ints over a
     common scale.  Ints and Fractions with nonnegative integer exponents
-    are scaled by the lcm of the denominators and tried exactly on at most
-    4000 entries; if the residual does not close there, the whole input
-    runs as float input.  mpmath entries are scaled by 2^(mp.prec +
+    are tried exactly on at most 4000 entries: the scale is the lcm of the
+    entries' and coefficients' denominators (an int's is 1), and an entry
+    v becomes v.numerator * (scale // v.denominator), one path for both
+    types.  If the residual does not close there, the whole input runs as
+    float input.  mpmath entries are scaled by 2^(mp.prec +
     GUARD_BITS), and a Fixed sequence comes scaled already; the peel then
     runs at the working precision, which the cancellation against the
     divergences needs, and its bounded residual is rounded once to
@@ -384,11 +416,12 @@ def cesaro_limit_discrete(a, eigendecomposition: Sequence[tuple],
                     for c, e in pending)):
         removed, _ = peel_ladder([(Fraction(c), int(e)) for c, e in pending],
                                  divergent_exponent, eigensequence_lower_order)
-        cut = [Fraction(v) for v in vals[:4000]]
-        scale = math.lcm(*(x.denominator for x in cut),
+        cut = vals[:4000]
+        scale = math.lcm(*(v.denominator for v in cut),
                          *(c.denominator for c, _ in removed))
         re, _ = _peel_fixed(
-            np.array([int(v * scale) for v in cut], dtype=object),
+            np.array([v.numerator * (scale // v.denominator) for v in cut],
+                     dtype=object),
             np.zeros(len(cut), dtype=object), removed, 0,
             lambda c: (int(c * scale), 0))
         return _discrete_exact(re, scale, removed, cfg) or (

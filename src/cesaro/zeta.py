@@ -470,6 +470,7 @@ def _ext_mp(s, cfg: LimitConfig):
         smp = _mp_s(sc)
         re, im, bits = _fixed_powers(smp, DISCRETE_HORIZON)
         psums = [list(itertools.accumulate(part)) for part in (re, im)]
+        del re, im          # free the terms before the peel runs
         order = math.ceil(1 - LEDGER_FLOOR - sc.real) - 1
         return cesaro_limit_discrete(Fixed(*psums, bits),
                                      _psum_content(smp, order),
@@ -530,11 +531,13 @@ def _apply_factor_exact(coeffs, lam) -> list:
     return [b - lam * a for a, b in zip(coeffs, _pd_exact(coeffs))]
 
 
-def _apply_factor_mp(u, lam) -> list:
+def _apply_factor_mp(u, lam):
     """(P_D - lam) on fixed-point values, ints scaled by 2^U_BITS, lam a
-    Fraction.  Both divisions floor, so a pass is off by under one unit."""
-    return [acc // k - v * lam.numerator // lam.denominator
-            for k, (acc, v) in enumerate(zip(itertools.accumulate(u), u), 1)]
+    Fraction: cumsum(u) // k - u * lam, as object arrays of ints.  Both
+    divisions floor, so a pass is off by under one unit."""
+    u = np.asarray(u, dtype=object)
+    ks = np.arange(1, len(u) + 1, dtype=object)
+    return np.cumsum(u) // ks - u * lam.numerator // lam.denominator
 
 
 @functools.cache
@@ -550,15 +553,21 @@ def _log_table(horizon: int) -> tuple:
                 mpmath.log(p), U_BITS))), operator.add))
 
 
-def _polynomial_branch(coeffs, lams, lam_primes, horizon: int) -> list:
-    """sum_i lam_i' * prod_{l != i} (P_D - lam_l)[p] at k = 1..horizon.
+def _polynomial_branch(coeffs, lams, lam_primes, horizon: int) -> tuple:
+    """sum_i lam_i' * prod_{l != i} (P_D - lam_l)[p] at k = 1..horizon, as
+    (ints, den): the values are ints[k-1] / den.
 
     p is given by its coefficients in the basis C(k-1, j).  The running
     average maps C(k-1, j) to C(k-1, j)/(j+1), so there each factor
     (P_D - lam) is the diagonal 1/(j+1) - lam, and the whole branch is one
-    coefficient vector evaluated once per k.  The full product must
-    annihilate p coefficient by coefficient, which is the vanishing at
-    every k that the derivative computation rests on.
+    coefficient vector w, put over its common denominator den.  The full
+    product must annihilate p coefficient by coefficient, which is the
+    vanishing at every k that the derivative computation rests on.
+
+    sum_j w_j C(k-1, j) is evaluated by Newton's forward accumulation:
+    q_j[k] = sum_{i >= j} w_i C(k-1, i-j) starts at w_j and steps by
+    q_{j+1}[k], so q_J is constant w_J and each lower q_j is one running
+    sum of q_{j+1}, deg p passes of int additions in all.
     """
     full = coeffs
     for lam in lams:
@@ -574,10 +583,11 @@ def _polynomial_branch(coeffs, lams, lam_primes, horizon: int) -> list:
                 v = _apply_factor_exact(v, lam)
         weights = [w + lp * x for w, x in zip(weights, v)]
     den = math.lcm(*(Fraction(w).denominator for w in weights))
-    ints = [int(w * den) for w in weights]
-    return [Fraction(sum(w * math.comb(k - 1, j) for j, w in enumerate(ints)),
-                     den)
-            for k in range(1, horizon + 1)]
+    *lower, top = [int(w * den) for w in weights]
+    q = [top] * horizon
+    for w in reversed(lower):
+        q = list(itertools.accumulate(q[:-1], initial=w))
+    return q, den
 
 
 def zeta_discrete_corrected(s0: int, cfg: LimitConfig = DEFAULT_CONFIG):
@@ -618,17 +628,16 @@ def zeta_discrete_corrected(s0: int, cfg: LimitConfig = DEFAULT_CONFIG):
     lam_primes = [lam * lam for lam in lams]
 
     horizon = min(cfg.horizon, DISCRETE_HORIZON)
-    poly_branch = _polynomial_branch(_binomial_coefficients(faulhaber(-s0)),
-                                     lams, lam_primes, horizon)
+    p_ints, p_den = _polynomial_branch(
+        _binomial_coefficients(faulhaber(-s0)), lams, lam_primes, horizon)
 
     # derivative-of-terms branch in fixed point: u_k = -sum j^{-s0} ln j
-    u = list(itertools.accumulate(
-        -j ** -s0 * lj for j, lj in enumerate(_log_table(horizon), 1)))
+    js = np.arange(1, horizon + 1, dtype=object)
+    u = np.cumsum(-js ** -s0 * np.array(_log_table(horizon), dtype=object))
     for lam in lams:
         u = _apply_factor_mp(u, lam)
-    combined = [(uv - (pv.numerator << U_BITS) // pv.denominator) / 2**U_BITS
-                for uv, pv in zip(u, poly_branch)]
-    seq = -float(c) * np.asarray(combined)
+    p_fixed = (np.array(p_ints, dtype=object) << U_BITS) // p_den
+    seq = -float(c) * ((u - p_fixed) / 2 ** U_BITS).astype(float)
     # each of the I+2 factor passes can add a log to the 1/k-level residual
     fit = fit_limit_array(*sequence_tail(seq),
                           [(-1, m) for m in range(2, I + 3)] + [(-2, 1)])

@@ -277,6 +277,21 @@ def test_discrete_limit_exact_arithmetic():
     assert res.diagnostics["gate"] == "exact"
 
 
+def test_discrete_limit_exact_arm_scales_fractions_and_ints_alike():
+    # n/3 + 1/2 minus (1/3)(n - 1) leaves 5/6 exactly, over denominators 6
+    # and 3; six times the same sequence, as ints, leaves 5
+    cfg = FAST.with_(exact_mode=True)
+    res = cesaro_limit_discrete(
+        [Fraction(n, 3) + Fraction(1, 2) for n in range(1, 501)],
+        [(Fraction(1, 3), 1)], cfg)
+    assert res.limit == Fraction(5, 6)
+    assert res.diagnostics["gate"] == "exact"
+    res = cesaro_limit_discrete([2 * n + 3 for n in range(1, 501)], [(2, 1)],
+                                cfg)
+    assert res.limit == 5
+    assert res.diagnostics["gate"] == "exact"
+
+
 def test_discrete_limit_runs_in_mpmath_arithmetic():
     # n^3.5 + 1/3 cancels ~12 digits at n = 2000; 30-digit entries keep
     # them through the subtraction, where doubles are left with ~1e-4
