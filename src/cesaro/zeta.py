@@ -15,11 +15,18 @@ continued value.  Two independent routes compute it:
       is subtracted, so it shares no constant with route (a).
 
 Both routes, and the discrete evaluation, take n^{-s} from one sieve
-builder, _fixed_powers, each with its own horizon and precision, so the
-routes share no value.  Nor would a fault in the builder cancel: were the
+builder, _fixed_powers.  Where both routes run, zeta and eta build the
+table n^{-s}, n < ROUTE_B_CELLS, once: route (a) sums its first
+ROUTE_A_TERMS entries, and route (b) alternates all of them.  The check
+keeps its force, for a fault in the table would not cancel: were the
 entry at some n <= ROUTE_A_TERMS off by delta, C would move by delta and
-eta's limit by +-delta, and the check of f C against eta, f = 1 - 2^{1-s},
-would still fail unless f = +-1.
+eta's limit by (-1)^{n+1} delta, and the check of f C against eta,
+f = 1 - 2^{1-s}, would still fail unless f = +-1; an entry past
+ROUTE_A_TERMS moves route (b) alone.  Route (b) fits its limit on the
+cells from ROUTE_B_CELLS // 10 on, though, and a fault at such an n
+leaves a step in the p-sum that also widens the fit's stderr, and so the
+window: at s = -0.5 a fault of 1e-3 relative passes at the even n from
+264 to 400.
 
 Route (a) is the precision workhorse, route (b) the structural validator;
 they must agree or the evaluation raises, never guesses.  eta takes its
@@ -49,15 +56,15 @@ import cmath
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import mpmath
 import numpy as np
+from mpmath import libmp
 
 from .asymptotics import zeta_psum_expansion
-from .climits import (GUARD_BITS, Fixed, cesaro_limit_discrete, _fixed,
+from .climits import (GUARD_BITS, Fixed, cesaro_limit_discrete,
                       _gamma_ratio_values, _near_nonneg_int)
 from .config import DEFAULT_CONFIG, LEDGER_FLOOR, LimitConfig, SNAP_RADIUS
 from .errors import (CrossCheckMismatchError, FitFailureError,
@@ -161,17 +168,33 @@ def zeta_integral_rep(s0: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # The terms n^{-s} at high precision
 
-def _sieve_table(horizon: int, one, at_prime, times) -> list:
-    """f(1..horizon) for f completely multiplicative under times, with
-    f(1) = one and f(p) = at_prime(p): f(j) = times(f(p), f(j/p)) for the
-    least prime p of j, from a least-prime-factor sieve."""
-    least = list(range(horizon + 1))
+@functools.cache
+def _sieve_layers(horizon: int) -> tuple:
+    """The primes up to horizon, and the composites grouped by their count
+    of prime factors into layers (n, p, n/p) of index arrays, p the least
+    prime of n: every n/p is a prime or in an earlier layer."""
+    n = np.arange(horizon + 1)
+    least = n.copy()
     for p in range(math.isqrt(horizon), 1, -1):     # the least p writes last
-        least[p * p::p] = [p] * len(range(p * p, horizon + 1, p))
-    table = [one, one]
-    for j, p in enumerate(least[2:], 2):
-        table.append(at_prime(j) if p == j else times(table[p], table[j // p]))
-    return table[1:]
+        least[p * p::p] = p
+    cofactor = n // np.maximum(least, 1)
+    omega = np.where((least == n) & (n > 1), 1, 0)
+    layers = []
+    while True:
+        new = (omega == 0) & (omega[cofactor] == len(layers) + 1) & (n > 1)
+        if not new.any():
+            return n[omega == 1], tuple(layers)
+        omega[new] = len(layers) + 2
+        ns = np.flatnonzero(new)
+        layers.append((ns, least[ns], cofactor[ns]))
+
+
+@functools.cache
+def _prime_logs(horizon: int, wp: int) -> tuple:
+    """ln p to wp bits, rounded to nearest as mpmath.log rounds it, for the
+    primes up to horizon, as raw mpf tuples."""
+    return tuple(libmp.mpf_log(libmp.from_int(int(p)), wp, "n")
+                 for p in _sieve_layers(horizon)[0])
 
 
 def _mp_s(s):
@@ -181,41 +204,76 @@ def _mp_s(s):
 
 
 def _fixed_powers(s, horizon: int) -> Fixed:
-    """n^{-s} for n = 1..horizon, s an mpmath number, as a Fixed of ints
-    scaled by 2^bits, bits the working precision plus GUARD_BITS.  mpmath
-    gives the powers at the primes; elsewhere n^{-s} is the floored
-    fixed-point product of p^{-s} and (n/p)^{-s}, p the least prime of n.
+    """n^{-s} for n = 1..horizon, s an mpmath number, as a Fixed of int
+    object arrays scaled by 2^bits, bits the working precision plus
+    GUARD_BITS.
+
+    At a prime p, p^{-s} is exp(-s ln p) at 20 bits over the working
+    precision, from the cached ln p, rounded to the working precision as
+    mpmath.power rounds it; at a nonpositive integer s it is the exact int
+    p^{-s}.  A composite n gets the floored fixed-point product of p^{-s}
+    and (n/p)^{-s}, p its least prime, one numpy product per sieve layer;
+    at real s the imaginary parts stay 0.
     """
-    bits = mpmath.mp.prec + GUARD_BITS
-    table = _sieve_table(
-        horizon, (1 << bits, 0), lambda p: _fixed(mpmath.power(p, -s), bits),
-        lambda x, y: ((x[0] * y[0] - x[1] * y[1]) >> bits,
-                      (x[0] * y[1] + x[1] * y[0]) >> bits))
-    return Fixed(*zip(*table), bits)
+    prec = mpmath.mp.prec
+    bits, wp = prec + GUARD_BITS, prec + 20
+    primes, layers = _sieve_layers(horizon)
+    cplx = isinstance(s, mpmath.mpc)
+    re, im = (np.zeros(horizon + 1, dtype=object) for _ in range(2))
+    re[1] = 1 << bits
+
+    def fixed(x):
+        return libmp.to_fixed(libmp.mpf_pos(x, prec, "n"), bits)
+
+    if mpmath.isint(s) and s.real <= 0:
+        re[primes] = [int(p) ** int(-s.real) << bits for p in primes]
+    elif cplx:
+        neg = libmp.mpc_neg(s._mpc_)
+        for j, lg in zip(primes, _prime_logs(horizon, wp)):
+            x, y = libmp.mpc_exp(libmp.mpc_mul_mpf(neg, lg, wp), wp)
+            re[j], im[j] = fixed(x), fixed(y)
+    else:
+        neg = libmp.mpf_neg(s._mpf_)
+        re[primes] = [fixed(libmp.mpf_exp(libmp.mpf_mul(neg, lg, wp), wp))
+                      for lg in _prime_logs(horizon, wp)]
+    for ns, ps, qs in layers:
+        a, c = re[ps], re[qs]
+        if cplx:
+            b, d = im[ps], im[qs]
+            re[ns], im[ns] = (a * c - b * d) >> bits, (a * d + b * c) >> bits
+        else:
+            re[ns] = (a * c) >> bits
+    return Fixed(re[1:], im[1:], bits)
 
 
 # ---------------------------------------------------------------------------
 # Route (a): constant extraction at high precision
 
-#: route (a)'s direct terms, Euler-Maclaurin order and working digits
+#: route (a)'s direct terms, Euler-Maclaurin order and working digits; the
+#: working digits of both routes' terms
 ROUTE_A_TERMS, ROUTE_A_ORDER, ROUTE_A_DPS = 400, 12, 40
-#: working digits of route (b)'s terms, whose prefix sums and two-cell means
-#: are exact ints over the same scale
-ROUTE_B_DPS = 35
 
 
-def _psum_constant_mp(s):
+def _terms(s, horizon: int) -> Fixed:
+    """n^{-s}, n = 1..horizon, from _fixed_powers at ROUTE_A_DPS digits."""
+    with mpmath.workdps(ROUTE_A_DPS):
+        return _fixed_powers(_mp_s(s), horizon)
+
+
+def _psum_constant_mp(s, powers: Fixed | None = None):
     """Unknown constant of the p-sum model, by high-precision subtraction.
 
     Computes sum_{n<=K} n^{-s}, K = ROUTE_A_TERMS, exactly in the ints of
-    _fixed_powers and rounded once, minus the p-sum model evaluated at K
-    at working precision; the truncation error is on the order of the
-    first omitted Bernoulli term, reported as a diagnostic bound.
+    powers, the table _terms(s, horizon) for some horizon >= K, built when
+    not given, and rounded once, minus the p-sum model evaluated at K at
+    working precision; the truncation error is on the order of the first
+    omitted Bernoulli term, reported as a diagnostic bound.
     """
+    re, im, bits = _terms(s, ROUTE_A_TERMS) if powers is None else powers
     with mpmath.workdps(ROUTE_A_DPS):
         sc = _mp_s(s)
-        re, im, bits = _fixed_powers(sc, ROUTE_A_TERMS)
-        total = mpmath.mpc(sum(re), sum(im)) / (1 << bits)
+        total = mpmath.mpc(re[:ROUTE_A_TERMS].sum(),
+                           im[:ROUTE_A_TERMS].sum()) / (1 << bits)
         k = mpmath.mpf(ROUTE_A_TERMS)
         model = zeta_psum_expansion(sc, ROUTE_A_ORDER)
         C = total - model.evaluate(k)
@@ -239,25 +297,30 @@ def _exact_constant(s0: int):
 ROUTE_B_CELLS = 1000
 
 
-def _route_b_mp(s) -> Fixed:
+def _route_b_mp(s, powers: Fixed | None = None) -> Fixed:
     """The alternating p-sum of sum (-1)^{n+1} n^{-s} on route (b)'s cells,
     exactly.
 
-    The terms n^{-s}, n < ROUTE_B_CELLS, come from _fixed_powers at
-    ROUTE_B_DPS digits, with mpmath powers at the primes only.  Returns the
-    prefix sums S_0 = 0, S_1, ..., S_{ROUTE_B_CELLS - 1} as a Fixed, int
-    real and imaginary parts over the scale 2^bits; nothing is rounded.
+    The terms n^{-s}, n < ROUTE_B_CELLS, are the first entries of powers,
+    the table _terms(s, horizon) for some horizon >= ROUTE_B_CELLS - 1,
+    built when not given; zeta and eta pass the table route (a) sums.
+    Returns the prefix sums S_0 = 0, S_1, ..., S_{ROUTE_B_CELLS - 1} as a
+    Fixed of int object arrays over the scale 2^bits; nothing is rounded.
     """
-    with mpmath.workdps(ROUTE_B_DPS):
-        re, im, bits = _fixed_powers(_mp_s(s), ROUTE_B_CELLS - 1)
-    return Fixed(*([0, *itertools.accumulate(
-        x if n % 2 else -x for n, x in enumerate(part, 1))]
-        for part in (re, im)), bits)
+    if powers is None:
+        powers = _terms(s, ROUTE_B_CELLS - 1)
+    sums = []
+    for part in powers[:2]:
+        a = np.zeros(ROUTE_B_CELLS, dtype=object)
+        a[1:] = part[:ROUTE_B_CELLS - 1]
+        a[2::2] = -a[2::2]
+        sums.append(np.cumsum(a))
+    return Fixed(*sums, powers.bits)
 
 
-def _route_b(s):
+def _route_b(s, powers: Fixed | None = None):
     """Route (b): eta's limit at s by averaging the alternating p-sum, and
-    the count k of two-cell means taken.
+    the count k of two-cell means taken; powers as in _route_b_mp.
 
     The p-sum oscillates about eta with amplitude n^{-Re s}, and its only
     smooth part is that limit.  A two-cell mean S_n + S_{n+1}, over 2,
@@ -282,15 +345,14 @@ def _route_b(s):
         raise CrossCheckMismatchError(
             f"route (b) cannot check s={s}: at |Im s| = {abs(sc.imag):g} it "
             f"needs {k} two-cell means of {ROUTE_B_CELLS} cells")
-    re, im, bits = _route_b_mp(sc)
-    parts = [np.array(p, dtype=object)
-             for p in ((re, im) if sc.imag else (re,))]
+    re, im, bits = _route_b_mp(s, powers)
+    parts = [re, im] if sc.imag else [re]
     lo, limits = ROUTE_B_CELLS // 10, []
     for j in range(1, k + 1):
         parts = [p[:-1] + p[1:] for p in parts]
         if j in (k - 6, k):
             scale = 1 << (bits + j)
-            re, *im = (np.array([x / scale for x in p]) for p in parts)
+            re, *im = ((p / scale).astype(float) for p in parts)
             means = average_pass((re + 1j * im[0] if im else re)[:, None],
                                  step=True) @ WEIGHTS
             xs, ys = np.arange(1.0, len(means)), (means[:-1] + means[1:]) / 2
@@ -360,18 +422,20 @@ def zeta(s, cfg: LimitConfig = DEFAULT_CONFIG) -> ZetaEvaluation:
             s=s, value=PoleSignal(origin="dirichlet-series", log_power=1,
                                   residue=1), path="pole")
     s0 = _near_nonneg_int(-sc)
+    s_at = -s0 if s0 is not None else sc if sc.imag else sc.real
+    f = _eta_factor(s_at)
+    on_eta = sc.real <= 1 and abs(f) >= ETA_FACTOR_FLOOR
+    powers = _terms(s_at, ROUTE_B_CELLS - 1) if on_eta else None
     if s0 is None:
-        s_at = sc if sc.imag else sc.real
-        C, trunc_err = _psum_constant_mp(s_at)
+        C, trunc_err = _psum_constant_mp(s_at, powers)
         if sc.real > 1:
             return ZetaEvaluation(s=s, value=C, path="classical-sum",
                                   C_constant=C,
                                   diagnostics={"truncation": trunc_err})
     else:
-        s_at, C, trunc_err = -s0, _exact_constant(-s0), 0.0
-    f = _eta_factor(s_at)
-    if abs(f) >= ETA_FACTOR_FLOOR:
-        fit_b = _route_b(s_at)[0]
+        C, trunc_err = _exact_constant(-s0), 0.0
+    if on_eta:
+        fit_b = _route_b(s_at, powers)[0]
         _cross_check(s_at, f * complex(C), abs(f) * trunc_err, fit_b.limit,
                      fit_b.stderr, "continuation")
         diagnostics = {"route_b": complex(fit_b.limit / f),
@@ -419,14 +483,16 @@ def eta(s, cfg: LimitConfig = DEFAULT_CONFIG):
     if abs(sc - 1) <= SNAP_RADIUS:
         return math.log(2)
     s0 = _near_nonneg_int(-sc)
+    s_at = -s0 if s0 is not None else sc if sc.imag else sc.real
+    powers = _terms(s_at, ROUTE_B_CELLS - 1)
     if s0 is not None:
         exact = (1 - 2 ** (1 + s0)) * _exact_constant(-s0)
         value, trunc_err = exact if cfg.exact_mode else float(exact), 0.0
     else:
-        C, trunc_err = _psum_constant_mp(sc if sc.imag else sc.real)
+        C, trunc_err = _psum_constant_mp(s_at, powers)
         f = _eta_factor(sc)
         value, trunc_err = C * f, abs(f) * trunc_err
-    fit_b = _route_b(s if s0 is None else -s0)[0]
+    fit_b = _route_b(s_at, powers)[0]
     _cross_check(s, value, trunc_err, fit_b.limit, fit_b.stderr, "eta")
     return value
 
@@ -469,7 +535,7 @@ def _ext_mp(s, cfg: LimitConfig):
     with mpmath.workdps(dps):
         smp = _mp_s(sc)
         re, im, bits = _fixed_powers(smp, DISCRETE_HORIZON)
-        psums = [list(itertools.accumulate(part)) for part in (re, im)]
+        psums = [np.cumsum(re), np.cumsum(im)]
         del re, im          # free the terms before the peel runs
         order = math.ceil(1 - LEDGER_FLOOR - sc.real) - 1
         return cesaro_limit_discrete(Fixed(*psums, bits),
@@ -547,10 +613,13 @@ def _log_table(horizon: int) -> tuple:
     A composite j gets L_p + L_{j/p} for its least prime p, so an entry is
     off by at most half a unit per prime factor.
     """
-    with mpmath.workprec(U_BITS + 32):
-        return tuple(_sieve_table(
-            horizon, 0, lambda p: int(mpmath.nint(mpmath.ldexp(
-                mpmath.log(p), U_BITS))), operator.add))
+    primes, layers = _sieve_layers(horizon)
+    table = np.zeros(horizon + 1, dtype=object)
+    table[primes] = [libmp.to_int(libmp.mpf_shift(lg, U_BITS), "n")
+                     for lg in _prime_logs(horizon, U_BITS + 32)]
+    for ns, ps, qs in layers:
+        table[ns] = table[ps] + table[qs]
+    return tuple(table[1:])
 
 
 def _polynomial_branch(coeffs, lams, lam_primes, horizon: int) -> tuple:

@@ -12,16 +12,17 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cesaro.asymptotics import bernoulli
-from cesaro.climits import (GUARD_BITS, _fixed, _gamma_ratio_fixed,
+from cesaro.climits import (GUARD_BITS, Fixed, _fixed, _gamma_ratio_fixed,
                             _gamma_ratio_values, _near_nonneg_int,
                             _peel_fixed)
 from cesaro.config import DEFAULT_CONFIG, SNAP_RADIUS
 from cesaro.errors import (CrossCheckMismatchError, FitFailureError,
                            MissingDerivativeTermError, SAtPoleError, is_pole)
 from cesaro.operators import apply_P_D, apply_P_D_inverse
-from cesaro.zeta import (ROUTE_B_CELLS, U_BITS, FaulhaberPoly,
-                         _apply_factor_mp, _binomial_coefficients,
-                         _eta_factor, _exact_constant, _log_table,
+from cesaro.zeta import (ROUTE_A_DPS, ROUTE_A_TERMS, ROUTE_B_CELLS, U_BITS,
+                         FaulhaberPoly, _apply_factor_mp,
+                         _binomial_coefficients, _eta_factor,
+                         _exact_constant, _fixed_powers, _log_table, _mp_s,
                          _polynomial_branch,
                          _psum_constant_mp, _route_b, _route_b_mp,
                          _route_b_tol,
@@ -145,20 +146,130 @@ def test_route_b_node_values_match_a_35_digit_build(s):
             assert abs(got - want[k]) <= 1e-31 * abs(want[k])
 
 
-@pytest.mark.parametrize("s", [-2.5, complex(-1.8, 0.45)])
+def _primes_below(n):
+    return [p for p in range(2, n)
+            if all(p % q for q in range(2, math.isqrt(p) + 1))]
+
+
+def _omega(n):
+    """The count of prime factors of n, with multiplicity."""
+    count, p = 0, 2
+    while n > 1:
+        while n % p == 0:
+            n, count = n // p, count + 1
+        p += 1
+    return count
+
+
+def _record_transcendentals(monkeypatch, s):
+    """Lists of the n whose logarithm, and of the n whose power n^{-s},
+    _fixed_powers takes with libmp; a power's n is read off its exp's
+    argument -s ln n.  The cached logs are dropped first."""
+    logs, exps = [], []
+    sys.modules["cesaro.zeta"]._prime_logs.cache_clear()
+    mpf_log, mpf_exp, mpc_exp = (mpmath.libmp.mpf_log, mpmath.libmp.mpf_exp,
+                                 mpmath.libmp.mpc_exp)
+
+    def n_of(arg):
+        return round(math.exp((arg / -complex(s)).real))
+
+    def log(x, *args):
+        logs.append(mpmath.libmp.to_int(x))
+        return mpf_log(x, *args)
+
+    def exp(x, *args):
+        exps.append(n_of(mpmath.libmp.to_float(x)))
+        return mpf_exp(x, *args)
+
+    def cexp(z, *args):
+        exps.append(n_of(complex(*map(mpmath.libmp.to_float, z))))
+        return mpc_exp(z, *args)
+
+    for name, fn in (("mpf_log", log), ("mpf_exp", exp), ("mpc_exp", cexp)):
+        monkeypatch.setattr(mpmath.libmp, name, fn)
+    return logs, exps
+
+
+@pytest.mark.parametrize("s", [-2.5, complex(-1.8, 0.45), -3])
 def test_route_b_takes_powers_at_primes_only(s, monkeypatch):
-    # n^{-s} comes from mpmath at the 168 primes below ROUTE_B_CELLS and
-    # from fixed-point products over the least-prime sieve everywhere else
+    # n^{-s} is exp(-s ln p) at the 168 primes below ROUTE_B_CELLS and a
+    # fixed-point product over the least-prime sieve everywhere else; at a
+    # nonpositive integer s every power is an exact int, and no log or exp
+    # is taken at all
     want = complex(mpmath.zeta(s))
-    calls, power = [], mpmath.power
-    monkeypatch.setattr(mpmath, "power",
-                        lambda *args: calls.append(args[0]) or power(*args))
+    logs, exps = _record_transcendentals(monkeypatch, s)
     fit, _ = _route_b(s)
-    primes = [p for p in range(2, ROUTE_B_CELLS)
-              if all(p % q for q in range(2, math.isqrt(p) + 1))]
-    assert len(primes) == 168 and sorted(calls) == primes
+    primes = _primes_below(ROUTE_B_CELLS)
+    assert len(primes) == 168
+    assert sorted(logs) == sorted(exps) == ([] if s == -3 else primes)
     got = complex(fit.limit) / (1 - 2 ** (1 - s))
     assert abs(got - want) <= _route_b_tol(s)
+
+
+@settings(max_examples=12, deadline=None)
+@given(re=st.floats(-6.0, 2.0), im=st.floats(-15.0, 15.0),
+       horizon=st.sampled_from([400, 999, 4000]),
+       dps=st.sampled_from([30, ROUTE_A_DPS]))
+@example(re=2.0, im=0.0, horizon=999, dps=ROUTE_A_DPS)
+@example(re=-5.3, im=0.0, horizon=4000, dps=30)
+@example(re=-2.5, im=0.0, horizon=400, dps=ROUTE_A_DPS)
+@example(re=-0.9268, im=1.62082, horizon=4000, dps=30)
+@example(re=0.5, im=14.0, horizon=999, dps=ROUTE_A_DPS)
+def test_fixed_powers_match_mpmath_power(re, im, horizon, dps):
+    # each of n's Omega(n) prime powers is rounded once to the working
+    # precision, within one unit of 2^-prec relative, and each floored
+    # product adds under 2^-16 units of max(1, |n^{-s}|); so entry n is
+    # within Omega(n) + 0.01 units of max(1, |n^{-s}|).  Both this builder
+    # and its mpmath.power predecessor measured at most 8.6 units.
+    s = complex(re, im) if im else re
+    with mpmath.workdps(dps):
+        prec = mpmath.mp.prec
+        got = _fixed_powers(_mp_s(s), horizon)
+    assert len(got.re) == len(got.im) == horizon
+    with mpmath.workprec(2 * prec):
+        smp = _mp_s(s)
+        for n in range(1, horizon + 1):
+            want = mpmath.power(n, -smp)
+            value = mpmath.mpc(got.re[n - 1], got.im[n - 1]) / 2 ** got.bits
+            units = abs(value - want) / max(1, abs(want)) * 2 ** prec
+            assert units <= _omega(n) + 0.01, n
+
+
+@pytest.mark.parametrize("m", [0, 3, 6])
+@pytest.mark.parametrize("horizon", [400, 999, 4000])
+def test_fixed_powers_exact_at_nonpositive_integers(m, horizon):
+    with mpmath.workdps(ROUTE_A_DPS):
+        re, im, bits = _fixed_powers(_mp_s(-m), horizon)
+    assert list(re) == [n ** m << bits for n in range(1, horizon + 1)]
+    assert not any(im)
+
+
+@pytest.mark.parametrize("n", [7, 8, pytest.param(ROUTE_A_TERMS, marks=(
+    pytest.mark.xfail(strict=True, reason="a step at an even n from 264 to "
+                      "400 widens route (b)'s stderr past the fault")))])
+@pytest.mark.parametrize("evaluate", [zeta, eta])
+def test_a_fault_in_the_shared_table_is_caught(evaluate, n, monkeypatch):
+    # both routes read one table, built once; an entry n <= ROUTE_A_TERMS
+    # off by delta moves route (a)'s C by delta and eta's limit by
+    # (-1)^{n+1} delta, so f C misses eta unless f = 1 - 2^{1-s} is +-1.
+    # A fault of 1e-3 relative at s = -0.5 is caught at every odd n and at
+    # the even n below 264; inside route (b)'s fit window the step it
+    # leaves in the p-sum also widens the fit's stderr, and at the even n
+    # from 264 to 400 the 30-stderr window then holds the mismatch
+    zeta_module = sys.modules["cesaro.zeta"]
+    build, horizons = zeta_module._fixed_powers, []
+
+    def faulty(s, horizon):
+        horizons.append(horizon)
+        re, im, bits = build(s, horizon)
+        re = re.copy()
+        re[n - 1] += re[n - 1] // 1000
+        return Fixed(re, im, bits)
+
+    monkeypatch.setattr(zeta_module, "_fixed_powers", faulty)
+    with pytest.raises(CrossCheckMismatchError):
+        evaluate(-0.5, CFG)
+    assert horizons == [ROUTE_B_CELLS - 1]
 
 
 @pytest.mark.parametrize("s", [0.06, 0.10, 0.12, 0.14, complex(0.12, 0.3),
@@ -280,8 +391,8 @@ def test_eta_at_one_is_ln_2():
 
 
 def test_eta_cross_check_can_fail(monkeypatch):
-    def off(s):
-        value, trunc = _psum_constant_mp(s)
+    def off(s, powers=None):
+        value, trunc = _psum_constant_mp(s, powers)
         return value + 1e-2 * abs(value), trunc
 
     monkeypatch.setattr(sys.modules["cesaro.zeta"], "_psum_constant_mp", off)
@@ -327,8 +438,8 @@ def test_zeta_check_where_the_eta_factor_is_small(s, check):
 @pytest.mark.parametrize("s", [-0.5, 0.95])
 def test_zeta_cross_check_can_fail(s, monkeypatch):
     # -0.5 is checked on eta's route, 0.95 on the discrete evaluation
-    def off(s):
-        value, trunc = _psum_constant_mp(s)
+    def off(s, powers=None):
+        value, trunc = _psum_constant_mp(s, powers)
         return value + 1e-2 * abs(value), trunc
 
     monkeypatch.setattr(sys.modules["cesaro.zeta"], "_psum_constant_mp", off)
@@ -476,14 +587,13 @@ def test_eta_matches_altzeta_and_zeta_on_the_strip(re, im):
 
 
 def test_discrete_ext_takes_powers_at_primes_only(monkeypatch):
-    # n^{-s} comes from mpmath at the 550 primes below 4000 and from
-    # fixed-point products over the least-prime sieve everywhere else
-    calls = []
-    power = mpmath.power
-    monkeypatch.setattr(mpmath, "power",
-                        lambda *args: calls.append(args) or power(*args))
-    zeta_discrete_ext(complex(-0.9268, 1.62082), CFG)
-    assert 0 < len(calls) <= 550
+    # n^{-s} is exp(-s ln p) at the 550 primes below 4000 and a fixed-point
+    # product over the least-prime sieve everywhere else
+    s = complex(-0.9268, 1.62082)
+    logs, exps = _record_transcendentals(monkeypatch, s)
+    zeta_discrete_ext(s, CFG)
+    primes = _primes_below(4000)
+    assert len(primes) == 550 and sorted(logs) == sorted(exps) == primes
 
 
 def test_discrete_corrected_values():
