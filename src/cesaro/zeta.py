@@ -173,20 +173,16 @@ def _sieve_layers(horizon: int) -> tuple:
     """The primes up to horizon, and the composites grouped by their count
     of prime factors into layers (n, p, n/p) of index arrays, p the least
     prime of n: every n/p is a prime or in an earlier layer."""
-    n = np.arange(horizon + 1)
-    least = n.copy()
+    least = list(range(horizon + 1))
     for p in range(math.isqrt(horizon), 1, -1):     # the least p writes last
-        least[p * p::p] = p
-    cofactor = n // np.maximum(least, 1)
-    omega = np.where((least == n) & (n > 1), 1, 0)
-    layers = []
-    while True:
-        new = (omega == 0) & (omega[cofactor] == len(layers) + 1) & (n > 1)
-        if not new.any():
-            return n[omega == 1], tuple(layers)
-        omega[new] = len(layers) + 2
-        ns = np.flatnonzero(new)
-        layers.append((ns, least[ns], cofactor[ns]))
+        least[p * p::p] = [p] * len(range(p * p, horizon + 1, p))
+    omega, layers = [0, 0], [[] for _ in range(horizon.bit_length() + 1)]
+    for n, p in enumerate(least[2:], 2):
+        omega.append(omega[n // p] + 1)
+        layers[omega[n] - 1].append((n, p, n // p))
+    primes, *layers = (np.array(layer, dtype=int).reshape(-1, 3).T
+                       for layer in layers)
+    return primes[0], tuple(layer for layer in layers if layer.size)
 
 
 @functools.cache
