@@ -32,9 +32,8 @@ from .asymptotics import (AsymptoticExpansion, divergent_exponent,
                           eigensequence_lower_order, peel_ladder,
                           synthesize_annihilator)
 from .seqfun import PiecewiseFn
-from .tailfit import (TailDesign, _window_means, _window_values,
-                      fit_limit_array, relative_spread, sequence_tail,
-                      snap_to_rational)
+from .tailfit import (_window_means, _window_sequence, _window_values,
+                      fit_limit_array, relative_spread, snap_to_rational)
 
 __all__ = [
     "CesaroResult",
@@ -102,8 +101,8 @@ def _convergence_gate(xs, ys, nodes=None, extras: Sequence[tuple] = ()):
     (xs, ys), the fitted samples, are a function's cell means or a sequence
     over the last decade; nodes are a function's raw (xs, ys) there, and
     extras the (exponent, log power) terms the tail model adds.  Either xs
-    may be a TailDesign, which a driver keeps across its levels.  exit
-    is "variation", "fit" or None.  A swing that has not decayed rejects
+    may be a TailDesign, as the window helpers of tailfit give.  exit is
+    "variation", "fit" or None.  A swing that has not decayed rejects
     (SWING_TOLERANCE).  The fit exit is a second chance for a spread the
     decaying model explains: a divergence leaves a residual, cell means can
     be steady while the nodes swing, and a ln x column probes for a log a
@@ -174,14 +173,11 @@ def cesaro_limit(f: PiecewiseFn,
     rows, step = f.node_values(cfg.horizon), f.kind == "step"
     if q is not None and q.degree:
         rows, step = apply_q_nodes(q, rows, step), False
-    means = TailDesign(_window_means(rows)[0])     # the xs of every level
-    nodes = TailDesign(_window_values(rows)[0])
     for r in range(cfg.max_pure_power + 1):
         if r:
             rows, step = average_pass(rows, step), False
         gate, variation, fit = _convergence_gate(
-            means, _window_means(rows)[1], (nodes, _window_values(rows)[1]),
-            extras)
+            *_window_means(rows), _window_values(rows), extras)
         if gate:
             strong = "classical" if r == 0 else f"strong({r})"
             return CesaroResult(
@@ -465,10 +461,8 @@ def cesaro_limit_discrete(a, eigendecomposition: Sequence[tuple],
     q_factors = []
     applied_factors = False
     escalations = 0
-    design = TailDesign(sequence_tail(arr)[0])
     for stage in range(cfg.max_pure_power + 1):
-        gate, variation, fit = _convergence_gate(design,
-                                                 sequence_tail(arr)[1])
+        gate, variation, fit = _convergence_gate(*_window_sequence(arr))
         if gate:
             if removed or q_factors:
                 mech = "generalised"

@@ -34,6 +34,10 @@ __all__ = [
     "apply_P_mu",
 ]
 
+#: rows of partial integrals divided at a time, so that no (n, 8) divisor
+#: is ever built whole
+DIVIDE_ROWS = 8192
+
 
 def apply_P(f: PiecewiseFn) -> PiecewiseFn:
     """Average f over [0, x]: g(x) = (1/x) * integral_0^x f.
@@ -58,13 +62,15 @@ def average_pass(vals, step: bool = False):
     """One averaging pass over float or complex node rows of cells 0..n-1:
     the node values of (1/x) * integral_0^x f there, from f's node values
     (step: f is constant on each cell).  The partial integrals are turned
-    into the averages in place."""
+    into the averages in place, DIVIDE_ROWS rows at a time."""
     if step:
         partial = vals[:, :1] * NODES[None, :]
     else:
         partial = vals @ PARTIAL_FROM_VALUES.T
     partial += cell_prefix(vals, step)[:-1, None]
-    partial /= np.arange(len(vals), dtype=np.float64)[:, None] + NODES[None, :]
+    for lo in range(0, len(partial), DIVIDE_ROWS):
+        hi = min(lo + DIVIDE_ROWS, len(partial))
+        partial[lo:hi] /= np.arange(lo, hi, dtype=np.float64)[:, None] + NODES
     return partial
 
 

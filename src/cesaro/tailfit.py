@@ -10,15 +10,20 @@ the extracted constant by four to six orders of magnitude.
 The model is one list of (exponent, log power) terms (e, m), each the
 column x^e (ln x)^m.  TAIL_TERMS is the default list, and every caller
 names the further terms its residual is known to carry.  term_column builds
-a column and fit_terms is the one least-squares fit, read off one QR
-factorisation of the columns with the samples appended.
+a column and fit_terms is the one least-squares fit.  A TailDesign keeps
+the Householder factor of each term set's scaled columns over one window,
+so a fit only reflects its samples; the driver windows, whose xs depend on
+the horizon alone, are kept across calls by _tail_window.
 """
 
 from __future__ import annotations
 
+import math
+from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -34,6 +39,12 @@ SAMPLE_CELLS = 160
 #: the default tail model: 1, 1/x, 1/x^2 and ln(x)/x
 TAIL_TERMS = ((0, 0), (-1, 0), (-2, 0), (-1, 1))
 
+#: term sets whose factor one TailDesign keeps; the least recent goes first
+FACTORS_KEPT = 4
+
+#: driver windows kept across calls by _tail_window
+WINDOWS_KEPT = 6
+
 
 @dataclass(frozen=True)
 class TailFit:
@@ -43,28 +54,36 @@ class TailFit:
     coefficients: dict     # (exponent, log power) term -> coefficient
 
 
+def _sample_cells(horizon: int) -> np.ndarray:
+    """SAMPLE_CELLS cells, log-spaced over the last decade of the horizon
+    (fewer where rounding merges neighbours)."""
+    return np.unique(np.round(np.geomspace(max(1, horizon // 10),
+                                           horizon - 1, SAMPLE_CELLS)
+                              ).astype(int))
+
+
 def _window_values(rows):
-    """Node samples of SAMPLE_CELLS cells, log-spaced over the last decade
-    of the rows (fewer where rounding merges neighbours)."""
+    """(TailDesign, node samples) of the _sample_cells of the rows."""
     horizon = len(rows)
-    ks = np.unique(np.round(np.geomspace(max(1, horizon // 10), horizon - 1,
-                                         SAMPLE_CELLS)).astype(int))
-    xs = (ks[:, None] + NODES[None, :]).ravel()
-    return xs, rows[ks].ravel()
+    return _tail_window("nodes", horizon), rows[_sample_cells(horizon)].ravel()
 
 
 def _window_means(rows):
-    """Per-cell integral means over every cell of the last decade.
+    """(TailDesign, per-cell integral means) over every cell of the last
+    decade.
 
     Using all consecutive cells (not a sparse sample) is essential: the
     residuals are often periodic in the cell index, and a contiguous window
     balances any period to one part in the window length.
     """
     horizon = len(rows)
-    lo = max(1, horizon // 10)
-    ys = rows[lo:horizon] @ WEIGHTS
-    xs = np.arange(lo, horizon, dtype=np.float64) + 0.5
-    return xs, ys
+    ys = rows[max(1, horizon // 10):horizon] @ WEIGHTS
+    return _tail_window("means", horizon), ys
+
+
+def _window_sequence(seq):
+    """(TailDesign, a_n) of sequence_tail(seq), for a driver's levels."""
+    return _tail_window("sequence", len(seq)), sequence_tail(seq)[1]
 
 
 def relative_spread(ys) -> float:
@@ -104,36 +123,108 @@ def term_column(xs: np.ndarray, e, m: int = 0) -> np.ndarray:
     return col * log_xs ** m if m else col
 
 
+class _Factor(NamedTuple):
+    """Householder QR of one term set's scaled columns: R, and in row j of
+    V reflector j as LAPACK stores it, with its leading 1 at column j."""
+    V: np.ndarray
+    tau: np.ndarray
+    R: np.ndarray
+    row0: float            # |row 0 of R^{-1}|, for the constant's stderr
+    norms: np.ndarray      # each column's max modulus before scaling
+
+
+def _reflect(V, tau, y):
+    """Q^H y in place, for the leading reflectors of V, one at a time as
+    LAPACK's larf applies them to a column of the factored matrix."""
+    for j, t in enumerate(np.conj(tau).tolist()):
+        v = V[j, j:]
+        y[j:] -= t * np.vdot(v, y[j:]) * v
+
+
 class TailDesign:
-    """The tail-model columns over one window's xs, each built and scaled
-    to unit maximum once, in the real or the complex kind of a fit.  A
-    driver keeps one per window for a call, whose levels share the xs."""
+    """The tail model over one window's xs: for each term set the
+    Householder factor of its columns, each scaled to unit maximum.  The
+    columns are built only to be factored.  A term set that starts with the
+    terms of a kept factor takes that factor's leading reflectors and
+    factors only its further columns, so the gate's log probe builds one
+    column; such a factor agrees with one built whole to rounding, not bit
+    for bit.  At most FACTORS_KEPT factors are kept.  A design is not meant
+    to be shared between threads."""
 
     def __init__(self, xs):
         self.xs = np.asarray(xs, dtype=np.float64)
-        self._columns = {}
+        self._factors = OrderedDict()
 
-    def column(self, e, m: int, complex_: bool):
-        """(x^e (ln x)^m / its max modulus, that max) in the given kind."""
-        key = (complex(e), m, complex_)
-        if key not in self._columns:
-            col = term_column(self.xs, e, m)
-            col = col.astype(complex) if complex_ else col
-            norm = np.max(np.abs(col))
-            self._columns[key] = col / norm, norm
-        return self._columns[key]
+    def factor(self, terms) -> _Factor:
+        """The factor of the distinct (exponent, log power) terms, complex
+        if an exponent is."""
+        key = tuple((complex(e), m) for e, m in terms)
+        if key in self._factors:
+            self._factors.move_to_end(key)
+            return self._factors[key]
+        complex_ = any(e.imag for e, _m in key)
+        k0, base = 0, None          # the longest kept prefix of the kind
+        for have, f in self._factors.items():
+            n = next((i for i, (a, b) in enumerate(zip(have, key)) if a != b),
+                     min(len(have), len(key)))
+            if k0 < n < len(key) and np.iscomplexobj(f.V) == complex_:
+                k0, base = n, f
+        cols = np.array([term_column(self.xs, e, m) for e, m in terms[k0:]],
+                        dtype=complex if complex_ else np.float64)
+        norms = np.max(np.abs(cols), axis=1)
+        cols /= norms[:, None]
+        if base is not None:
+            for col in cols:
+                _reflect(base.V, base.tau[:k0], col)
+        V, tau = np.linalg.qr(cols[:, k0:].T, mode="raw")
+        R = np.triu(V[:, :len(tau)].T)
+        for j in range(len(tau)):       # keep only reflector j in row j
+            V[j, :j] = 0
+            V[j, j] = 1
+        if base is not None:
+            R = np.block([[base.R[:k0, :k0], cols[:, :k0].T],
+                          [np.zeros((len(tau), k0)), R]])
+            V = np.concatenate([base.V[:k0], np.pad(V, ((0, 0), (k0, 0)))])
+            tau = np.concatenate([base.tau[:k0], tau])
+            norms = np.concatenate([base.norms[:k0], norms])
+        k = len(tau)
+        row0 = float(np.linalg.norm(np.linalg.solve(R, np.eye(k))[0]))
+        self._factors[key] = _Factor(V, tau, R, row0, norms)
+        if len(self._factors) > FACTORS_KEPT:
+            self._factors.popitem(last=False)
+        return self._factors[key]
+
+
+@lru_cache(maxsize=WINDOWS_KEPT)
+def _tail_window(kind: str, n: int) -> TailDesign:
+    """The TailDesign of a driver's last-decade window, whose xs depend on
+    n alone: "means" (the cell means of n cells, _window_means), "nodes"
+    (the node samples of n cells, _window_values) or "sequence" (the
+    entries of a sequence of length n, _window_sequence).  A window and the
+    factors it keeps serve every later call with the same n."""
+    lo = max(1, n // 10)
+    if kind == "means":
+        xs = np.arange(lo, n, dtype=np.float64) + 0.5
+    elif kind == "nodes":
+        xs = (_sample_cells(n)[:, None] + NODES[None, :]).ravel()
+    else:                               # "sequence"
+        xs = sequence_tail(np.empty(n))[0]
+    return TailDesign(xs)
 
 
 def fit_terms(xs, ys, terms) -> TailFit:
     """Least-squares fit of ys on the columns of the (exponent, log power)
     terms, each scaled to unit maximum; xs may be a TailDesign.
 
-    R of one QR factorisation of the k columns with ys appended is the
-    whole fit: R[:k, :k] c = R[:k, k] gives the coefficients (solve's LU
-    pivots nowhere on a triangle), |R[k, k]| the residual norm and row 0
-    of R[:k, :k]^{-1} the constant's stderr.  A repeated term enters once,
-    which keeps R nonsingular.  limit is the coefficient of the first
-    term; coefficients maps each term to its coefficient.
+    The design's factor QR = A is kept, and the fit reflects a copy of ys
+    by its k reflectors: the first k entries z of Q^H y and the norm of the
+    rest are what a QR factorisation of [A | y] would put in its last
+    column.  R c = z gives the coefficients (solve's LU pivots nowhere on a
+    triangle), the norm the residual and row 0 of R^{-1} the constant's
+    stderr.  Complex ys on a real design reflect their real and imaginary
+    parts apart.  A repeated term enters once, which keeps R nonsingular.
+    limit is the coefficient of the first term; coefficients maps each
+    term to its coefficient.
     """
     unique = {}
     for e, m in terms:
@@ -143,13 +234,17 @@ def fit_terms(xs, ys, terms) -> TailFit:
     if n <= k:
         raise ValueError(f"{n} samples cannot fit {k} terms")
     design = xs if isinstance(xs, TailDesign) else TailDesign(xs)
-    complex_ = np.iscomplexobj(ys) or any(complex(e).imag for e, _m in terms)
-    cols, norms = zip(*(design.column(e, m, complex_) for e, m in terms))
-    R = np.linalg.qr(np.vstack([*cols, ys]).T, mode="r")
-    coef = np.linalg.solve(R[:k, :k], R[:k, k]) / np.array(norms)
-    rms = float(abs(R[k, k]) / np.sqrt(n))
-    stderr = float(np.linalg.norm(np.linalg.solve(R[:k, :k], np.eye(k))[0])
-                   * rms * np.sqrt(n / (n - k)) / norms[0])
+    f = design.factor(terms)
+    if np.iscomplexobj(ys) and not np.iscomplexobj(f.V):
+        parts = [ys.real.astype(np.float64), ys.imag.astype(np.float64)]
+    else:
+        parts = [ys.astype(f.V.dtype)]
+    for y in parts:
+        _reflect(f.V, f.tau, y)
+    z = parts[0][:k] + 1j * parts[1][:k] if len(parts) == 2 else parts[0][:k]
+    coef = np.linalg.solve(f.R, z) / f.norms
+    rms = math.hypot(*(np.linalg.norm(y[k:]) for y in parts)) / math.sqrt(n)
+    stderr = float(f.row0 * rms * np.sqrt(n / (n - k)) / f.norms[0])
     limit = coef[0] if np.iscomplexobj(ys) else float(np.real(coef[0]))
     return TailFit(limit=limit, stderr=stderr, residual_rms=rms,
                    coefficients=dict(zip(terms, coef)))

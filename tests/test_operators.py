@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from cesaro.errors import LambdaIsOneError
-from cesaro.operators import (MeasureScheme, P_on_term, apply_P, apply_P_D,
-                              apply_P_D_inverse, apply_P_mu,
-                              apply_regular_polynomial,
+from cesaro.operators import (DIVIDE_ROWS, MeasureScheme, P_on_term, apply_P,
+                              apply_P_D, apply_P_D_inverse, apply_P_mu,
+                              apply_regular_polynomial, average_pass,
                               build_regular_polynomial)
-from cesaro.seqfun import NODES, PiecewiseFn, alt_ones, psum_function
+from cesaro.seqfun import (NODES, PARTIAL_FROM_VALUES, PiecewiseFn, alt_ones,
+                           cell_prefix, psum_function)
 
 
 def _power_fn(rho):
@@ -47,6 +48,23 @@ def test_apply_P_is_freed_when_the_caller_drops_it():
     ref = weakref.ref(g)
     del g
     assert ref() is None
+
+
+@pytest.mark.parametrize("n", [1, DIVIDE_ROWS - 1, 2 * DIVIDE_ROWS + 5])
+@pytest.mark.parametrize("kind", [float, complex])
+@pytest.mark.parametrize("step", [False, True])
+def test_a_pass_divides_in_row_blocks_bit_for_bit(n, kind, step):
+    rng = np.random.default_rng(n)
+    vals = rng.standard_normal((n, len(NODES))).astype(kind)
+    if kind is complex:
+        vals += 1j * rng.standard_normal((n, len(NODES)))
+    # the pass as one expression, with the whole (n, 8) divisor
+    partial = (vals[:, :1] * NODES[None, :] if step
+               else vals @ PARTIAL_FROM_VALUES.T)
+    partial += cell_prefix(vals, step)[:-1, None]
+    whole = partial / (np.arange(n, dtype=np.float64)[:, None]
+                       + NODES[None, :])
+    assert np.array_equal(average_pass(vals, step), whole)
 
 
 def test_P_on_term_log_powers():

@@ -1,13 +1,19 @@
 """The tail model: term columns and the one least-squares fit."""
 
+import gc
+import weakref
+
+import mpmath
 import numpy as np
 import pytest
 
 import cesaro.tailfit
-from cesaro.climits import strong_cesaro_limit
-from cesaro.seqfun import SeriesTerms, psum_function
-from cesaro.tailfit import (TAIL_TERMS, TailDesign, fit_limit_array,
-                            fit_terms, term_column)
+from cesaro.climits import cesaro_limit_discrete, strong_cesaro_limit
+from cesaro.config import DEFAULT_CONFIG
+from cesaro.seqfun import SeriesTerms, alt_ones, psum_function
+from cesaro.tailfit import (FACTORS_KEPT, TAIL_TERMS, WINDOWS_KEPT,
+                            TailDesign, fit_limit_array, fit_terms,
+                            term_column)
 
 XS = np.arange(100, 1000, dtype=float) + 0.5
 
@@ -70,18 +76,46 @@ def _whole_design_fit(xs, ys, terms):
     return coef / norms, stderr, rms
 
 
+def _mp_limit(xs, ys, terms):
+    """The constant of the least-squares fit of ys on the fit's own scaled
+    columns, solved in 40 digits by the normal equations."""
+    cols = [term_column(xs, e, m) for e, m in terms]
+    cols = [c / np.max(np.abs(c)) for c in cols]
+    with mpmath.workdps(40):
+        A = mpmath.matrix([[complex(c[i]) for c in cols]
+                           for i in range(len(xs))])
+        y = mpmath.matrix([complex(v) for v in ys])
+        return complex(mpmath.lu_solve(A.H * A, A.H * y)[0])
+
+
 @pytest.mark.parametrize("extra", [(-1, 2), (-0.5 + 2j, 0)])
 @pytest.mark.parametrize("kind", [float, complex])
 def test_a_kept_design_fits_each_sample_set_bit_for_bit(extra, kind):
-    design = TailDesign(XS)
+    # a kept factor, a fresh one and the driver window's give the same bits;
+    # the one-shot QR of [A | y] and a 40-digit solution agree to rounding
+    kept = TailDesign(XS)
+    cesaro.tailfit._tail_window.cache_clear()     # no factor to extend
+    window = cesaro.tailfit._tail_window("means", 1000)
+    assert np.array_equal(window.xs, XS)
     terms = [*TAIL_TERMS, extra]
     for shift in (0.0, 1.0, -2.5):
         ys = (_tail() + shift).astype(kind) + (1j * shift / XS
                                                 if kind is complex else 0)
-        fit = fit_terms(design, ys, terms)
+        fit = fit_terms(kept, ys, terms)
+        for again in (fit_terms(TailDesign(XS), ys, terms),
+                      fit_terms(window, ys, terms)):
+            assert list(again.coefficients.values()) == \
+                list(fit.coefficients.values())
+            assert (again.stderr, again.residual_rms) == \
+                (fit.stderr, fit.residual_rms)
         coef, stderr, rms = _whole_design_fit(XS, ys, terms)
-        assert list(fit.coefficients.values()) == list(coef)
-        assert (fit.stderr, fit.residual_rms) == (stderr, rms)
+        limit = coef[0] if kind is complex else coef[0].real
+        assert abs(fit.limit - limit) <= 1e-14
+        assert fit.stderr == pytest.approx(stderr, rel=1e-7)
+        assert fit.residual_rms == pytest.approx(rms, rel=1e-7)
+        limit = _mp_limit(XS, ys, terms)
+        limit = limit if kind is complex else limit.real
+        assert abs(fit.limit - limit) <= 3e-14
 
 
 @pytest.mark.parametrize("extra", [(-1, 3), (-0.5 + 2j, 0)])
@@ -97,9 +131,31 @@ def test_a_fit_does_not_move_with_the_design_layout(extra, monkeypatch):
         (plain.limit, plain.stderr, plain.residual_rms)
 
 
+def test_an_extended_factor_agrees_with_one_built_whole():
+    design = TailDesign(XS)
+    fit_limit_array(design, _tail())
+    extended = fit_limit_array(design, _tail(), [(0, 1)])
+    whole = fit_limit_array(TailDesign(XS), _tail(), [(0, 1)])
+    assert abs(extended.limit - whole.limit) <= 1e-14
+    assert list(extended.coefficients) == list(whole.coefficients)
+    assert list(extended.coefficients.values()) == pytest.approx(
+        list(whole.coefficients.values()), abs=1e-10)
+    assert extended.stderr == pytest.approx(whole.stderr, rel=1e-7)
+    assert extended.residual_rms == pytest.approx(whole.residual_rms,
+                                                  rel=1e-7)
+
+
+def _alternating_sum():
+    # the alternating p-sum at s = -1.5: strong(2), accepted by the fit exit
+    return psum_function(SeriesTerms(
+        lambda n: (1 if n % 2 else -1) * n ** 1.5, label="alternating(-1.5)",
+        array=lambda ns: np.where(ns % 2 == 1, 1.0, -1.0) * ns ** 1.5))
+
+
 def test_a_driver_builds_each_tail_column_once_per_call(monkeypatch):
-    built, fits = [], []
+    built, fits, factored = [], [], []
     column, fit = cesaro.tailfit.term_column, cesaro.tailfit.fit_terms
+    qr = np.linalg.qr
 
     def counting_column(xs, e, m=0):
         built.append((len(xs), xs[0], complex(e), m))
@@ -108,14 +164,37 @@ def test_a_driver_builds_each_tail_column_once_per_call(monkeypatch):
     monkeypatch.setattr(cesaro.tailfit, "term_column", counting_column)
     monkeypatch.setattr(cesaro.tailfit, "fit_terms",
                         lambda *a: fits.append(a) or fit(*a))
-    # the alternating p-sum at s = -1.5: strong(2), accepted by the fit exit
-    alternating = SeriesTerms(
-        lambda n: (1 if n % 2 else -1) * n ** 1.5, label="alternating(-1.5)",
-        array=lambda ns: np.where(ns % 2 == 1, 1.0, -1.0) * ns ** 1.5)
-    assert strong_cesaro_limit(psum_function(alternating)).mechanism \
-        == "strong(2)"
+    monkeypatch.setattr(np.linalg, "qr",
+                        lambda *a, **k: factored.append(a) or qr(*a, **k))
+    cesaro.tailfit._tail_window.cache_clear()
+    assert strong_cesaro_limit(_alternating_sum()).mechanism == "strong(2)"
     windows = {key[:2] for key in built}
     assert len(windows) == 2 and len(fits) >= 3 * len(windows)
     assert len(built) == len(set(built))
     assert {key[2:] for key in built} == {(complex(e), m) for e, m in
                                           [*TAIL_TERMS, (0, 1)]}
+    # the windows and their factors outlive the call
+    built.clear(), factored.clear()
+    assert strong_cesaro_limit(_alternating_sum()).mechanism == "strong(2)"
+    assert built == [] and factored == []
+
+
+def test_the_kept_factors_and_windows_are_bounded():
+    design = TailDesign(XS)
+    for j in range(3 * FACTORS_KEPT):
+        fit_terms(design, _tail(), [*TAIL_TERMS, (-3 - j, 0)])
+    assert len(design._factors) == FACTORS_KEPT
+    cesaro.tailfit._tail_window.cache_clear()
+    f = psum_function(alt_ones())
+    refs = []
+    for horizon in range(1000, 1000 + 100 * WINDOWS_KEPT, 100):
+        cfg = DEFAULT_CONFIG.with_(horizon=horizon)
+        assert strong_cesaro_limit(f, cfg).limit == pytest.approx(0.5)
+        assert cesaro_limit_discrete(
+            lambda n: 2.0 + 1.0 / n, [], cfg).limit == pytest.approx(2.0)
+        refs += [weakref.ref(cesaro.tailfit._tail_window(kind, horizon))
+                 for kind in ("means", "nodes", "sequence")]
+    gc.collect()
+    alive = [r() for r in refs if r() is not None]
+    assert len(alive) == WINDOWS_KEPT
+    assert all(len(w._factors) <= FACTORS_KEPT for w in alive)
