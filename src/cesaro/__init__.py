@@ -10,10 +10,10 @@ regularization of integrals with per-endpoint divergence bookkeeping.
 
 from .asymptotics import (AsymptoticExpansion, ExpansionTerm, bernoulli,
                           invert_to_x_expansion, synthesize_annihilator,
-                          x_power_expansion, zeta_psum_expansion)
-from .climits import (CesaroResult, cdlim_power, cesaro_limit,
-                      cesaro_limit_discrete, classical_limit, clim_k_alpha,
-                      clim_x_alpha, strong_cesaro_limit)
+                          zeta_psum_expansion)
+from .climits import (CesaroResult, cesaro_limit, cesaro_limit_discrete,
+                      classical_limit, clim_k_alpha, clim_x_alpha,
+                      strong_cesaro_limit)
 from .config import DEFAULT_CONFIG, LAMBDA_EPS, LimitConfig
 from .errors import (CesaroError, CrossCheckMismatchError, FitFailureError,
                      IllegalCancellationError, LambdaIsOneError,
@@ -26,8 +26,7 @@ from .operators import (MeasureScheme, RegularPolynomial, apply_P, apply_P_D,
                         apply_P_D_inverse, apply_P_mu,
                         apply_regular_polynomial, build_regular_polynomial)
 from .seqfun import (PiecewiseFn, SeriesTerms, alt_naturals, alt_ones,
-                     embed_step, n_pow_minus_s, naturals, ones, psum_function,
-                     zero_padded)
+                     n_pow_minus_s, naturals, ones, psum_function, zero_padded)
 from .zeta import (FaulhaberPoly, ZetaEvaluation, discrete_eigensequence,
                    eta, faulhaber, zeta, zeta_discrete_corrected,
                    zeta_discrete_ext, zeta_integral_rep, zeta_residue_at_1)
@@ -36,9 +35,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AsymptoticExpansion", "ExpansionTerm", "bernoulli",
-    "invert_to_x_expansion", "synthesize_annihilator", "x_power_expansion",
-    "zeta_psum_expansion",
-    "CesaroResult", "cdlim_power", "cesaro_limit", "cesaro_limit_discrete",
+    "invert_to_x_expansion", "synthesize_annihilator", "zeta_psum_expansion",
+    "CesaroResult", "cesaro_limit", "cesaro_limit_discrete",
     "classical_limit", "clim_k_alpha", "clim_x_alpha", "strong_cesaro_limit",
     "DEFAULT_CONFIG", "LAMBDA_EPS", "LimitConfig",
     "CesaroError", "CrossCheckMismatchError", "FitFailureError",
@@ -49,9 +47,8 @@ __all__ = [
     "MeasureScheme", "RegularPolynomial", "apply_P", "apply_P_D",
     "apply_P_D_inverse", "apply_P_mu", "apply_regular_polynomial",
     "build_regular_polynomial",
-    "PiecewiseFn", "SeriesTerms", "alt_naturals", "alt_ones", "embed_step",
-    "n_pow_minus_s", "naturals", "ones", "psum_function",
-    "zero_padded",
+    "PiecewiseFn", "SeriesTerms", "alt_naturals", "alt_ones",
+    "n_pow_minus_s", "naturals", "ones", "psum_function", "zero_padded",
     "FaulhaberPoly", "ZetaEvaluation", "discrete_eigensequence", "eta",
     "faulhaber", "zeta", "zeta_discrete_corrected", "zeta_discrete_ext",
     "zeta_integral_rep", "zeta_residue_at_1",

@@ -25,7 +25,6 @@ __all__ = [
     "ExpansionTerm",
     "AsymptoticExpansion",
     "zeta_psum_expansion",
-    "x_power_expansion",
     "invert_to_x_expansion",
     "synthesize_annihilator",
 ]
@@ -101,8 +100,8 @@ class AsymptoticExpansion:
             key=lambda t: (-complex(t.exponent).real, -t.log_power)))
         object.__setattr__(self, "terms", ordered)
 
-    def evaluate(self, v, include_constant: bool = True):
-        acc = self.constant if include_constant else 0
+    def evaluate(self, v):
+        acc = self.constant
         for t in self.terms:
             acc = acc + t.evaluate(v)
         return acc
@@ -289,43 +288,18 @@ def zeta_psum_expansion(s, order: Optional[int] = None) -> AsymptoticExpansion:
                                constant=constant, variable="k")
 
 
-def x_power_expansion(gamma, order: int) -> AsymptoticExpansion:
-    """Rewrite x^gamma in integer-part powers: variable k, k = floor(x).
-
-    Term r = 0 is k^gamma, r = 1 is (gamma/2) k^{gamma-1}, and for r >= 2
-    the coefficient is (B_r/r!) gamma(gamma-1)...(gamma-r+1).  The even-r
-    sign is pinned by the exact power-sum polynomials: the partial sums of
-    n^2 are k^3/3 + k^2/2 + k/6 and must rewrite to x^3/3 alone, which
-    forces x^3 = k^3 + (3/2)k^2 + (1/2)k with a positive B_2 term.  The
-    identity holds in the averaged (strong) sense, not pointwise.
-    """
-    gc = complex(gamma)
-    if gc.real < 0:
-        raise ValueError("needs Re(gamma) >= 0")
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    exact = isinstance(gamma, (int, Fraction))
-    raw = [(Fraction(1) if exact else 1.0, gamma, 0)]
-    if order >= 2:
-        raw.append((Fraction(gamma, 2) if exact else gc / 2, gamma - 1, 0))
-    fall = gamma * (gamma - 1)
-    for r in range(2, order):
-        br = bernoulli(r)
-        if br != 0:
-            c = Fraction(br, math.factorial(r)) * fall
-            raw.append((c, gamma - r, 0))
-        fall = fall * (gamma - r)
-    terms = _merge_terms(raw, "k")
-    return AsymptoticExpansion(tuple(terms),
-                               remainder_order=gc.real - order,
-                               variable="k")
-
-
 def _x_power_lower_order(gamma) -> list:
-    """Content of x^gamma below k^gamma in integer-part powers."""
-    depth = int(math.floor(complex(gamma).real)) + 2
-    return [(t.coeff, t.exponent)
-            for t in x_power_expansion(gamma, depth).terms[1:]]
+    """Content of x^gamma below k^gamma in integer-part powers, down to
+    gamma - floor(Re gamma) - 1, in the averaged (strong) sense: gamma times
+    the p-sum model of n^(gamma-1), constant included, whose terms are
+    (B_r/r!) gamma(gamma-1)...(gamma-r+1) k^(gamma-r), B_1 taken as +1/2.
+    The model's least order, 2, is one term deeper than Re gamma < 1 needs.
+    """
+    floor = math.floor(complex(gamma).real)
+    model = zeta_psum_expansion(1 - gamma, order=floor + 1)
+    content = [(t.coeff, t.exponent) for t in model.terms[1:]]
+    return [(gamma * c, e) for c, e in content + [(model.constant, 0)]
+            if c != 0 and round(complex(gamma - e).real) <= floor + 1]
 
 
 def invert_to_x_expansion(exp_k: AsymptoticExpansion) -> AsymptoticExpansion:
@@ -359,8 +333,7 @@ def invert_to_x_expansion(exp_k: AsymptoticExpansion) -> AsymptoticExpansion:
                                constant=constant, variable="x")
 
 
-def synthesize_annihilator(exp_x: AsymptoticExpansion,
-                           escalation_r: int = 0):
+def synthesize_annihilator(exp_x: AsymptoticExpansion):
     """Regular polynomial annihilating the expansion's divergent terms.
 
     Each term c * x^rho (ln x)^m with Re(rho) >= 0 and rho != 0 contributes
@@ -385,4 +358,4 @@ def synthesize_annihilator(exp_x: AsymptoticExpansion,
             return PoleSignal(origin="eigenvalue-one-factor",
                               detail={"exponent": rho})
         factors.append((_snap_scalar(lam), t.log_power + 1))
-    return build_regular_polynomial(factors, pure_power=escalation_r)
+    return build_regular_polynomial(factors)

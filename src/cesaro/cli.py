@@ -118,8 +118,8 @@ def format_scalar(v, digits: int) -> str:
     return f"{vc.real:.{digits}g}"
 
 
-def emit_record(record: dict, fmt: str, digits: int, out=None):
-    out = out or sys.stdout
+def emit_record(record: dict, fmt: str, digits: int):
+    out = sys.stdout
     if fmt == "json":
         def default(o):
             if isinstance(o, Fraction):
@@ -146,11 +146,11 @@ def emit_record(record: dict, fmt: str, digits: int, out=None):
         out.write(f"{k:<{width}}  {v}\n")
 
 
-def emit_rows(header, rows, fmt: str, digits: int, out=None):
-    out = out or sys.stdout
+def emit_rows(header, rows, fmt: str, digits: int):
+    out = sys.stdout
     if fmt == "json":
         docs = [dict(zip(header, row)) for row in rows]
-        emit_record({"rows": docs}, "json", digits, out)
+        emit_record({"rows": docs}, "json", digits)
         return
     if fmt == "csv":
         writer = csv_mod.writer(out)

@@ -29,8 +29,8 @@ from .errors import NotConvergentError, is_pole
 from .operators import (RegularPolynomial, apply_P_D, apply_q_nodes,
                         average_pass, build_regular_polynomial)
 from .asymptotics import (AsymptoticExpansion, divergent_exponent,
-                          eigensequence_lower_order, peel_ladder,
-                          synthesize_annihilator)
+                          eigensequence_lower_order, invert_to_x_expansion,
+                          peel_ladder, synthesize_annihilator)
 from .seqfun import PiecewiseFn
 from .tailfit import (_window_means, _window_sequence, _window_values,
                       fit_limit_array, relative_spread, snap_to_rational)
@@ -42,7 +42,6 @@ __all__ = [
     "cesaro_limit",
     "clim_k_alpha",
     "clim_x_alpha",
-    "cdlim_power",
     "cesaro_limit_discrete",
 ]
 
@@ -66,10 +65,6 @@ class CesaroResult:
     q_used: Optional[RegularPolynomial] = None
     removed_terms: tuple = ()
     diagnostics: dict = field(default_factory=dict)
-
-    @property
-    def is_pole(self) -> bool:
-        return is_pole(self.limit)
 
 
 def _maybe_snap(value, cfg: LimitConfig):
@@ -162,9 +157,8 @@ def cesaro_limit(f: PiecewiseFn,
     q, extras, removed = None, (), ()
     if expansion is not None and expansion.terms:
         if expansion.variable == "k":
-            from .asymptotics import invert_to_x_expansion
             expansion = invert_to_x_expansion(expansion)
-        q, removed = synthesize_annihilator(expansion, 0), expansion.terms
+        q, removed = synthesize_annihilator(expansion), expansion.terms
         if is_pole(q):
             return CesaroResult(limit=q, mechanism="pole",
                                 removed_terms=removed,
@@ -229,14 +223,6 @@ def clim_x_alpha(delta, r: int):
     if abs(complex(delta)) <= SNAP_RADIUS:
         return Fraction(1, r + 1)
     return 0
-
-
-def cdlim_power(rho):
-    """Discrete limit of {n^rho}: 1 when rho is a nonnegative integer
-    (within the snap radius), 0 otherwise."""
-    if complex(rho).real < 0:
-        raise ValueError("requires Re(rho) >= 0")
-    return 1 if _near_nonneg_int(rho) is not None else 0
 
 
 def _gamma_ratio_values(rho, n_max: int):

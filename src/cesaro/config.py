@@ -60,6 +60,8 @@ class LimitConfig:
             raise ValueError("horizon must be at least 100")
         if self.tail_tolerance <= 0:
             raise ValueError("tolerances must be positive")
+        if self.max_pure_power < 0:
+            raise ValueError("max_pure_power must be nonnegative")
 
     def with_(self, **kw) -> "LimitConfig":
         return replace(self, **kw)

@@ -84,9 +84,6 @@ class PoleSignal:
     residue: complex | None = None
     detail: dict = field(default_factory=dict)
 
-    def __bool__(self) -> bool:
-        return True
-
 
 def is_pole(value) -> bool:
     return isinstance(value, PoleSignal)

@@ -43,6 +43,9 @@ X_TOP = 2.0e4
 T_FINITE, T_INFINITE = 6.0, 4.9
 QUAD_LEVELS, QUAD_EPSABS, QUAD_EPSREL = 10, 1e-12, 1e-11
 
+#: relative bound on fit_endpoint_expansion's residual and on a kept term
+ENDPOINT_FIT_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class SingularPoint:
@@ -201,8 +204,8 @@ def _lstsq_fit(xs: np.ndarray, ys, terms=()):
                      [(0, 0), *terms, (-1, 0), (-2, 0), (-3, 0)])
 
 
-def fit_endpoint_expansion(samples: Sequence, model_exponents: Sequence,
-                           *, tol: float = 1e-8) -> AsymptoticExpansion:
+def fit_endpoint_expansion(samples: Sequence,
+                           model_exponents: Sequence) -> AsymptoticExpansion:
     """Least-squares power model for endpoint samples (X_i, F(X_i)).
 
     Fits a constant plus X^rho for each supplied model exponent (entries
@@ -219,11 +222,11 @@ def fit_endpoint_expansion(samples: Sequence, model_exponents: Sequence,
         raise ValueError("samples must span at least two decades")
     fit = _lstsq_fit(xs, ys, [e if isinstance(e, tuple) else (e, 0)
                               for e in model_exponents])
-    scale = max(1.0, float(np.max(np.abs(ys))))
-    if fit.residual_rms > tol * scale:
+    tol = ENDPOINT_FIT_TOL * max(1.0, float(np.max(np.abs(ys))))
+    if fit.residual_rms > tol:
         raise FitFailureError(
             f"endpoint fit residual {fit.residual_rms:.3g} exceeds tolerance "
-            f"{tol * scale:.3g}; the power model does not capture the data")
+            f"{tol:.3g}; the power model does not capture the data")
     (_, constant), *rest = fit.coefficients.items()
     terms = []
     for (e, m), c in rest:
@@ -232,7 +235,7 @@ def fit_endpoint_expansion(samples: Sequence, model_exponents: Sequence,
         # coefficient and still dominate the samples
         col = term_column(xs, e, m)
         contrib = abs(complex(c)) * float(np.max(np.abs(col)))
-        if contrib <= tol * scale:
+        if contrib <= tol:
             continue
         terms.append(ExpansionTerm(coeff=c, exponent=e, log_power=m,
                                    variable="X"))

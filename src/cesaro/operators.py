@@ -38,6 +38,9 @@ __all__ = [
 #: is ever built whole
 DIVIDE_ROWS = 8192
 
+#: apply_regular_polynomial's cross-check bound, relative to max(1, |value|)
+REGULAR_CROSS_CHECK_TOL = 1e-8
+
 
 def apply_P(f: PiecewiseFn) -> PiecewiseFn:
     """Average f over [0, x]: g(x) = (1/x) * integral_0^x f.
@@ -214,8 +217,7 @@ def apply_q_nodes(q: RegularPolynomial, vals, step: bool = False):
 
 
 def apply_regular_polynomial(q: RegularPolynomial, f: PiecewiseFn, *,
-                             cross_check_at: Sequence[float] = (),
-                             cross_check_tol: float = 1e-8) -> PiecewiseFn:
+                             cross_check_at: Sequence = ()) -> PiecewiseFn:
     """Apply q to f's node rows factor by factor; a point value interpolates
     its cell's row.  At cross_check_at points the monomial form, whose
     apply_P powers integrate f exactly, must agree.  A step input's first
@@ -233,7 +235,7 @@ def apply_regular_polynomial(q: RegularPolynomial, f: PiecewiseFn, *,
             direct = g.value(x)
             expanded = sum(c * p.value(x) for c, p in zip(coeffs, powers))
             scale = max(1.0, abs(direct))
-            if abs(direct - expanded) > cross_check_tol * scale:
+            if abs(direct - expanded) > REGULAR_CROSS_CHECK_TOL * scale:
                 raise CrossCheckMismatchError(
                     f"factored vs monomial application disagree at x={x}: "
                     f"{direct} vs {expanded}")

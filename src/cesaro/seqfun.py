@@ -29,7 +29,6 @@ __all__ = [
     "SeriesTerms",
     "PiecewiseFn",
     "psum_function",
-    "embed_step",
     "ones",
     "alt_ones",
     "naturals",
@@ -71,9 +70,6 @@ class SeriesTerms:
         self.term = term
         self.label = label
         self.array = array
-
-    def __repr__(self):
-        return f"SeriesTerms({self.label or self.term!r})"
 
     def psum(self, k: int):
         """The partial sum a_1 + ... + a_k, an exact int for int terms."""
@@ -171,10 +167,6 @@ class PiecewiseFn:
         self._vals: Optional[np.ndarray] = None      # (n, G) node values
         self._prefix: Optional[np.ndarray] = None    # cumulative at 0..n
 
-    def __repr__(self):
-        n = 0 if self._vals is None else len(self._vals)
-        return f"PiecewiseFn(kind={self.kind!r}, label={self.label!r}, cached={n})"
-
     # -- materialization ---------------------------------------------------
 
     def materialize(self, n: int) -> None:
@@ -246,13 +238,6 @@ class PiecewiseFn:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def from_step_term(term: Callable[[int], complex], label: str = "") -> "PiecewiseFn":
-        """Step function with value term(k) on [k, k+1)."""
-        return PiecewiseFn("step",
-                           lambda n: _step_cells([term(k) for k in range(n)]),
-                           label=label)
-
-    @staticmethod
     def from_callable(fn: Callable[[np.ndarray], np.ndarray], *,
                       closed_cumulative: Optional[Callable] = None,
                       label: str = "") -> "PiecewiseFn":
@@ -289,18 +274,6 @@ def psum_function(terms: SeriesTerms) -> PiecewiseFn:
                     label=f"psum({terms.label})")
     f.series = terms
     return f
-
-
-def embed_step(seq) -> PiecewiseFn:
-    """Embed a sequence as the step function a(x) = a_n on [n, n+1), n >= 1.
-
-    The piece on [0, 1) is 0; limits never see it.  Accepts a SeriesTerms or
-    a callable n -> a_n.
-    """
-    term = seq.term if isinstance(seq, SeriesTerms) else seq
-    label = getattr(seq, "label", "seq")
-    return PiecewiseFn.from_step_term(
-        lambda k: term(k) if k >= 1 else 0 * term(1), label=f"step({label})")
 
 
 # -- builtin series --------------------------------------------------------

@@ -99,10 +99,6 @@ class ZetaEvaluation:
     anomaly: bool = False
     diagnostics: dict = field(default_factory=dict)
 
-    @property
-    def is_pole(self) -> bool:
-        return is_pole(self.value)
-
 
 # ---------------------------------------------------------------------------
 # Faulhaber polynomials and the integral representation

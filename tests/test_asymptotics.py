@@ -7,10 +7,9 @@ import mpmath
 import pytest
 
 from cesaro.asymptotics import (AsymptoticExpansion, ExpansionTerm, _merge_terms,
-                                bernoulli, gamma_ratio_coeffs,
-                                invert_to_x_expansion,
-                                synthesize_annihilator, x_power_expansion,
-                                zeta_psum_expansion)
+                                _x_power_lower_order, bernoulli,
+                                gamma_ratio_coeffs, invert_to_x_expansion,
+                                synthesize_annihilator, zeta_psum_expansion)
 from cesaro.errors import (NonTriangularError, PoleSignal, SAtPoleError,
                            is_pole)
 
@@ -109,7 +108,7 @@ def test_zeta_psum_expansion_numeric_tail():
     vals = []
     for k in (200, 400, 800):
         p = sum(n ** -0.5 for n in range(1, k + 1))
-        vals.append(p - complex(e.evaluate(k, include_constant=True)).real)
+        vals.append(p - complex(e.evaluate(k)).real)
     assert vals[0] == pytest.approx(vals[2], abs=1e-10)
 
 
@@ -120,22 +119,49 @@ def test_zeta_psum_expansion_pole():
         zeta_psum_expansion(1 + 1e-12)
 
 
-def test_x_power_expansion_integer_exact():
+def test_x_power_lower_order_integer_exact():
     # x^3 = k^3 + (3/2)k^2 + (1/2)k in the averaged sense; B_2 term positive
-    e = x_power_expansion(Fraction(3), 4)
-    got = {complex(t.exponent).real: t.coeff for t in e.terms}
-    assert got[3.0] == 1
-    assert got[2.0] == Fraction(3, 2)
-    assert got[1.0] == Fraction(1, 2)
+    got = {e: c for c, e in _x_power_lower_order(Fraction(3))}
+    assert got == {2: Fraction(3, 2), 1: Fraction(1, 2)}
 
 
-def test_x_power_expansion_is_inverse_of_faulhaber():
-    # p-sums of n^2 are k^3/3 + k^2/2 + k/6; rewriting x^3/3 must give them
-    e = x_power_expansion(Fraction(3), 4)
-    coeffs = {complex(t.exponent).real: Fraction(t.coeff, 3)
-              for t in e.terms}
-    assert coeffs == {3.0: Fraction(1, 3), 2.0: Fraction(1, 2),
-                      1.0: Fraction(1, 6)}
+def test_x_power_lower_order_is_inverse_of_faulhaber():
+    # p-sums of n^2 are k^3/3 + k^2/2 + k/6; rewriting x^3/3 must give them:
+    # k^3/3, and below it a third of the content below k^3 in x^3
+    lower = {e: c / 3 for c, e in _x_power_lower_order(Fraction(3))}
+    assert lower == {2: Fraction(1, 2), 1: Fraction(1, 6)}
+
+
+def _x_power_closed_form(gamma):
+    """x^gamma's content below k^gamma by its own closed form: gamma/2 at
+    k^(gamma-1) and (B_r/r!) gamma(gamma-1)...(gamma-r+1) at k^(gamma-r)
+    for 2 <= r <= floor(Re gamma) + 1, zero terms dropped."""
+    exact = isinstance(gamma, (int, Fraction))
+    out = [(Fraction(gamma, 2) if exact else gamma / 2, gamma - 1)]
+    fall = gamma * (gamma - 1)
+    for r in range(2, math.floor(complex(gamma).real) + 2):
+        c = Fraction(bernoulli(r), math.factorial(r)) * fall
+        if c != 0:
+            out.append((c, gamma - r))
+        fall = fall * (gamma - r)
+    return out
+
+
+def test_x_power_lower_order_is_the_closed_form():
+    # read off gamma times the p-sum model of n^(gamma-1): exact for exact
+    # gamma, within rounding otherwise, never below gamma - floor(Re gamma) - 1
+    for gamma in (1, 2, 3, 4, 5, 6, Fraction(5, 2), Fraction(7, 3),
+                  Fraction(1, 7), 0.3, 2.5, 1 + 2j, 3.25 - 1j):
+        got, want = _x_power_lower_order(gamma), _x_power_closed_form(gamma)
+        lowest = complex(gamma).real - math.floor(complex(gamma).real) - 1
+        assert all(complex(e).real >= lowest - 1e-15 for _, e in got), gamma
+        if isinstance(gamma, (int, Fraction)):
+            assert got == want, gamma
+            continue
+        assert len(got) == len(want), gamma
+        for (c, e), (cw, ew) in zip(got, want):
+            assert abs(c - cw) <= 1e-15 * abs(cw), gamma
+            assert abs(e - ew) <= 1e-15 * abs(ew), gamma
 
 
 def test_invert_to_x_single_term_survives():

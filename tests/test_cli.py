@@ -424,6 +424,13 @@ def test_bad_series_is_usage_error(capsys):
     assert run(["sum", "fibonacci"]) == 2
 
 
+@pytest.mark.parametrize("verb", ["sum", "limit"])
+def test_a_negative_max_power_is_usage_error(capsys, verb):
+    assert run([verb, "alt_ones", "--max-power", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "max_pure_power" in err
+
+
 def test_help_exits_clean(capsys):
     assert run(["--help"]) == 0
 

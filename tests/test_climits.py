@@ -13,10 +13,10 @@ import pytest
 
 from cesaro.asymptotics import (AsymptoticExpansion, ExpansionTerm,
                                 zeta_psum_expansion)
-from cesaro.climits import (cdlim_power, cesaro_limit, cesaro_limit_discrete,
+from cesaro.climits import (cesaro_limit, cesaro_limit_discrete,
                             classical_limit, clim_k_alpha, clim_x_alpha,
                             strong_cesaro_limit)
-from cesaro.config import DEFAULT_CONFIG
+from cesaro.config import DEFAULT_CONFIG, LimitConfig
 from cesaro.errors import NotConvergentError, is_pole
 from cesaro.seqfun import (PiecewiseFn, alt_naturals, alt_ones, naturals,
                            ones, psum_function, zero_padded)
@@ -85,6 +85,14 @@ def test_strong_limit_exhausts_budget():
     f = psum_function(naturals())
     with pytest.raises(NotConvergentError):
         strong_cesaro_limit(f, FAST.with_(max_pure_power=2))
+
+
+def test_a_negative_averaging_budget_is_rejected():
+    with pytest.raises(ValueError, match="max_pure_power"):
+        LimitConfig(max_pure_power=-1)
+    with pytest.raises(ValueError, match="max_pure_power"):
+        FAST.with_(max_pure_power=-1)
+    assert LimitConfig(max_pure_power=0).max_pure_power == 0
 
 
 def test_generalised_limit_of_step_ramp():
@@ -242,15 +250,6 @@ def test_discrete_integer_input_uses_the_whole_horizon():
     assert ints.limit == floats.limit
     assert ints.diagnostics["horizon"] == floats.diagnostics["horizon"]
     assert ints.diagnostics["horizon"] == FAST.horizon
-
-
-def test_cdlim_power_values():
-    assert cdlim_power(0) == 1
-    assert cdlim_power(3) == 1
-    assert cdlim_power(0.5) == 0
-    assert cdlim_power(2 + 1e-12) == 1
-    with pytest.raises(ValueError):
-        cdlim_power(-0.5)
 
 
 def test_discrete_limit_constant_sequence():

@@ -5,8 +5,8 @@ import pytest
 
 from cesaro.operators import apply_P
 from cesaro.seqfun import (PiecewiseFn, SeriesTerms, alt_naturals, alt_ones,
-                           embed_step, n_pow_minus_s, naturals, ones,
-                           psum_function, zero_padded)
+                           n_pow_minus_s, naturals, ones, psum_function,
+                           zero_padded)
 
 
 def test_psum_basic_and_exact():
@@ -116,12 +116,6 @@ def test_psum_function_keeps_series_handle():
     f = psum_function(t)
     assert f.series is t
     assert f.label != psum_function(alt_ones()).label
-
-
-def test_embed_step_sequence_values():
-    f = embed_step(lambda n: n * n)
-    assert f.value(3.5) == 9
-    assert f.value(0.5) == 0
 
 
 def test_cumulative_matches_cellwise_sum():

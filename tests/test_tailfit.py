@@ -118,17 +118,46 @@ def test_a_kept_design_fits_each_sample_set_bit_for_bit(extra, kind):
         assert abs(fit.limit - limit) <= 3e-14
 
 
+#: the sample layouts a caller hands fit_limit_array: a column of a
+#: C-ordered table (every other entry) and one of a Fortran-ordered table
+LAYOUTS = {
+    "strided": lambda a: np.stack([a, -a], axis=1)[:, 0],
+    "fortran": lambda a: np.asfortranarray(np.stack([a, -a], axis=1))[:, 0],
+}
+
+
 @pytest.mark.parametrize("extra", [(-1, 3), (-0.5 + 2j, 0)])
 def test_a_fit_does_not_move_with_the_design_layout(extra, monkeypatch):
-    # the normal-equation inverse moved the stderr with the memory order
-    terms = [*TAIL_TERMS, (-1, 2), extra]
-    plain = fit_terms(XS, _tail(), terms)
-    stack = np.column_stack
-    monkeypatch.setattr(np, "column_stack",
-                        lambda arrays: np.asfortranarray(stack(arrays)))
-    fortran = fit_terms(XS, _tail(), terms)
-    assert (fortran.limit, fortran.stderr, fortran.residual_rms) == \
-        (plain.limit, plain.stderr, plain.residual_rms)
+    # a fit reads the caller's arrays as they are, so no layout may move it
+    reached, fit = [], cesaro.tailfit.fit_terms
+
+    def recording_fit(xs, ys, terms):
+        reached.append((xs, ys))
+        return fit(xs, ys, terms)
+
+    monkeypatch.setattr(cesaro.tailfit, "fit_terms", recording_fit)
+
+    def results(f):
+        return (f.limit, f.stderr, f.residual_rms,
+                list(f.coefficients.items()))
+
+    for ys in (_tail(), _tail() + 0j):
+        plain = results(fit_limit_array(XS, ys, [(-1, 2), extra]))
+        for name, layout in LAYOUTS.items():
+            xs_in, ys_in = layout(XS), layout(ys)
+            assert results(fit_limit_array(xs_in, ys_in, [(-1, 2), extra])) \
+                == plain, name
+            assert reached[-1][0] is xs_in and reached[-1][1] is ys_in, name
+    assert LAYOUTS["strided"](XS).strides == (2 * XS.itemsize,)
+    assert LAYOUTS["fortran"](XS).base.flags.f_contiguous
+    # complex samples with a zero imaginary part keep the real fit's
+    # residual and stderr; their constant is solved in complex arithmetic,
+    # which may move its last bit, and keeps any imaginary part
+    real, complex_ = (fit_limit_array(XS, ys, [(-1, 2), extra])
+                      for ys in (_tail(), _tail() + 0j))
+    assert (complex_.residual_rms, complex_.stderr) == \
+        (real.residual_rms, real.stderr)
+    assert complex_.limit.real == pytest.approx(real.limit, rel=1e-15)
 
 
 def test_an_extended_factor_agrees_with_one_built_whole():
