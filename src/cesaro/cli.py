@@ -34,7 +34,8 @@ from .integrals import (DomainSpec, SingularPoint, _mellin_expansions,
                         cesaro_integral, mellin_1_over_1px, mellin_integrand)
 from .seqfun import (alt_naturals, alt_ones, n_pow_minus_s, naturals, ones,
                      psum_function, zero_padded)
-from .zeta import eta, zeta, zeta_discrete_corrected, zeta_discrete_ext
+from .zeta import (DISCRETE_HORIZON, _fixed_power_limit, eta, zeta,
+                   zeta_discrete_corrected, zeta_discrete_ext)
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -180,8 +181,6 @@ def build_cfg(args) -> LimitConfig:
     overrides = {}
     if args.horizon is not None:
         overrides["horizon"] = args.horizon
-    if args.tol is not None:
-        overrides["tail_tolerance"] = args.tol
     if args.max_power is not None:
         overrides["max_pure_power"] = args.max_power
     if args.exact:
@@ -192,9 +191,6 @@ def build_cfg(args) -> LimitConfig:
 def add_common(p: argparse.ArgumentParser):
     p.add_argument("--horizon", type=int, default=None,
                    help="tail horizon for limit extraction")
-    p.add_argument("--tol", type=float, default=None,
-                   help="relative residual allowed in an integral's "
-                        "endpoint fits")
     p.add_argument("--max-power", type=int, default=None,
                    help="maximum averaging escalation depth")
     p.add_argument("--exact", action="store_true",
@@ -244,12 +240,16 @@ def cmd_sum(args, cfg: LimitConfig) -> dict:
 
 def cmd_limit(args, cfg: LimitConfig) -> dict:
     series, s_dir = parse_series(args.series)
-    terms = series.term_array(min(cfg.horizon, 10 ** 5))
-    if np.all(np.abs(terms.imag) < 1e-15):
-        terms = terms.real
-    # a pure power sequence is its own (known-coefficient) divergent content
-    decomposition = [] if s_dir is None else [(1.0, -complex(s_dir))]
-    result = cesaro_limit_discrete(terms, decomposition, cfg)
+    if s_dir is None:
+        terms = series.term_array(min(cfg.horizon, 10 ** 5))
+        if np.all(np.abs(terms.imag) < 1e-15):
+            terms = terms.real
+        result = cesaro_limit_discrete(terms, [], cfg)
+    else:
+        # a pure power sequence is its own (known-coefficient) divergent
+        # content, peeled in the fixed point its table is built in
+        result = _fixed_power_limit(s_dir, min(cfg.horizon, DISCRETE_HORIZON),
+                                    cfg)
     dump = {}
     if args.dump_expansion:
         dump = {"removed_terms": repr(result.removed_terms),
@@ -459,7 +459,7 @@ def _parser() -> argparse.ArgumentParser:
 
 #: flags whose values are often negative numbers; fused with "=" before
 #: parsing so argparse does not mistake "-1,0" for an option
-_NUMERIC_FLAGS = ("--s", "--start", "--stop", "--tol")
+_NUMERIC_FLAGS = ("--s", "--start", "--stop")
 
 
 def _fuse_numeric_flags(argv):

@@ -42,24 +42,18 @@ class LimitConfig:
 
     horizon           evaluation horizon (number of unit intervals / sequence
                       length); the tail window is the last decade of it.
-    tail_tolerance    relative residual allowed in cesaro_integral's
-                      endpoint fits, and the size above which a fitted
-                      divergence counts; the limit drivers do not read it.
     max_pure_power    escalation budget for pure averaging powers.
     exact_mode        prefer exact rational arithmetic where available and
                       snap clean rational limits.
     """
 
     horizon: int = 10**5
-    tail_tolerance: float = 1e-8
     max_pure_power: int = 6
     exact_mode: bool = False
 
     def __post_init__(self):
         if self.horizon < 10**2:
             raise ValueError("horizon must be at least 100")
-        if self.tail_tolerance <= 0:
-            raise ValueError("tolerances must be positive")
         if self.max_pure_power < 0:
             raise ValueError("max_pure_power must be nonnegative")
 

@@ -43,7 +43,8 @@ X_TOP = 2.0e4
 T_FINITE, T_INFINITE = 6.0, 4.9
 QUAD_LEVELS, QUAD_EPSABS, QUAD_EPSREL = 10, 1e-12, 1e-11
 
-#: relative bound on fit_endpoint_expansion's residual and on a kept term
+#: relative bound on an endpoint fit's residual and on a kept or removed
+#: term, in fit_endpoint_expansion and cesaro_integral
 ENDPOINT_FIT_TOL = 1e-8
 
 
@@ -250,7 +251,7 @@ def _removed_powers(fit, threshold: float) -> tuple:
                  and abs(complex(c)) > threshold)
 
 
-def _analyze_endpoint(f, point: SingularPoint, anchor: float, cfg: LimitConfig,
+def _analyze_endpoint(f, point: SingularPoint, anchor: float,
                       complex_valued: bool):
     """Finite part and removed divergences for one endpoint.
 
@@ -258,7 +259,7 @@ def _analyze_endpoint(f, point: SingularPoint, anchor: float, cfg: LimitConfig,
     """
     xs, ys = _endpoint_samples(f, point, anchor, complex_valued)
     scale = max(1.0, float(np.max(np.abs(ys))))
-    tol = cfg.tail_tolerance * scale
+    tol = ENDPOINT_FIT_TOL * scale
     if isinstance(point.expansion, AsymptoticExpansion):
         removed = []
         log_coeff = 0.0
@@ -318,7 +319,9 @@ def cesaro_integral(f: Callable, spec: DomainSpec,
     cutoff integral carries a genuine log term makes the value a
     PoleSignal; in strict (independent-cutoff) mode, log terms at distinct
     endpoints whose coefficients would cancel in a coupled cutoff raise
-    IllegalCancellation instead of pretending the pole away.
+    IllegalCancellation instead of pretending the pole away.  cfg is taken
+    as every driver takes it; no field of it changes an integral, whose
+    endpoint fits are held to ENDPOINT_FIT_TOL.
     """
     points = spec.points
     try:
@@ -363,7 +366,7 @@ def cesaro_integral(f: Callable, spec: DomainSpec,
     for i, p in enumerate(points):
         for anchor in anchors[i]:
             fp, removed, flag, log_coeff = _analyze_endpoint(
-                f, p, anchor, cfg, complex_valued)
+                f, p, anchor, complex_valued)
             per_endpoint.append((p.label, removed, flag))
             if flag:
                 log_entries.append((p.label, log_coeff))

@@ -12,8 +12,9 @@ column x^e (ln x)^m.  TAIL_TERMS is the default list, and every caller
 names the further terms its residual is known to carry.  term_column builds
 a column and fit_terms is the one least-squares fit.  A TailDesign keeps
 the Householder factor of each term set's scaled columns over one window,
-so a fit only reflects its samples; the driver windows, whose xs depend on
-the horizon alone, are kept across calls by _tail_window.
+each built whole by one QR, so a fit only reflects its samples and its bits
+do not depend on what the design kept before; the driver windows, whose xs
+depend on the horizon alone, are kept across calls by _tail_window.
 """
 
 from __future__ import annotations
@@ -134,8 +135,8 @@ class _Factor(NamedTuple):
 
 
 def _reflect(V, tau, y):
-    """Q^H y in place, for the leading reflectors of V, one at a time as
-    LAPACK's larf applies them to a column of the factored matrix."""
+    """Q^H y in place, by the reflectors of V one at a time, as LAPACK's
+    larf applies them to a column of the factored matrix."""
     for j, t in enumerate(np.conj(tau).tolist()):
         v = V[j, j:]
         y[j:] -= t * np.vdot(v, y[j:]) * v
@@ -144,12 +145,10 @@ def _reflect(V, tau, y):
 class TailDesign:
     """The tail model over one window's xs: for each term set the
     Householder factor of its columns, each scaled to unit maximum.  The
-    columns are built only to be factored.  A term set that starts with the
-    terms of a kept factor takes that factor's leading reflectors and
-    factors only its further columns, so the gate's log probe builds one
-    column; such a factor agrees with one built whole to rounding, not bit
-    for bit.  At most FACTORS_KEPT factors are kept.  A design is not meant
-    to be shared between threads."""
+    columns are built only to be factored, and each term set is factored
+    whole, so a fit depends on its xs, terms and ys alone, never on what
+    the design kept before.  At most FACTORS_KEPT factors are kept.  A
+    design is not meant to be shared between threads."""
 
     def __init__(self, xs):
         self.xs = np.asarray(xs, dtype=np.float64)
@@ -162,32 +161,17 @@ class TailDesign:
         if key in self._factors:
             self._factors.move_to_end(key)
             return self._factors[key]
-        complex_ = any(e.imag for e, _m in key)
-        k0, base = 0, None          # the longest kept prefix of the kind
-        for have, f in self._factors.items():
-            n = next((i for i, (a, b) in enumerate(zip(have, key)) if a != b),
-                     min(len(have), len(key)))
-            if k0 < n < len(key) and np.iscomplexobj(f.V) == complex_:
-                k0, base = n, f
-        cols = np.array([term_column(self.xs, e, m) for e, m in terms[k0:]],
-                        dtype=complex if complex_ else np.float64)
+        cols = np.array([term_column(self.xs, e, m) for e, m in terms],
+                        dtype=complex if any(e.imag for e, _m in key)
+                        else np.float64)
         norms = np.max(np.abs(cols), axis=1)
         cols /= norms[:, None]
-        if base is not None:
-            for col in cols:
-                _reflect(base.V, base.tau[:k0], col)
-        V, tau = np.linalg.qr(cols[:, k0:].T, mode="raw")
-        R = np.triu(V[:, :len(tau)].T)
-        for j in range(len(tau)):       # keep only reflector j in row j
+        V, tau = np.linalg.qr(cols.T, mode="raw")
+        k = len(tau)
+        R = np.triu(V[:, :k].T)
+        for j in range(k):              # keep only reflector j in row j
             V[j, :j] = 0
             V[j, j] = 1
-        if base is not None:
-            R = np.block([[base.R[:k0, :k0], cols[:, :k0].T],
-                          [np.zeros((len(tau), k0)), R]])
-            V = np.concatenate([base.V[:k0], np.pad(V, ((0, 0), (k0, 0)))])
-            tau = np.concatenate([base.tau[:k0], tau])
-            norms = np.concatenate([base.norms[:k0], norms])
-        k = len(tau)
         row0 = float(np.linalg.norm(np.linalg.solve(R, np.eye(k))[0]))
         self._factors[key] = _Factor(V, tau, R, row0, norms)
         if len(self._factors) > FACTORS_KEPT:
@@ -221,10 +205,11 @@ def fit_terms(xs, ys, terms) -> TailFit:
     rest are what a QR factorisation of [A | y] would put in its last
     column.  R c = z gives the coefficients (solve's LU pivots nowhere on a
     triangle), the norm the residual and row 0 of R^{-1} the constant's
-    stderr.  Complex ys on a real design reflect their real and imaginary
-    parts apart.  A repeated term enters once, which keeps R nonsingular.
-    limit is the coefficient of the first term; coefficients maps each
-    term to its coefficient.
+    stderr.  Complex ys on a real design reflect and solve their real and
+    imaginary parts apart, so real samples passed as complex give the real
+    fit's bits with an imaginary part of 0.  A repeated term enters once,
+    which keeps R nonsingular.  limit is the coefficient of the first term;
+    coefficients maps each term to its coefficient.
     """
     unique = {}
     for e, m in terms:
@@ -241,8 +226,9 @@ def fit_terms(xs, ys, terms) -> TailFit:
         parts = [ys.astype(f.V.dtype)]
     for y in parts:
         _reflect(f.V, f.tau, y)
-    z = parts[0][:k] + 1j * parts[1][:k] if len(parts) == 2 else parts[0][:k]
-    coef = np.linalg.solve(f.R, z) / f.norms
+    coef, *im = (np.linalg.solve(f.R, y[:k]) / f.norms for y in parts)
+    if im:
+        coef = coef + 1j * im[0]
     rms = math.hypot(*(np.linalg.norm(y[k:]) for y in parts)) / math.sqrt(n)
     stderr = float(f.row0 * rms * np.sqrt(n / (n - k)) / f.norms[0])
     limit = coef[0] if np.iscomplexobj(ys) else float(np.real(coef[0]))

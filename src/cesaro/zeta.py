@@ -64,8 +64,9 @@ import numpy as np
 from mpmath import libmp
 
 from .asymptotics import zeta_psum_expansion
-from .climits import (GUARD_BITS, Fixed, cesaro_limit_discrete,
-                      _gamma_ratio_values, _near_nonneg_int)
+from .climits import (GUARD_BITS, CesaroResult, Fixed,
+                      cesaro_limit_discrete, _gamma_ratio_values,
+                      _near_nonneg_int)
 from .config import DEFAULT_CONFIG, LEDGER_FLOOR, LimitConfig, SNAP_RADIUS
 from .errors import (CrossCheckMismatchError, FitFailureError,
                      MissingDerivativeTermError, NonIntegerRhoError,
@@ -508,31 +509,40 @@ def _psum_content(s, order=None) -> list:
 DISCRETE_HORIZON = 4000
 
 
-def _ext_mp(s, cfg: LimitConfig):
-    """The discrete evaluation off the integers, on fixed-point p-sums.
+def _fixed_power_limit(s, horizon: int, cfg: LimitConfig,
+                       psum: bool = False) -> CesaroResult:
+    """The discrete limit of n^{-s}, n = 1..horizon, or with psum of its
+    p-sums, built by _fixed_powers and peeled of its known content in the
+    same fixed point.
 
-    The subtraction cancels ~|1-Re(s)| leading digits of the p-sum, so
-    exponents need working precision as much as coefficients do: a double
-    holds 1-s only to ~1e-16, and at n = 4000 that error times ln n times
-    a p-sum of ~1e14 is an error of order 1 in the value.  So the model is
-    built at an mpmath s, with its corrections down to the driver's ledger
-    floor, and the p-sums are ints scaled by 2^B, B the working precision
-    plus GUARD_BITS, summed from _fixed_powers.  The driver peels in the
-    same fixed point.  The p-sum reaches DISCRETE_HORIZON^{1-Re s}, so the
-    precision grows with depth to keep 15 digits after the cancellation,
-    and is never below 30 digits.
+    A p-sum reaches horizon^{1-Re s}, the terms one power less, and the
+    peel cancels as many leading digits, so exponents need working
+    precision as much as coefficients do: a double holds 1-s only to
+    ~1e-16, and at n = 4000 that error times ln n times a p-sum of ~1e14
+    is an error of order 1 in the value.  So the content is built at an
+    mpmath s, the p-sum's with its corrections down to the driver's ledger
+    floor, and the precision grows with depth to keep 15 digits after the
+    cancellation, never below 30 digits.
     """
     sc = complex(s)
-    dps = max(30, math.ceil(15 + (1 - sc.real) * math.log10(DISCRETE_HORIZON)))
+    dps = max(30, math.ceil(15 + (1 - sc.real) * math.log10(horizon)))
     with mpmath.workdps(dps):
         smp = _mp_s(sc)
-        re, im, bits = _fixed_powers(smp, DISCRETE_HORIZON)
-        psums = [np.cumsum(re), np.cumsum(im)]
-        del re, im          # free the terms before the peel runs
-        order = math.ceil(1 - LEDGER_FLOOR - sc.real) - 1
-        return cesaro_limit_discrete(Fixed(*psums, bits),
-                                     _psum_content(smp, order),
-                                     cfg.with_(horizon=DISCRETE_HORIZON))
+        re, im, bits = _fixed_powers(smp, horizon)
+        if psum:            # the terms are freed before the peel runs
+            re, im = np.cumsum(re), np.cumsum(im)
+            content = _psum_content(smp, math.ceil(
+                1 - LEDGER_FLOOR - sc.real) - 1)
+        else:
+            content = [(1, -smp)]
+        return cesaro_limit_discrete(Fixed(re, im, bits), content,
+                                     cfg.with_(horizon=horizon))
+
+
+def _ext_mp(s, cfg: LimitConfig):
+    """The discrete evaluation off the integers: the limit of the
+    fixed-point p-sums over DISCRETE_HORIZON terms."""
+    return _fixed_power_limit(s, DISCRETE_HORIZON, cfg, psum=True)
 
 
 def zeta_discrete_ext(s, cfg: LimitConfig = DEFAULT_CONFIG) -> ZetaEvaluation:

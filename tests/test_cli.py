@@ -110,10 +110,19 @@ def test_limit_decaying_power(capsys):
 
 
 def test_limit_complex_power_is_peeled_to_zero(capsys):
-    # n^{1-3i} has discrete limit 0; its eigensequence in doubles must not
-    # leave a residual above the tail fit's noise
+    # n^{1-3i} has discrete limit 0; its eigensequence must not leave a
+    # residual above the tail fit's noise
     doc = _json_out(capsys, ["limit", "n_pow(1,-3)"])
     assert abs(_value(doc)) < 1e-8
+
+
+@pytest.mark.parametrize("series", ["n_pow(2.3,1.5)", "n_pow(3.1)",
+                                    "n_pow(2.7)", "n_pow(1,-3)"])
+def test_limit_peels_a_growing_power_in_fixed_point(capsys, series):
+    # n^rho has discrete limit 0.  Built and peeled in fixed point, no
+    # rounding of n^rho to doubles is left to grow with it
+    doc = _json_out(capsys, ["limit", series])
+    assert abs(_value(doc)) < 1e-12
 
 
 def test_limit_constant_series(capsys):

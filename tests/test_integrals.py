@@ -32,20 +32,22 @@ def _classical(f):
 
 
 def test_import_defers_scipy_integrate():
-    # quadrature is numpy's: a fresh process that integrates through the CLI
-    # loads no scipy module at all
+    # quadrature is numpy's, and a power series' limit is peeled in fixed
+    # point: a fresh process that integrates and takes that limit through
+    # the CLI loads no scipy module at all
     src = os.path.dirname(os.path.dirname(os.path.abspath(cesaro.__file__)))
     code = ("import contextlib, io, sys, cesaro.cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    codes = [cesaro.cli.run(['mellin', '--s', '0.5']),\n"
             "             cesaro.cli.run(['integral', '--f', 'exp',\n"
-            "                             '--spec', '[]'])]\n"
+            "                             '--spec', '[]']),\n"
+            "             cesaro.cli.run(['limit', 'n_pow(0.5)'])]\n"
             "print(codes, [m for m in sys.modules if m.startswith('scipy')])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=60,
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[0, 0] []"
+    assert proc.stdout.strip() == "[0, 0, 0] []"
 
 
 # -- the tanh-sinh rule ----------------------------------------------------

@@ -94,7 +94,6 @@ def test_a_kept_design_fits_each_sample_set_bit_for_bit(extra, kind):
     # a kept factor, a fresh one and the driver window's give the same bits;
     # the one-shot QR of [A | y] and a 40-digit solution agree to rounding
     kept = TailDesign(XS)
-    cesaro.tailfit._tail_window.cache_clear()     # no factor to extend
     window = cesaro.tailfit._tail_window("means", 1000)
     assert np.array_equal(window.xs, XS)
     terms = [*TAIL_TERMS, extra]
@@ -126,6 +125,10 @@ LAYOUTS = {
 }
 
 
+def _results(f):
+    return (f.limit, f.stderr, f.residual_rms, list(f.coefficients.items()))
+
+
 @pytest.mark.parametrize("extra", [(-1, 3), (-0.5 + 2j, 0)])
 def test_a_fit_does_not_move_with_the_design_layout(extra, monkeypatch):
     # a fit reads the caller's arrays as they are, so no layout may move it
@@ -136,42 +139,40 @@ def test_a_fit_does_not_move_with_the_design_layout(extra, monkeypatch):
         return fit(xs, ys, terms)
 
     monkeypatch.setattr(cesaro.tailfit, "fit_terms", recording_fit)
-
-    def results(f):
-        return (f.limit, f.stderr, f.residual_rms,
-                list(f.coefficients.items()))
-
     for ys in (_tail(), _tail() + 0j):
-        plain = results(fit_limit_array(XS, ys, [(-1, 2), extra]))
+        plain = _results(fit_limit_array(XS, ys, [(-1, 2), extra]))
         for name, layout in LAYOUTS.items():
             xs_in, ys_in = layout(XS), layout(ys)
-            assert results(fit_limit_array(xs_in, ys_in, [(-1, 2), extra])) \
-                == plain, name
+            assert _results(fit_limit_array(xs_in, ys_in,
+                                            [(-1, 2), extra])) == plain, name
             assert reached[-1][0] is xs_in and reached[-1][1] is ys_in, name
     assert LAYOUTS["strided"](XS).strides == (2 * XS.itemsize,)
     assert LAYOUTS["fortran"](XS).base.flags.f_contiguous
-    # complex samples with a zero imaginary part keep the real fit's
-    # residual and stderr; their constant is solved in complex arithmetic,
-    # which may move its last bit, and keeps any imaginary part
+    # complex samples with a zero imaginary part give the real fit's bits:
+    # a real design solves their parts apart, and their imaginary parts are
+    # exactly 0; a complex design keeps the constant's imaginary part
     real, complex_ = (fit_limit_array(XS, ys, [(-1, 2), extra])
                       for ys in (_tail(), _tail() + 0j))
     assert (complex_.residual_rms, complex_.stderr) == \
         (real.residual_rms, real.stderr)
-    assert complex_.limit.real == pytest.approx(real.limit, rel=1e-15)
+    assert complex_.limit.real == real.limit
+    assert list(complex_.coefficients.items()) == \
+        list(real.coefficients.items())
+    if not complex(extra[0]).imag:
+        assert complex_.limit.imag == 0
+        assert all(c.imag == 0 for c in complex_.coefficients.values())
 
 
-def test_an_extended_factor_agrees_with_one_built_whole():
-    design = TailDesign(XS)
-    fit_limit_array(design, _tail())
-    extended = fit_limit_array(design, _tail(), [(0, 1)])
-    whole = fit_limit_array(TailDesign(XS), _tail(), [(0, 1)])
-    assert abs(extended.limit - whole.limit) <= 1e-14
-    assert list(extended.coefficients) == list(whole.coefficients)
-    assert list(extended.coefficients.values()) == pytest.approx(
-        list(whole.coefficients.values()), abs=1e-10)
-    assert extended.stderr == pytest.approx(whole.stderr, rel=1e-7)
-    assert extended.residual_rms == pytest.approx(whole.residual_rms,
-                                                  rel=1e-7)
+def test_a_fit_does_not_depend_on_what_its_design_kept():
+    # each term set is factored whole, so a design primed with other term
+    # sets, the probe's leading terms among them, fits bit for bit as a
+    # fresh one
+    primed = TailDesign(XS)
+    for extras in ([], [(-1, 2)], [(0, 1), (-1, 2)], [(-3, 0)]):
+        fit_limit_array(primed, _tail(), extras)
+    for ys in (_tail(), _tail() + 1j / XS):
+        assert _results(fit_limit_array(primed, ys, [(0, 1)])) == \
+            _results(fit_limit_array(TailDesign(XS), ys, [(0, 1)]))
 
 
 def _alternating_sum():
@@ -181,31 +182,41 @@ def _alternating_sum():
         array=lambda ns: np.where(ns % 2 == 1, 1.0, -1.0) * ns ** 1.5))
 
 
-def test_a_driver_builds_each_tail_column_once_per_call(monkeypatch):
-    built, fits, factored = [], [], []
-    column, fit = cesaro.tailfit.term_column, cesaro.tailfit.fit_terms
-    qr = np.linalg.qr
+def test_a_driver_factors_each_window_term_set_once_per_process(
+        monkeypatch):
+    factored, built, fits, qr_calls = [], [], [], []
+    factor, column = TailDesign.factor, cesaro.tailfit.term_column
+    fit, qr = cesaro.tailfit.fit_terms, np.linalg.qr
+
+    def counting_factor(design, terms):
+        key = tuple((complex(e), m) for e, m in terms)
+        if key not in design._factors:
+            factored.append(((len(design.xs), design.xs[0]), key))
+        return factor(design, terms)
 
     def counting_column(xs, e, m=0):
         built.append((len(xs), xs[0], complex(e), m))
         return column(xs, e, m)
 
+    monkeypatch.setattr(TailDesign, "factor", counting_factor)
     monkeypatch.setattr(cesaro.tailfit, "term_column", counting_column)
     monkeypatch.setattr(cesaro.tailfit, "fit_terms",
                         lambda *a: fits.append(a) or fit(*a))
     monkeypatch.setattr(np.linalg, "qr",
-                        lambda *a, **k: factored.append(a) or qr(*a, **k))
+                        lambda *a, **k: qr_calls.append(a) or qr(*a, **k))
     cesaro.tailfit._tail_window.cache_clear()
     assert strong_cesaro_limit(_alternating_sum()).mechanism == "strong(2)"
-    windows = {key[:2] for key in built}
+    windows = {window for window, _ in factored}
     assert len(windows) == 2 and len(fits) >= 3 * len(windows)
-    assert len(built) == len(set(built))
-    assert {key[2:] for key in built} == {(complex(e), m) for e, m in
-                                          [*TAIL_TERMS, (0, 1)]}
+    assert len(factored) == len(set(factored)) == len(qr_calls)
+    value = tuple((complex(e), m) for e, m in TAIL_TERMS)
+    assert {key for _, key in factored} == {value, (*value, (0j, 1))}
+    # columns are built only to be factored, each set whole by one QR
+    assert len(built) == sum(len(key) for _, key in factored)
     # the windows and their factors outlive the call
-    built.clear(), factored.clear()
+    factored.clear(), built.clear(), qr_calls.clear()
     assert strong_cesaro_limit(_alternating_sum()).mechanism == "strong(2)"
-    assert built == [] and factored == []
+    assert factored == [] and built == [] and qr_calls == []
 
 
 def test_the_kept_factors_and_windows_are_bounded():
