@@ -15,7 +15,9 @@ continued value.  Two independent routes compute it:
       is subtracted, so it shares no constant with route (a).
 
 Both routes, and the discrete evaluation, take n^{-s} from one sieve
-builder, _fixed_powers.  Where both routes run, zeta and eta build the
+builder, _fixed_powers, in fixed point: the primes share a few small
+tables of exponentials, one per base-64 digit of ln p, and a composite is
+one product of two entries.  Where both routes run, zeta and eta build the
 table n^{-s}, n < ROUTE_B_CELLS, once: route (a) sums its first
 ROUTE_A_TERMS entries, and route (b) alternates all of them.  The check
 keeps its force, for a fault in the table would not cancel: were the
@@ -73,8 +75,8 @@ from .errors import (CrossCheckMismatchError, FitFailureError,
                      PoleSignal, SAtPoleError, is_pole)
 from .operators import average_pass
 from .seqfun import WEIGHTS, n_pow_minus_s, psum_function
-from .tailfit import (fit_limit, fit_limit_array, sequence_tail,
-                      snap_to_rational)
+from .tailfit import (TailDesign, fit_limit, fit_limit_array,
+                      sequence_tail, snap_to_rational)
 
 __all__ = [
     "ZetaEvaluation",
@@ -182,12 +184,87 @@ def _sieve_layers(horizon: int) -> tuple:
     return primes[0], tuple(layer for layer in layers if layer.size)
 
 
+#: ln p is taken in LOG_LEVELS base-2^LOG_DIGIT digits, from 2^LOG_TOP down,
+#: and a residual below 2^-LOG_LOW; ln p < 2^LOG_TOP below 8.8e6.  Digit
+#: widths of 4 to 8 bits over 4 to 10 levels run within 10% of each other
+LOG_TOP, LOG_DIGIT, LOG_LEVELS = 4, 6, 6
+LOG_LOW = LOG_DIGIT * LOG_LEVELS - LOG_TOP
+
+#: bits _prime_powers carries below the scale of the table it returns
+POWER_GUARD = 24
+
+
 @functools.cache
-def _prime_logs(horizon: int, wp: int) -> tuple:
-    """ln p to wp bits, rounded to nearest as mpmath.log rounds it, for the
-    primes up to horizon, as raw mpf tuples."""
-    return tuple(libmp.mpf_log(libmp.from_int(int(p)), wp, "n")
-                 for p in _sieve_layers(horizon)[0])
+def _prime_logs(horizon: int, bits: int) -> tuple:
+    """round(ln p * 2^bits) for the primes p up to horizon, from logs at
+    bits + 32 bits, split into digits and residual: row l of the int64
+    array digits holds digit l of every log, of weight
+    2^(LOG_TOP - LOG_DIGIT (l + 1)), and the object array residual what is
+    left, below 2^(bits - LOG_LOW).  Digit 0 has no upper bound, so the
+    split holds for ln p past 2^LOG_TOP too."""
+    rest = np.array([libmp.to_int(libmp.mpf_shift(libmp.mpf_log(
+        libmp.from_int(int(p)), bits + 32, "n"), bits), "n")
+        for p in _sieve_layers(horizon)[0]], dtype=object)
+    digits = []
+    for level in range(LOG_LEVELS):
+        shift = bits + LOG_TOP - LOG_DIGIT * (level + 1)
+        digit = rest >> shift
+        digits.append(digit.astype(np.int64))
+        rest = rest - (digit << shift)
+    return np.array(digits), rest
+
+
+def _mul(x, y, shift: int) -> list:
+    """The product of x and y over 2^shift, floored; each is [re] at real
+    s and [re, im] at complex s, of ints or int object arrays."""
+    if len(x) == 1:
+        return [(x[0] * y[0]) >> shift]
+    (a, b), (c, d) = x, y
+    return [(a * c - b * d) >> shift, (a * d + b * c) >> shift]
+
+
+def _prime_powers(s, horizon: int, bits: int) -> list:
+    """p^{-s} at the primes p up to horizon, s an mpmath number, as [re] at
+    real s and [re, im] at complex s, int object arrays over 2^bits.
+
+    With ln p = sum_l d_l w_l + r_p as _prime_logs splits it, w_l =
+    2^(LOG_TOP - LOG_DIGIT (l + 1)), p^{-s} is the product of the entries
+    T_l[d_l] = exp(-s d_l w_l) and of exp(-s r_p).  Each table T_l takes
+    one libmp exp, of -s w_l, and its powers up to the largest digit in
+    fixed-point products.  exp(-s r_p), |s r_p| < |s| 2^-LOG_LOW, is a
+    Taylor series in the real r_p, summed by Horner's rule.  All of it runs
+    POWER_GUARD bits below 2^-bits, each step floors, and the product is
+    floored once to 2^-bits.
+    """
+    wp = bits + POWER_GUARD
+    digits, residual = _prime_logs(horizon, wp)
+    cplx = isinstance(s, mpmath.mpc)
+    neg = [libmp.mpf_neg(x) for x in (s._mpc_ if cplx else [s._mpf_])]
+    one = [1 << wp] + [0] * cplx
+    acc = None
+    for level, d in enumerate(digits):
+        arg = [libmp.mpf_shift(x, LOG_TOP - LOG_DIGIT * (level + 1))
+               for x in neg]
+        step = [libmp.to_fixed(x, wp) for x in (
+            libmp.mpc_exp(arg, wp) if cplx else [libmp.mpf_exp(*arg, wp)])]
+        table = [one]
+        for _ in range(int(d.max())):
+            table.append(_mul(table[-1], step, wp))
+        t = [np.array(part, dtype=object)[d] for part in zip(*table)]
+        acc = t if acc is None else _mul(acc, t, wp)
+    # exp(-s r_p) = sum_{k<n} c_k r_p^k, c_k = (-s)^k/k!, where the first
+    # term left out, |s r_p|^n/n!, is at most 2^-wp
+    bound, n, term = abs(complex(s)) * 2.0 ** -LOG_LOW, 0, 1.0
+    while term > 2.0 ** -wp:
+        n += 1
+        term *= bound / n
+    minus_s, coeffs = [libmp.to_fixed(x, wp) for x in neg], [one]
+    for k in range(1, n):
+        coeffs.append([x // k for x in _mul(coeffs[-1], minus_s, wp)])
+    e = coeffs.pop()
+    for c in reversed(coeffs):
+        e = [((x * residual) >> wp) + y for x, y in zip(e, c)]
+    return _mul(acc, e, wp + POWER_GUARD)
 
 
 def _mp_s(s):
@@ -201,41 +278,27 @@ def _fixed_powers(s, horizon: int) -> Fixed:
     object arrays scaled by 2^bits, bits the working precision plus
     GUARD_BITS.
 
-    At a prime p, p^{-s} is exp(-s ln p) at 20 bits over the working
-    precision, from the cached ln p, rounded to the working precision as
-    mpmath.power rounds it; at a nonpositive integer s it is the exact int
-    p^{-s}.  A composite n gets the floored fixed-point product of p^{-s}
-    and (n/p)^{-s}, p its least prime, one numpy product per sieve layer;
-    at real s the imaginary parts stay 0.
+    At the primes the powers come from _prime_powers, all at once, each
+    floored once from a product POWER_GUARD bits finer; at a nonpositive
+    integer s they are the exact ints p^{-s}.  A composite n gets the
+    floored fixed-point product of p^{-s} and (n/p)^{-s}, p its least
+    prime, one numpy product per sieve layer; at real s the imaginary parts
+    stay 0.
     """
-    prec = mpmath.mp.prec
-    bits, wp = prec + GUARD_BITS, prec + 20
+    bits = mpmath.mp.prec + GUARD_BITS
     primes, layers = _sieve_layers(horizon)
-    cplx = isinstance(s, mpmath.mpc)
     re, im = (np.zeros(horizon + 1, dtype=object) for _ in range(2))
+    parts = [re, im] if isinstance(s, mpmath.mpc) else [re]
     re[1] = 1 << bits
-
-    def fixed(x):
-        return libmp.to_fixed(libmp.mpf_pos(x, prec, "n"), bits)
-
     if mpmath.isint(s) and s.real <= 0:
-        re[primes] = [int(p) ** int(-s.real) << bits for p in primes]
-    elif cplx:
-        neg = libmp.mpc_neg(s._mpc_)
-        for j, lg in zip(primes, _prime_logs(horizon, wp)):
-            x, y = libmp.mpc_exp(libmp.mpc_mul_mpf(neg, lg, wp), wp)
-            re[j], im[j] = fixed(x), fixed(y)
+        re[primes] = primes.astype(object) ** int(-s.real) << bits
     else:
-        neg = libmp.mpf_neg(s._mpf_)
-        re[primes] = [fixed(libmp.mpf_exp(libmp.mpf_mul(neg, lg, wp), wp))
-                      for lg in _prime_logs(horizon, wp)]
+        for part, v in zip(parts, _prime_powers(s, horizon, bits)):
+            part[primes] = v
     for ns, ps, qs in layers:
-        a, c = re[ps], re[qs]
-        if cplx:
-            b, d = im[ps], im[qs]
-            re[ns], im[ns] = (a * c - b * d) >> bits, (a * d + b * c) >> bits
-        else:
-            re[ns] = (a * c) >> bits
+        products = _mul([p[ps] for p in parts], [p[qs] for p in parts], bits)
+        for part, v in zip(parts, products):
+            part[ns] = v
     return Fixed(re[1:], im[1:], bits)
 
 
@@ -269,8 +332,14 @@ def _psum_constant_mp(s, powers: Fixed | None = None):
                            im[:ROUTE_A_TERMS].sum()) / (1 << bits)
         k = mpmath.mpf(ROUTE_A_TERMS)
         model = zeta_psum_expansion(sc, ROUTE_A_ORDER)
-        C = total - model.evaluate(k)
-        err = float(abs(model.terms[-1].evaluate(k)))
+        # exponents 1 - s - r: k^{1-s} times a polynomial in 1/k
+        coeffs = {round(complex(1 - sc - t.exponent).real): t.coeff
+                  for t in model.terms}
+        top, lead, poly = max(coeffs), k ** (1 - sc), 0
+        for r in range(top, -1, -1):
+            poly = poly / k + coeffs.get(r, 0)
+        C = total - model.constant - lead * poly
+        err = float(abs(lead * coeffs[top] / k ** top))
         return (complex(C) if sc.imag else float(C.real)), err
 
 
@@ -311,6 +380,21 @@ def _route_b_mp(s, powers: Fixed | None = None) -> Fixed:
     return Fixed(*sums, powers.bits)
 
 
+#: route (b)'s fit designs kept, apart from tailfit's driver windows: a
+#: call fits after k - 6 and k two-cell means, so 16 designs serve every k
+#: over a span of 10, as depths 0 to 6 and |Im s| up to 3 take
+ROUTE_B_DESIGNS = 16
+
+
+@functools.lru_cache(maxsize=ROUTE_B_DESIGNS)
+def _route_b_design(cells: int) -> TailDesign:
+    """The TailDesign of route (b)'s fit on cells cell means, a count set
+    by the count of two-cell means alone: x = 1..cells - 1, the means of
+    neighbouring cells, from ROUTE_B_CELLS // 10 on.  The factor a design
+    keeps serves every later fit after the same count of means."""
+    return TailDesign(np.arange(1.0, cells)[ROUTE_B_CELLS // 10:])
+
+
 def _route_b(s, powers: Fixed | None = None):
     """Route (b): eta's limit at s by averaging the alternating p-sum, and
     the count k of two-cell means taken; powers as in _route_b_mp.
@@ -348,8 +432,8 @@ def _route_b(s, powers: Fixed | None = None):
             re, *im = ((p / scale).astype(float) for p in parts)
             means = average_pass((re + 1j * im[0] if im else re)[:, None],
                                  step=True) @ WEIGHTS
-            xs, ys = np.arange(1.0, len(means)), (means[:-1] + means[1:]) / 2
-            fit = fit_limit_array(xs[lo:], ys[lo:])
+            fit = fit_limit_array(_route_b_design(len(means)),
+                                  ((means[:-1] + means[1:]) / 2)[lo:])
             limits.append(complex(fit.limit))
     return replace(fit, stderr=max(fit.stderr, abs(limits[1] - limits[0]))), k
 
@@ -617,8 +701,10 @@ def _log_table(horizon: int) -> tuple:
     """
     primes, layers = _sieve_layers(horizon)
     table = np.zeros(horizon + 1, dtype=object)
-    table[primes] = [libmp.to_int(libmp.mpf_shift(lg, U_BITS), "n")
-                     for lg in _prime_logs(horizon, U_BITS + 32)]
+    digits, residual = _prime_logs(horizon, U_BITS)
+    logs = functools.reduce(lambda a, d: (a << LOG_DIGIT) + d,
+                            digits.astype(object))
+    table[primes] = (logs << U_BITS - LOG_LOW) + residual
     for ns, ps, qs in layers:
         table[ns] = table[ps] + table[qs]
     return tuple(table[1:])

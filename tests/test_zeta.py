@@ -19,12 +19,14 @@ from cesaro.config import DEFAULT_CONFIG, SNAP_RADIUS
 from cesaro.errors import (CrossCheckMismatchError, FitFailureError,
                            MissingDerivativeTermError, SAtPoleError, is_pole)
 from cesaro.operators import apply_P_D, apply_P_D_inverse
-from cesaro.zeta import (ROUTE_A_DPS, ROUTE_B_CELLS, U_BITS, FaulhaberPoly,
+from cesaro.zeta import (LOG_DIGIT, LOG_LEVELS, LOG_TOP, ROUTE_A_DPS,
+                         ROUTE_B_CELLS, ROUTE_B_DESIGNS, U_BITS,
+                         FaulhaberPoly,
                          _apply_factor_mp, _binomial_coefficients,
                          _eta_factor, _exact_constant, _fixed_powers,
                          _log_table, _mp_s, _polynomial_branch,
-                         _psum_constant_mp, _route_b, _route_b_mp,
-                         _route_b_tol,
+                         _psum_constant_mp, _route_b, _route_b_design,
+                         _route_b_mp, _route_b_tol,
                          discrete_eigensequence, eta, faulhaber, zeta,
                          zeta_discrete_corrected, zeta_discrete_ext,
                          zeta_integral_rep, zeta_residue_at_1)
@@ -161,48 +163,95 @@ def _omega(n):
 
 
 def _record_transcendentals(monkeypatch, s):
-    """Lists of the n whose logarithm, and of the n whose power n^{-s},
-    _fixed_powers takes with libmp; a power's n is read off its exp's
-    argument -s ln n.  The cached logs are dropped first."""
-    logs, exps = [], []
+    """Lists of the n whose logarithm, and of the table levels l whose
+    exp(-s w_l), w_l = 2^(LOG_TOP - LOG_DIGIT (l + 1)), _fixed_powers takes
+    with libmp; an exp's level is read off its argument.  The cached logs
+    are dropped first."""
+    logs, levels = [], []
     sys.modules["cesaro.zeta"]._prime_logs.cache_clear()
     mpf_log, mpf_exp, mpc_exp = (mpmath.libmp.mpf_log, mpmath.libmp.mpf_exp,
                                  mpmath.libmp.mpc_exp)
 
-    def n_of(arg):
-        return round(math.exp((arg / -complex(s)).real))
+    def level_of(arg):
+        level = (LOG_TOP - math.log2(abs(arg) / abs(complex(s)))) / LOG_DIGIT
+        assert level == round(level)
+        return round(level) - 1
 
     def log(x, *args):
         logs.append(mpmath.libmp.to_int(x))
         return mpf_log(x, *args)
 
     def exp(x, *args):
-        exps.append(n_of(mpmath.libmp.to_float(x)))
+        levels.append(level_of(mpmath.libmp.to_float(x)))
         return mpf_exp(x, *args)
 
     def cexp(z, *args):
-        exps.append(n_of(complex(*map(mpmath.libmp.to_float, z))))
+        levels.append(level_of(complex(*map(mpmath.libmp.to_float, z))))
         return mpc_exp(z, *args)
 
     for name, fn in (("mpf_log", log), ("mpf_exp", exp), ("mpc_exp", cexp)):
         monkeypatch.setattr(mpmath.libmp, name, fn)
-    return logs, exps
+    return logs, levels
+
+
+def _assert_transcendentals(monkeypatch, s, call, primes):
+    """call() twice, s not a nonpositive integer: logs are taken at the
+    primes only, once in the process, and each call takes at most one exp
+    per table level, whatever the horizon."""
+    logs, levels = _record_transcendentals(monkeypatch, s)
+    for _ in range(2):
+        levels.clear()
+        call()
+        assert len(set(levels)) == len(levels)
+        assert set(levels) <= set(range(LOG_LEVELS))
+    assert sorted(logs) == primes
 
 
 @pytest.mark.parametrize("s", [-2.5, complex(-1.8, 0.45), -3])
 def test_route_b_takes_powers_at_primes_only(s, monkeypatch):
-    # n^{-s} is exp(-s ln p) at the 168 primes below ROUTE_B_CELLS and a
-    # fixed-point product over the least-prime sieve everywhere else; at a
-    # nonpositive integer s every power is an exact int, and no log or exp
-    # is taken at all
+    # n^{-s} is a product of table entries at the 168 primes below
+    # ROUTE_B_CELLS and a fixed-point product over the least-prime sieve
+    # everywhere else; at a nonpositive integer s every power is an exact
+    # int, and no log or exp is taken at all
     want = complex(mpmath.zeta(s))
-    logs, exps = _record_transcendentals(monkeypatch, s)
-    fit, _ = _route_b(s)
     primes = _primes_below(ROUTE_B_CELLS)
     assert len(primes) == 168
-    assert sorted(logs) == sorted(exps) == ([] if s == -3 else primes)
+    if s == -3:
+        logs, levels = _record_transcendentals(monkeypatch, s)
+        fit, _ = _route_b(s)
+        assert logs == levels == []
+    else:
+        fits = []
+        _assert_transcendentals(monkeypatch, s,
+                                lambda: fits.append(_route_b(s)[0]), primes)
+        fit = fits[-1]
     got = complex(fit.limit) / (1 - 2 ** (1 - s))
     assert abs(got - want) <= _route_b_tol(s)
+
+
+def test_route_b_keeps_its_designs(monkeypatch):
+    # route (b)'s xs follow from its count of two-cell means alone: a second
+    # zeta(s) with the same count factors nothing, its fit is bit for bit a
+    # fresh design's, and no more than ROUTE_B_DESIGNS designs are kept
+    qr, factored = np.linalg.qr, []
+
+    def counting_qr(*args, **kwargs):
+        factored.append(args[0].shape)
+        return qr(*args, **kwargs)
+
+    _route_b_design.cache_clear()
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    zeta(-2.5, CFG)                     # 15 two-cell means, as at -2.7
+    assert len(factored) == 2
+    factored.clear()
+    zeta(-2.7, CFG)
+    assert factored == []
+    kept = _route_b(-2.7)
+    _route_b_design.cache_clear()
+    assert _route_b(-2.7) == kept and len(factored) == 2
+    for im in range(2 * ROUTE_B_DESIGNS):
+        _route_b(complex(-0.5, im))
+    assert _route_b_design.cache_info().currsize == ROUTE_B_DESIGNS
 
 
 @settings(max_examples=12, deadline=None)
@@ -214,12 +263,19 @@ def test_route_b_takes_powers_at_primes_only(s, monkeypatch):
 @example(re=-2.5, im=0.0, horizon=400, dps=ROUTE_A_DPS)
 @example(re=-0.9268, im=1.62082, horizon=4000, dps=30)
 @example(re=0.5, im=14.0, horizon=999, dps=ROUTE_A_DPS)
+@example(re=-6.0, im=480.0, horizon=999, dps=ROUTE_A_DPS)
+@example(re=0.5, im=480.0, horizon=4000, dps=30)
+@example(re=8.0, im=0.0, horizon=4000, dps=30)
 def test_fixed_powers_match_mpmath_power(re, im, horizon, dps):
-    # each of n's Omega(n) prime powers is rounded once to the working
-    # precision, within one unit of 2^-prec relative, and each floored
-    # product adds under 2^-16 units of max(1, |n^{-s}|); so entry n is
-    # within Omega(n) + 0.01 units of max(1, |n^{-s}|); the most measured
-    # is 8.6 units, at s = -5.3 below 4000
+    # in units of 2^-prec of max(1, |n^{-s}|): a prime power is floored
+    # once to 2^-bits, bits = prec + GUARD_BITS, from a product POWER_GUARD
+    # bits finer, so each part is off by under 2^-GUARD_BITS units and the
+    # modulus by sqrt(2) of them; each of the Omega(n) - 1 sieve products
+    # floors once more, and on this scale their errors add.  So entry n is
+    # within (2 Omega(n) - 1) sqrt(2) 2^-GUARD_BITS units, and one more
+    # leaves room for the kernel's own error: 4.3e-5 to 4.7e-4 units below
+    # 4000, where the most measured is 8.4e-5
+    floor = math.sqrt(2) * 2.0 ** -GUARD_BITS
     s = complex(re, im) if im else re
     with mpmath.workdps(dps):
         prec = mpmath.mp.prec
@@ -231,7 +287,7 @@ def test_fixed_powers_match_mpmath_power(re, im, horizon, dps):
             want = mpmath.power(n, -smp)
             value = mpmath.mpc(got.re[n - 1], got.im[n - 1]) / 2 ** got.bits
             units = abs(value - want) / max(1, abs(want)) * 2 ** prec
-            assert units <= _omega(n) + 0.01, n
+            assert units <= 2 * _omega(n) * floor, n
 
 
 @pytest.mark.parametrize("m", [0, 3, 6])
@@ -589,13 +645,13 @@ def test_eta_matches_altzeta_and_zeta_on_the_strip(re, im):
 
 
 def test_discrete_ext_takes_powers_at_primes_only(monkeypatch):
-    # n^{-s} is exp(-s ln p) at the 550 primes below 4000 and a fixed-point
-    # product over the least-prime sieve everywhere else
+    # n^{-s} is a product of table entries at the 550 primes below 4000 and
+    # a fixed-point product over the least-prime sieve everywhere else
     s = complex(-0.9268, 1.62082)
-    logs, exps = _record_transcendentals(monkeypatch, s)
-    zeta_discrete_ext(s, CFG)
     primes = _primes_below(4000)
-    assert len(primes) == 550 and sorted(logs) == sorted(exps) == primes
+    assert len(primes) == 550
+    _assert_transcendentals(monkeypatch, s,
+                            lambda: zeta_discrete_ext(s, CFG), primes)
 
 
 def test_discrete_corrected_values():

@@ -8,8 +8,10 @@ and CHECKOUT/perfbench/cases.py, runs the workload's warm-up as the
 benchmark does, then calls every case once per pass.  Each
 tailfit.TailDesign.factor call is counted as one of:
 
-  hits    a factor the design kept (a driver window's, after its first use)
-  window  a factor built on a driver window that _tail_window keeps
+  hits    a factor the design kept (a kept window's, after its first use)
+  window  a factor built on a kept window: a driver window that
+          tailfit._tail_window keeps, or a route (b) design that
+          zeta._route_b_design keeps
   plain   a factor built on a design made for one fit from plain arrays
   prefix  of the builds, those that share leading terms with a factor the
           design kept, which a path extending kept factors could serve
@@ -49,12 +51,14 @@ def census(checkout: Path, workload: str, seed: int, passes: int) -> list:
     from setup_probe import warm_up
 
     windows, tally = weakref.WeakSet(), {}
-    kept_window, factor = tailfit._tail_window, tailfit.TailDesign.factor
+    factor = tailfit.TailDesign.factor
 
-    def counting_window(kind, n):
-        design = kept_window(kind, n)
-        windows.add(design)
-        return design
+    def counting(kept):
+        def window(*key):
+            design = kept(*key)
+            windows.add(design)
+            return design
+        return window
 
     def counting_factor(design, terms):
         key = tuple((complex(e), m) for e, m in terms)
@@ -76,7 +80,9 @@ def census(checkout: Path, workload: str, seed: int, passes: int) -> list:
                 break
         return factor(design, terms)
 
-    tailfit._tail_window = counting_window
+    for module, name in ((tailfit, "_tail_window"),
+                         (sys.modules["cesaro.zeta"], "_route_b_design")):
+        setattr(module, name, counting(getattr(module, name)))
     tailfit.TailDesign.factor = counting_factor
     api = cesaro.cli if workload == "averaging" else cesaro
     out = []
