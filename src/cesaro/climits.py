@@ -152,7 +152,9 @@ def cesaro_limit(f: PiecewiseFn,
     With no expansion this is the strong driver.  A pure-log or constant
     eigencomponent in the expansion yields a pole outcome rather than a
     value.  The known constant part of the expansion is genuine limit
-    content and is not removed.  Each level is one array of node rows.
+    content and is not removed.  Each level is one array of node rows; the
+    first pass allocates it, so f's rows are never written, and each later
+    level is averaged into it in place.
     """
     q, extras, removed = None, (), ()
     if expansion is not None and expansion.terms:
@@ -169,7 +171,8 @@ def cesaro_limit(f: PiecewiseFn,
         rows, step = apply_q_nodes(q, rows, step), False
     for r in range(cfg.max_pure_power + 1):
         if r:
-            rows, step = average_pass(rows, step), False
+            rows, step = average_pass(
+                rows, step, out=rows if r > 1 else None), False
         gate, variation, fit = _convergence_gate(
             *_window_means(rows), _window_values(rows), extras)
         if gate:

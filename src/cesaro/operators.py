@@ -34,8 +34,8 @@ __all__ = [
     "apply_P_mu",
 ]
 
-#: rows of partial integrals divided at a time, so that no (n, 8) divisor
-#: is ever built whole
+#: rows of partial integrals written and divided at a time, so that no
+#: (n, 8) divisor or temporary is ever built whole
 DIVIDE_ROWS = 8192
 
 #: apply_regular_polynomial's cross-check bound, relative to max(1, |value|)
@@ -61,20 +61,35 @@ def apply_P(f: PiecewiseFn) -> PiecewiseFn:
         point_value=pv, label=f"P[{f.label}]")
 
 
-def average_pass(vals, step: bool = False):
+def average_pass(vals, step: bool = False, out=None):
     """One averaging pass over float or complex node rows of cells 0..n-1:
     the node values of (1/x) * integral_0^x f there, from f's node values
-    (step: f is constant on each cell).  The partial integrals are turned
-    into the averages in place, DIVIDE_ROWS rows at a time."""
-    if step:
-        partial = vals[:, :1] * NODES[None, :]
-    else:
-        partial = vals @ PARTIAL_FROM_VALUES.T
-    partial += cell_prefix(vals, step)[:-1, None]
-    for lo in range(0, len(partial), DIVIDE_ROWS):
-        hi = min(lo + DIVIDE_ROWS, len(partial))
-        partial[lo:hi] /= np.arange(lo, hi, dtype=np.float64)[:, None] + NODES
-    return partial
+    (step: f is constant on each cell, and its rows may be the one column
+    of cell values).
+
+    The prefix integrals are taken first; then DIVIDE_ROWS rows at a time
+    the partial integrals are written straight into out, a new (n, 8)
+    array if None, and turned into the averages there.  out may be vals
+    itself, so a caller that owns its rows averages them in place.
+    """
+    prefix = cell_prefix(vals, step)
+    n = len(vals)
+    if out is None:
+        out = np.empty((n, len(NODES)), np.result_type(vals.dtype, NODES))
+    lo = 0
+    while lo < n:
+        # a last block of one row joins the one before: numpy multiplies a
+        # single row by another BLAS routine, whose bits differ
+        hi = n if n - lo <= DIVIDE_ROWS + 1 else lo + DIVIDE_ROWS
+        block = out[lo:hi]
+        if step:
+            np.multiply(vals[lo:hi, :1], NODES, out=block)
+        else:
+            np.matmul(vals[lo:hi], PARTIAL_FROM_VALUES.T, out=block)
+        block += prefix[lo:hi, None]
+        block /= np.arange(lo, hi, dtype=np.float64)[:, None] + NODES
+        lo = hi
+    return out
 
 
 def P_on_term(rho, m: int):
@@ -204,7 +219,10 @@ def build_regular_polynomial(factors, pure_power: int = 0) -> RegularPolynomial:
 def apply_q_nodes(q: RegularPolynomial, vals, step: bool = False):
     """q(A) on node rows of cells 0..n-1: each factor (A - lam)/(1 - lam) as
     scale*P(v) + (-lam*scale)*v, then the pure power; step: the rows are a
-    step function's, which the first pass averages by the step rule."""
+    step function's, which the first pass averages by the step rule.  The
+    caller's rows are never written; the pure power averages rows this
+    function made in place."""
+    rows = vals
     for lam, mult in q.factors:
         scale = 1.0 / (1.0 - lam)
         for _ in range(mult):
@@ -212,7 +230,8 @@ def apply_q_nodes(q: RegularPolynomial, vals, step: bool = False):
             averaged, step = average_pass(vals, step), False
             vals = scale * averaged + (-lam * scale) * vals
     for _ in range(q.pure_power):
-        vals, step = average_pass(vals, step), False
+        vals, step = average_pass(
+            vals, step, out=None if vals is rows else vals), False
     return vals
 
 

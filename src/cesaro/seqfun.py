@@ -7,13 +7,16 @@ fast, accurate cumulative integrals, so every :class:`PiecewiseFn` carries a
 lazily materialized per-unit-interval representation: function values at
 fixed Gauss-Legendre nodes inside each interval, from which interval
 integrals, partial-interval integrals and interpolated point values are all
-obtained by small dense matrix products.  Step pieces are handled exactly;
-smooth pieces through the degree-7 interpolant per interval.
+obtained by small dense matrix products.  Step pieces are handled exactly,
+and a step function keeps one column, each cell's value once, in place of
+its node rows; smooth pieces go through the degree-7 interpolant per
+interval.
 
 A function's cells are built in one pass from cell 0 when first needed, and
 rebuilt from cell 0 if a later query reaches past them; a series with an
 array form gives its terms as one array, and the limit drivers read node
-rows once and average plain arrays.  Nothing here is locked:
+rows once and average plain arrays: the first pass allocates one (n, G)
+array, and later levels are averaged into it.  Nothing here is locked:
 instances are not meant to be shared between threads.
 """
 
@@ -130,14 +133,13 @@ def _powers(ns: np.ndarray, p) -> np.ndarray:
 
 
 def cell_prefix(vals, step: bool = False) -> np.ndarray:
-    """Integrals to the integer points 0..n from node rows of cells 0..n-1."""
+    """Integrals to the integer points 0..n from node rows of cells 0..n-1
+    (step: the first column holds each cell's value), summed into one
+    array."""
     integrals = vals[:, 0] if step else vals @ WEIGHTS
-    return np.concatenate([np.zeros(1, integrals.dtype), np.cumsum(integrals)])
-
-
-def _step_cells(values) -> np.ndarray:
-    """Node rows of the step function with value values[k] on [k, k+1)."""
-    return np.repeat(_as_array(values)[:, None], NODES_PER_INTERVAL, axis=1)
+    prefix = np.zeros(len(integrals) + 1, integrals.dtype)
+    np.cumsum(integrals, out=prefix[1:])
+    return prefix
 
 
 class PiecewiseFn:
@@ -151,7 +153,9 @@ class PiecewiseFn:
                       point_value, or else the node interpolant,
                       evaluates it anywhere.
 
-    gen(n) returns the (n, G) node values of cells 0..n-1.
+    gen(n) returns the (n, G) node values of cells 0..n-1; a step
+    function's gen may return its (n, 1) column of cell values instead,
+    which every reader of step rows takes as the value at all G nodes.
     """
 
     def __init__(self, kind: str, gen, *, label: str = "",
@@ -164,7 +168,7 @@ class PiecewiseFn:
         self._gen = gen
         self._point_value = point_value
         self._closed_cumulative = closed_cumulative
-        self._vals: Optional[np.ndarray] = None      # (n, G) node values
+        self._vals: Optional[np.ndarray] = None      # (n, G) or (n, 1) rows
         self._prefix: Optional[np.ndarray] = None    # cumulative at 0..n
 
     # -- materialization ---------------------------------------------------
@@ -251,7 +255,8 @@ class PiecewiseFn:
 
     @staticmethod
     def linear_combination(parts: Sequence[tuple]) -> "PiecewiseFn":
-        """sum_i c_i * f_i over shared node grids."""
+        """sum_i c_i * f_i over shared node grids, widened to (n, G) where
+        every part is a step column."""
         parts = [(c, f) for c, f in parts]
 
         def gen(n):
@@ -259,7 +264,7 @@ class PiecewiseFn:
             for c, f in parts:
                 contrib = c * f.node_values(n)
                 acc = contrib if acc is None else acc + contrib
-            return acc
+            return np.broadcast_to(acc, (n, NODES_PER_INTERVAL)).copy()
 
         def pv(x):
             return sum(c * f.value(x) for c, f in parts)
@@ -269,8 +274,9 @@ class PiecewiseFn:
 
 
 def psum_function(terms: SeriesTerms) -> PiecewiseFn:
-    """The p-sum function s(k + alpha) = a_1 + ... + a_k of a series."""
-    f = PiecewiseFn("step", lambda n: _step_cells(terms.psum_array(n - 1)),
+    """The p-sum function s(k + alpha) = a_1 + ... + a_k of a series; its
+    rows are the one column of the partial sums."""
+    f = PiecewiseFn("step", lambda n: terms.psum_array(n - 1)[:, None],
                     label=f"psum({terms.label})")
     f.series = terms
     return f

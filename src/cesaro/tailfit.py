@@ -64,9 +64,12 @@ def _sample_cells(horizon: int) -> np.ndarray:
 
 
 def _window_values(rows):
-    """(TailDesign, node samples) of the _sample_cells of the rows."""
+    """(TailDesign, node samples) of the _sample_cells of the rows; a step
+    column's value is its sample at every node."""
     horizon = len(rows)
-    return _tail_window("nodes", horizon), rows[_sample_cells(horizon)].ravel()
+    cells = _sample_cells(horizon)
+    return _tail_window("nodes", horizon), np.broadcast_to(
+        rows[cells], (len(cells), len(NODES))).ravel()
 
 
 def _window_means(rows):
@@ -75,10 +78,12 @@ def _window_means(rows):
 
     Using all consecutive cells (not a sparse sample) is essential: the
     residuals are often periodic in the cell index, and a contiguous window
-    balances any period to one part in the window length.
+    balances any period to one part in the window length.  The mean of a
+    step column's cell is its value.
     """
     horizon = len(rows)
-    ys = rows[max(1, horizon // 10):horizon] @ WEIGHTS
+    tail = rows[max(1, horizon // 10):horizon]
+    ys = tail[:, 0] if tail.shape[1] == 1 else tail @ WEIGHTS
     return _tail_window("means", horizon), ys
 
 

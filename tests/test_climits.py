@@ -5,12 +5,14 @@ import gc
 import math
 import os
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
+import cesaro.tailfit
 from cesaro.asymptotics import (AsymptoticExpansion, ExpansionTerm,
                                 zeta_psum_expansion)
 from cesaro.climits import (cesaro_limit, cesaro_limit_discrete,
@@ -133,6 +135,43 @@ def test_continuous_drivers_leave_no_cyclic_garbage(call):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_the_driver_never_writes_the_function_s_rows():
+    # the first pass allocates; only the driver's own levels are averaged
+    # in place
+    cfg = CFG.with_(horizon=2000)
+    f = _from_callable(lambda x: 1.0 + np.cos(np.asarray(x, float)))
+    before = f.node_values(cfg.horizon).copy()
+    res = strong_cesaro_limit(f, cfg)
+    assert res.limit == pytest.approx(1.0, abs=1e-6)
+    assert res.diagnostics["escalations"] >= 1
+    assert np.array_equal(f.node_values(cfg.horizon), before)
+
+
+#: one (10^5, 8) float64 array, the unit of the bound below
+LEVEL_BYTES = 10 ** 5 * 8 * 8
+
+
+def test_strong_limit_of_a_step_psum_holds_at_most_three_levels():
+    # sum alt_n, two passes at the default horizon of 10^5 cells: the step
+    # column (1/8 of a level), one level averaged in place and the tail
+    # windows' factors, built cold here, peak at 2.16 levels.  Rows that
+    # hold 8 copies of each step value, with a fresh array per level, peak
+    # at 4.07
+    assert CFG.horizon == 10 ** 5
+    strong_cesaro_limit(psum_function(alt_naturals()), FAST)   # warm-up
+    cesaro.tailfit._tail_window.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        res = strong_cesaro_limit(psum_function(alt_naturals()), CFG)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert res.mechanism == "strong(2)"
+    assert peak <= 3 * LEVEL_BYTES
 
 
 def test_generalised_limit_pole_on_log_content():

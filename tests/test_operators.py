@@ -50,6 +50,15 @@ def test_apply_P_is_freed_when_the_caller_drops_it():
     assert ref() is None
 
 
+def _whole_pass(vals, step):
+    """The pass as one expression over all n rows, with the whole divisor."""
+    partial = (vals[:, :1] * NODES[None, :] if step
+               else vals @ PARTIAL_FROM_VALUES.T)
+    partial += cell_prefix(vals, step)[:-1, None]
+    return partial / (np.arange(len(vals), dtype=np.float64)[:, None]
+                      + NODES[None, :])
+
+
 @pytest.mark.parametrize("n", [1, DIVIDE_ROWS - 1, 2 * DIVIDE_ROWS + 5])
 @pytest.mark.parametrize("kind", [float, complex])
 @pytest.mark.parametrize("step", [False, True])
@@ -58,13 +67,31 @@ def test_a_pass_divides_in_row_blocks_bit_for_bit(n, kind, step):
     vals = rng.standard_normal((n, len(NODES))).astype(kind)
     if kind is complex:
         vals += 1j * rng.standard_normal((n, len(NODES)))
-    # the pass as one expression, with the whole (n, 8) divisor
-    partial = (vals[:, :1] * NODES[None, :] if step
-               else vals @ PARTIAL_FROM_VALUES.T)
-    partial += cell_prefix(vals, step)[:-1, None]
-    whole = partial / (np.arange(n, dtype=np.float64)[:, None]
-                       + NODES[None, :])
-    assert np.array_equal(average_pass(vals, step), whole)
+    assert np.array_equal(average_pass(vals, step), _whole_pass(vals, step))
+
+
+@pytest.mark.parametrize("n", [1, 1000, DIVIDE_ROWS, DIVIDE_ROWS + 1, 10**5])
+@pytest.mark.parametrize("kind", [float, complex])
+@pytest.mark.parametrize("layout", ["rows", "rows in place", "step rows",
+                                    "step column"])
+def test_a_pass_written_into_out_keeps_the_bits(n, kind, layout):
+    # fresh or in place, block by block, the pass keeps the bits of the
+    # whole pass, a last block of one row included
+    rng = np.random.default_rng(n)
+    vals = rng.standard_normal((n, len(NODES))).astype(kind)
+    if kind is complex:
+        vals += 1j * rng.standard_normal((n, len(NODES)))
+    if layout == "step column":
+        vals = vals[:, :1].copy()
+    step = layout.startswith("step")
+    want = _whole_pass(vals, step)
+    if layout == "rows in place":
+        got = average_pass(vals, step, out=vals)
+        assert got is vals
+    else:
+        got = average_pass(vals, step)
+    assert got.shape == (n, len(NODES)) and got.dtype == want.dtype
+    assert np.array_equal(got, want)
 
 
 def test_P_on_term_log_powers():
@@ -157,6 +184,21 @@ def test_apply_regular_polynomial_preserves_constants():
     g = apply_regular_polynomial(q, _power_fn(0.0))
     for x in (5.0, 90.0):
         assert g.value(x) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("factors", [[], [(0.5, 1)]])
+def test_apply_regular_polynomial_leaves_f_s_rows_unwritten(factors):
+    # the pure power averages in place only the rows that q made itself
+    f = _power_fn(1.5)
+    before = f.node_values(300).copy()
+    q = build_regular_polynomial(factors, pure_power=2)
+    g = apply_regular_polynomial(q, f)
+    want = before
+    for lam, _ in factors:
+        want = 2.0 * average_pass(want) + (-lam * 2.0) * want
+    want = average_pass(average_pass(want))
+    assert np.array_equal(g.node_values(300), want)
+    assert np.array_equal(f.node_values(300), before)
 
 
 def test_apply_regular_polynomial_cross_check():

@@ -72,6 +72,7 @@ def test_complex_terms_behind_zero_slots_stay_complex():
 def test_psum_function_cells_are_the_partial_sums():
     t = n_pow_minus_s(0.5 - 0.3j)
     cells = psum_function(t).node_values(500)
+    assert cells.shape == (500, 1)          # one column, each value once
     assert np.array_equal(cells[:, 0], t.psum_array(499))
     assert np.array_equal(cells, cells[:, :1].repeat(cells.shape[1], axis=1))
 
@@ -128,12 +129,19 @@ def test_cumulative_matches_cellwise_sum():
 
 
 def test_node_values_agree_with_point_values():
+    # a step function's one column holds its value at every node of a cell
     from cesaro.seqfun import NODES
     f = psum_function(alt_ones())
     rows = f.node_values(6)
     for k in range(6):
+        for a in NODES:
+            assert rows[k, 0] == pytest.approx(f.value(k + a))
+    g = PiecewiseFn.from_callable(lambda x: np.cos(x) + x / 3)
+    rows = g.node_values(6)
+    assert rows.shape == (6, len(NODES))
+    for k in range(6):
         for j, a in enumerate(NODES):
-            assert rows[k, j] == pytest.approx(f.value(k + a))
+            assert rows[k, j] == pytest.approx(g.value(k + a))
 
 
 def test_linear_combination_pointwise():
@@ -142,6 +150,11 @@ def test_linear_combination_pointwise():
     h = PiecewiseFn.linear_combination([(2.0, f), (-1.0, g)])
     for x in (0.3, 1.7, 5.5):
         assert h.value(x) == pytest.approx(2 * f.value(x) - g.value(x))
+    # two step columns sum to the rows of a smooth-kind function
+    rows = h.node_values(6)
+    assert rows.shape == (6, 8)
+    want = 2.0 * f.node_values(6) - g.node_values(6)
+    assert np.array_equal(rows, np.repeat(want, 8, axis=1))
 
 
 def test_smooth_kind_without_a_point_value_interpolates_its_nodes():

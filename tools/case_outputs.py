@@ -60,7 +60,10 @@ def jsonable(value):
     return repr(value)                  # mpmath numbers and the like
 
 
-def case_outputs(checkout: Path, seeds, workloads=None) -> dict:
+def each_case(checkout: Path, seeds, workloads=None):
+    """(workload, seed, case) for every case of CHECKOUT's benchmark, in
+    its order, with CHECKOUT/src and CHECKOUT/perfbench first on sys.path;
+    each case is built, with its oracle, when it is reached."""
     src, bench = checkout / "src", checkout / "perfbench"
     if not (src / "cesaro" / "__init__.py").is_file():
         raise SystemExit(f"no cesaro sources under {src}")
@@ -69,7 +72,6 @@ def case_outputs(checkout: Path, seeds, workloads=None) -> dict:
     import cesaro
     import cesaro.cli
 
-    out = {}
     unknown = set(workloads or ()) - set(cases.WORKLOADS)
     if unknown:
         raise SystemExit(f"unknown workload(s): {', '.join(sorted(unknown))}")
@@ -78,13 +80,19 @@ def case_outputs(checkout: Path, seeds, workloads=None) -> dict:
             continue
         target = cesaro.cli if workload == "averaging" else cesaro
         for seed in seeds:
-            results = out.setdefault(workload, {})[f"seed {seed}"] = {}
             for case in build(target, random.Random(seed)):
-                try:
-                    results[case.name] = jsonable(case.call())
-                except Exception as exc:   # a failing case is an output too
-                    results[case.name] = {"raised": type(exc).__name__,
-                                          "message": str(exc)}
+                yield workload, seed, case
+
+
+def case_outputs(checkout: Path, seeds, workloads=None) -> dict:
+    out = {}
+    for workload, seed, case in each_case(checkout, seeds, workloads):
+        results = out.setdefault(workload, {}).setdefault(f"seed {seed}", {})
+        try:
+            results[case.name] = jsonable(case.call())
+        except Exception as exc:       # a failing case is an output too
+            results[case.name] = {"raised": type(exc).__name__,
+                                  "message": str(exc)}
     return out
 
 
