@@ -8,6 +8,7 @@ a finished expansion into the regular polynomial that annihilates it.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -233,59 +234,51 @@ def eigensequence_lower_order(rho) -> list:
     return [(a, rho - j) for j, a in enumerate(coeffs) if j]
 
 
-def _product(s, r: int):
-    """s(s+1)...(s+r-2), the r-th correction's falling product; 1 for r=2
-    means the single factor s."""
-    acc = 1
-    for j in range(r - 1):
-        acc = acc * (s + j)
-    return acc
+@functools.cache
+def _bernoulli_factor(r: int) -> Fraction:
+    """(-1)^{r-1} B_r / r!, the rational part of the r-th correction."""
+    return (-1) ** (r - 1) * Fraction(bernoulli(r), math.factorial(r))
+
+
+def _psum_corrections(s, r_max: int):
+    """(r, (-1)^{r-1}(B_r/r!) s(s+1)...(s+r-2)) for 2 <= r <= r_max with
+    B_r != 0: the coefficient of k^{1-s-r} in the p-sum model, in the
+    arithmetic of s.  The rising product gains one factor s + j per r,
+    j = r - 2 an int, so each coefficient is the product s(s+1)...(s+r-2)
+    taken left to right, the same number however far the generator runs."""
+    product = 1
+    for r in range(2, r_max + 1):
+        product = product * (s + (r - 2))
+        factor = _bernoulli_factor(r)
+        if factor:
+            yield r, factor * product
 
 
 def zeta_psum_expansion(s, order: Optional[int] = None) -> AsymptoticExpansion:
     """Divergence model of the p-sum of sum n^{-s}, variable k.
 
-    Terms: k^{1-s}/(1-s), k^{-s}/2, and Bernoulli corrections
-    (-1)^{r-1}(B_r/r!) s(s+1)...(s+r-2) k^{-s+1-r}.  Degree-zero
-    contributions land in the constant slot; the unknown analytic constant
-    (the continuation value itself) is the caller's to extract.  order=None
-    keeps every exponent with Re >= 0 plus one guard correction.
+    Terms: k^{1-s}/(1-s), k^{-s}/2, and the Bernoulli corrections of
+    _psum_corrections.  Degree-zero contributions land in the constant
+    slot; the unknown analytic constant (the continuation value itself) is
+    the caller's to extract.  order=None keeps every exponent with Re >= 0
+    plus one guard correction.
     """
     sc = complex(s)
     if abs(sc - 1) <= SNAP_RADIUS:
         raise SAtPoleError("the p-sum expansion is singular at s = 1")
-    if order is None:
-        r_max = max(2, int(math.floor(-sc.real + 1)) + 3)
-    else:
-        r_max = max(2, order)
-    raw = []
-    constant = 0
+    r_max = max(2, math.floor(-sc.real + 1) + 3 if order is None else order)
     exact = isinstance(s, (int, Fraction)) or (
         isinstance(s, float) and s == int(s))
     if exact:
         s = Fraction(s)
-
-    def push(c, e):
-        nonlocal constant
-        if abs(complex(e)) <= SNAP_RADIUS:
-            constant = constant + c
-        else:
-            raw.append((c, e, 0))
-
-    push(1 / (1 - s), 1 - s)
-    push(Fraction(1, 2) if exact else 0.5, -s)
-    last_e = complex(-s).real
-    for r in range(2, r_max + 1):
-        br = bernoulli(r)
-        e = 1 - s - r
-        last_e = complex(e).real
-        if br == 0:
-            continue
-        c = (-1) ** (r - 1) * Fraction(br, math.factorial(r)) * _product(s, r)
-        push(c, e)
-    terms = _merge_terms(raw, "k")
-    return AsymptoticExpansion(tuple(terms), remainder_order=last_e - 1,
-                               constant=constant, variable="k")
+    content = [(1 / (1 - s), 1 - s), (Fraction(1, 2) if exact else 0.5, -s),
+               *((c, 1 - s - r) for r, c in _psum_corrections(s, r_max))]
+    kept = [(c, e, 0) for c, e in content if abs(complex(e)) > SNAP_RADIUS]
+    return AsymptoticExpansion(
+        tuple(_merge_terms(kept, "k")),
+        remainder_order=complex(1 - s - r_max).real - 1,
+        constant=sum(c for c, e in content if abs(complex(e)) <= SNAP_RADIUS),
+        variable="k")
 
 
 def _x_power_lower_order(gamma) -> list:

@@ -10,8 +10,9 @@ continued value.  Two independent routes compute it:
   (b) averaging: drive the alternating p-sum of sum (-1)^{n+1} n^{-s},
       whose limit is eta(s) = (1 - 2^{1-s}) zeta(s), to its limit on a
       fixed grid of cells: repeated two-cell means of the exact int
-      p-sums, Euler's (E, 1) transform, damp its oscillation, and one
-      float running-average pass and a tail fit read the limit; nothing
+      p-sums, Euler's (E, 1) transform, damp its oscillation; each cell is
+      floored to 2^-60 and rounded to a double, and the closed-form cell
+      means of one running average and a tail fit read the limit; nothing
       is subtracted, so it shares no constant with route (a).
 
 Both routes, and the discrete evaluation, take n^{-s} from one sieve
@@ -65,7 +66,7 @@ import mpmath
 import numpy as np
 from mpmath import libmp
 
-from .asymptotics import zeta_psum_expansion
+from .asymptotics import _psum_corrections, zeta_psum_expansion
 from .climits import (GUARD_BITS, CesaroResult, Fixed,
                       cesaro_limit_discrete, _gamma_ratio_values,
                       _near_nonneg_int)
@@ -74,7 +75,7 @@ from .errors import (CrossCheckMismatchError, FitFailureError,
                      MissingDerivativeTermError, NonIntegerRhoError,
                      PoleSignal, SAtPoleError, is_pole)
 from .operators import average_pass
-from .seqfun import WEIGHTS, n_pow_minus_s, psum_function
+from .seqfun import n_pow_minus_s, psum_function
 from .tailfit import (TailDesign, fit_limit, fit_limit_array,
                       sequence_tail, snap_to_rational)
 
@@ -130,9 +131,7 @@ class FaulhaberPoly:
         return total
 
 
-_FAULHABER_CACHE: dict = {}
-
-
+@functools.cache
 def faulhaber(m: int) -> FaulhaberPoly:
     """Exact power-sum polynomial: the terms of the p-sum model at s = -m,
     whose corrections below k^0 vanish there.  The result is verified
@@ -140,8 +139,6 @@ def faulhaber(m: int) -> FaulhaberPoly:
     """
     if m < 0 or m > 40:
         raise ValueError("supported range is 0 <= m <= 40")
-    if m in _FAULHABER_CACHE:
-        return _FAULHABER_CACHE[m]
     coeffs = [Fraction(0)] * (m + 2)
     for t in zeta_psum_expansion(-m).terms:
         coeffs[int(t.exponent)] += t.coeff
@@ -152,7 +149,6 @@ def faulhaber(m: int) -> FaulhaberPoly:
         if poly(Fraction(k)) != acc:
             raise CrossCheckMismatchError(
                 f"power-sum polynomial failed self-check at m={m}")
-    _FAULHABER_CACHE[m] = poly
     return poly
 
 
@@ -321,9 +317,10 @@ def _psum_constant_mp(s, powers: Fixed | None = None):
 
     Computes sum_{n<=K} n^{-s}, K = ROUTE_A_TERMS, exactly in the ints of
     powers, the table _terms(s, horizon) for some horizon >= K, built when
-    not given, and rounded once, minus the p-sum model evaluated at K at
-    working precision; the truncation error is on the order of the first
-    omitted Bernoulli term, reported as a diagnostic bound.
+    not given, and rounded once, minus the p-sum model at K, K^{1-s} (1/(1-s)
+    + 1/(2K) + sum_r c_r K^{-r}) with _psum_corrections' c_r to ROUTE_A_ORDER,
+    by Horner's rule at working precision; the last term kept,
+    |K^{1-s} c_top K^{-top}|, is reported as the truncation bound.
     """
     re, im, bits = _terms(s, ROUTE_A_TERMS) if powers is None else powers
     with mpmath.workdps(ROUTE_A_DPS):
@@ -331,18 +328,17 @@ def _psum_constant_mp(s, powers: Fixed | None = None):
         total = mpmath.mpc(re[:ROUTE_A_TERMS].sum(),
                            im[:ROUTE_A_TERMS].sum()) / (1 << bits)
         k = mpmath.mpf(ROUTE_A_TERMS)
-        model = zeta_psum_expansion(sc, ROUTE_A_ORDER)
-        # exponents 1 - s - r: k^{1-s} times a polynomial in 1/k
-        coeffs = {round(complex(1 - sc - t.exponent).real): t.coeff
-                  for t in model.terms}
-        top, lead, poly = max(coeffs), k ** (1 - sc), 0
+        coeffs = {0: 1 / (1 - sc), 1: 0.5,
+                  **dict(_psum_corrections(sc, ROUTE_A_ORDER))}
+        top, lead, poly = max(coeffs), mpmath.power(k, 1 - sc), 0
         for r in range(top, -1, -1):
             poly = poly / k + coeffs.get(r, 0)
-        C = total - model.constant - lead * poly
+        C = total - lead * poly
         err = float(abs(lead * coeffs[top] / k ** top))
         return (complex(C) if sc.imag else float(C.real)), err
 
 
+@functools.cache
 def _exact_constant(s0: int):
     """Exact rational constant for integer s0 <= 0: the partial sums are
     the model's terms exactly, the power-sum polynomial, whose constant
@@ -357,6 +353,20 @@ def _exact_constant(s0: int):
 #: eta within 6.1e-12 of max(1, |eta|) over tools/zeta_scan.py's grid, and
 #: its two-cell means may take at most half the cells
 ROUTE_B_CELLS = 1000
+
+#: ln(1 + 1/k) and 1 - k ln(1 + 1/k), k = 1..ROUTE_B_CELLS - 1
+_LOG_STEP = np.log1p(1 / np.arange(1, ROUTE_B_CELLS))
+_LOG_REST = 1 - np.arange(1, ROUTE_B_CELLS) * _LOG_STEP
+
+
+def _cell_means(col):
+    """Cell means of the running average of col's step function, at most
+    ROUTE_B_CELLS cells: s_0 on cell 0, and on cell k the mean of
+    (S_k + s_k (x - k))/x, S_k = s_0 + ... + s_{k-1}, S_k ln(1 + 1/k) +
+    s_k (1 - k ln(1 + 1/k))."""
+    n = len(col)
+    return np.concatenate([col[:1], np.cumsum(col[:-1]) * _LOG_STEP[:n - 1]
+                           + col[1:] * _LOG_REST[:n - 1]])
 
 
 def _route_b_mp(s, powers: Fixed | None = None) -> Fixed:
@@ -403,17 +413,18 @@ def _route_b(s, powers: Fixed | None = None):
     smooth part is that limit.  A two-cell mean S_n + S_{n+1}, over 2,
     takes one power of n off the oscillation, or a factor of about |s|/n,
     and adds no smooth content; k of them are Euler's (E, 1) transform.
-    They run in _route_b_mp's ints, so nothing is rounded until each cell
-    is, once, to a double.  With k = depth + 12 + ceil(|Im s|), depth =
-    max(0, floor(-Re s) + 1), the cells are eta plus a decaying O(1)
-    oscillation.  One step pass of the running average, the cell means and
-    one more two-cell mean leave eta + c/x and a smaller oscillation, and
-    TAIL_TERMS fitted to the last decade read the limit.  The fit's stderr
-    takes the oscillating residual for noise and reads low, so the stderr
-    returned is at least |b(k) - b(k - 6)|, b(j) the limit read after j
-    means.  Nothing is subtracted, so the route shares no constant with
-    route (a).  Where k exceeds half the cells the route cannot check s,
-    and CrossCheckMismatchError is raised.
+    They run in _route_b_mp's ints, and each cell is then floored to 2^-60
+    and rounded to a double, within 2^-60 plus half an ulp.  With k =
+    depth + 12 + ceil(|Im s|), depth = max(0, floor(-Re s) + 1), the cells
+    are eta plus a decaying O(1) oscillation.  The running average's cell
+    means, in closed form (_cell_means), and one more two-cell mean leave
+    eta + c/x and a smaller oscillation, and TAIL_TERMS fitted to the last
+    decade read the limit.  The fit's stderr takes the oscillating residual
+    for noise and reads low, so the stderr returned is at least
+    |b(k) - b(k - 6)|, b(j) the limit read after j means.  Nothing is
+    subtracted, so the route shares no constant with route (a).  Where k
+    exceeds half the cells the route cannot check s, and
+    CrossCheckMismatchError is raised.
     """
     sc = complex(s)
     depth = max(0, math.floor(-sc.real) + 1)
@@ -428,10 +439,9 @@ def _route_b(s, powers: Fixed | None = None):
     for j in range(1, k + 1):
         parts = [p[:-1] + p[1:] for p in parts]
         if j in (k - 6, k):
-            scale = 1 << (bits + j)
-            re, *im = ((p / scale).astype(float) for p in parts)
-            means = average_pass((re + 1j * im[0] if im else re)[:, None],
-                                 step=True) @ WEIGHTS
+            re, *im = (np.ldexp((p >> (bits + j - 60)).astype(float), -60)
+                       for p in parts)
+            means = _cell_means(re + 1j * im[0] if im else re)
             fit = fit_limit_array(_route_b_design(len(means)),
                                   ((means[:-1] + means[1:]) / 2)[lo:])
             limits.append(complex(fit.limit))
@@ -825,18 +835,11 @@ def discrete_eigensequence(rho, kind: str, length: int = 50):
             raise NonIntegerRhoError(
                 f"kind {kind} requires a nonnegative integer index, got {rho}")
         if kind == "exact-binomial":
-            return [math.comb(n - 1, n_int) if n - 1 >= n_int else 0
-                    for n in range(1, length + 1)]
-        harm = [Fraction(0)]
-        for j in range(1, length + 1):
-            harm.append(harm[-1] + Fraction(1, j))
-        out = []
-        for n in range(1, length + 1):
-            top = n - n_int - 1
-            h = harm[top] if top >= 1 else Fraction(0)
-            out.append(math.comb(n - 1, n_int) * h if n - 1 >= n_int
-                       else Fraction(0))
-        return out
+            return [math.comb(n - 1, n_int) for n in range(1, length + 1)]
+        harm = list(itertools.accumulate(
+            (Fraction(1, j) for j in range(1, length)), initial=Fraction(0)))
+        return [math.comb(n - 1, n_int) * harm[max(0, n - n_int - 1)]
+                for n in range(1, length + 1)]
     if kind == "asymptotic-strip":
         if complex(rho).real < 0:
             raise ValueError("requires Re(rho) >= 0")

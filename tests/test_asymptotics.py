@@ -7,7 +7,8 @@ import mpmath
 import pytest
 
 from cesaro.asymptotics import (AsymptoticExpansion, ExpansionTerm, _merge_terms,
-                                _x_power_lower_order, bernoulli,
+                                _psum_corrections, _x_power_lower_order,
+                                bernoulli,
                                 gamma_ratio_coeffs, invert_to_x_expansion,
                                 synthesize_annihilator, zeta_psum_expansion)
 from cesaro.errors import (NonTriangularError, PoleSignal, SAtPoleError,
@@ -110,6 +111,36 @@ def test_zeta_psum_expansion_numeric_tail():
         p = sum(n ** -0.5 for n in range(1, k + 1))
         vals.append(p - complex(e.evaluate(k)).real)
     assert vals[0] == pytest.approx(vals[2], abs=1e-10)
+
+
+def _correction_from_scratch(s, r):
+    """The r-th correction of the p-sum model with its rising product
+    s(s+1)...(s+r-2) built afresh, as the model once built every r."""
+    product = 1
+    for j in range(r - 1):
+        product = product * (s + j)
+    return (-1) ** (r - 1) * Fraction(bernoulli(r), math.factorial(r)) * product
+
+
+@pytest.mark.parametrize("s", [
+    Fraction(-7, 3), -3, -0.7, 2.4, complex(-2.5, 1.0),
+    lambda: mpmath.mpf("-0.7"), lambda: mpmath.mpc("-1.2", "0.7")],
+    ids=["fraction", "int", "float", "float-above-1", "complex", "mpf", "mpc"])
+def test_corrections_are_bit_identical_to_products_built_afresh(s):
+    # one rising product carried across r multiplies in the same order as
+    # a product built afresh for each r, so every coefficient is the same
+    # number, of the same type, as is the model's off the integers (at an
+    # integer the model takes s as a Fraction and keeps k^0 as its constant)
+    with mpmath.workdps(40):
+        s = s() if callable(s) else s
+        got = list(_psum_corrections(s, 12))
+        assert [r for r, _ in got] == [2, 4, 6, 8, 10, 12]
+        for r, c in got:
+            want = _correction_from_scratch(s, r)
+            assert c == want and type(c) is type(want)
+        if not isinstance(s, int):
+            model = zeta_psum_expansion(s, 12)
+            assert [t.coeff for t in model.terms[2:]] == [c for _, c in got]
 
 
 def test_zeta_psum_expansion_pole():

@@ -18,12 +18,13 @@ from cesaro.climits import (GUARD_BITS, Fixed, _fixed, _gamma_ratio_fixed,
 from cesaro.config import DEFAULT_CONFIG, SNAP_RADIUS
 from cesaro.errors import (CrossCheckMismatchError, FitFailureError,
                            MissingDerivativeTermError, SAtPoleError, is_pole)
-from cesaro.operators import apply_P_D, apply_P_D_inverse
+from cesaro.operators import apply_P_D, apply_P_D_inverse, average_pass
+from cesaro.seqfun import WEIGHTS
 from cesaro.zeta import (LOG_DIGIT, LOG_LEVELS, LOG_TOP, ROUTE_A_DPS,
                          ROUTE_B_CELLS, ROUTE_B_DESIGNS, U_BITS,
                          FaulhaberPoly,
                          _apply_factor_mp, _binomial_coefficients,
-                         _eta_factor, _exact_constant, _fixed_powers,
+                         _cell_means, _eta_factor, _exact_constant, _fixed_powers,
                          _log_table, _mp_s, _polynomial_branch,
                          _psum_constant_mp, _route_b, _route_b_design,
                          _route_b_mp, _route_b_tol,
@@ -227,6 +228,71 @@ def test_route_b_takes_powers_at_primes_only(s, monkeypatch):
         fit = fits[-1]
     got = complex(fit.limit) / (1 - 2 ** (1 - s))
     assert abs(got - want) <= _route_b_tol(s)
+
+
+def _node_cell_means(col):
+    """Cell means as route (b) once took them: the averaged step function's
+    eight Gauss-Legendre node values per cell, reduced by the weights."""
+    return average_pass(col[:, None], step=True) @ WEIGHTS
+
+
+@pytest.mark.parametrize("cells", [ROUTE_B_CELLS, ROUTE_B_CELLS - 19])
+@pytest.mark.parametrize("kind", ["real", "complex", "oscillating"])
+def test_closed_form_cell_means_match_the_node_kernel(kind, cells):
+    # from cell 2 on the closed form matches the node kernel to rounding;
+    # on cell 1 the kernel's 8-node rule misses the integral of 1/x over
+    # [1, 2] by about 1e-12 relative, so both are held to a 30-digit
+    # quadrature of the averaged step function there and on a few more
+    rng = np.random.default_rng(cells)
+    col = rng.standard_normal(cells)
+    if kind == "complex":
+        col = col + 1j * rng.standard_normal(cells)
+    elif kind == "oscillating":          # eta plus a two-cell oscillation
+        col = 0.6 + (-1.0) ** np.arange(cells) * np.arange(1, cells + 1) ** -0.5
+    got, want = _cell_means(col), _node_cell_means(col)
+    scale = np.abs(want).max()
+    assert got.shape == want.shape == (cells,)
+    assert np.abs(got - want)[2:].max() <= 1e-13 * scale
+    prefix = np.concatenate([[0], np.cumsum(col)])
+    with mpmath.workdps(30):
+        for k in (0, 1, 2, 500, cells - 1):
+            exact = mpmath.quad(lambda x: (mpmath.mpmathify(prefix[k])
+                                           + col[k] * (x - k)) / x,
+                                [k, k + 1])
+            assert abs(got[k] - complex(exact)) <= 1e-15 * scale
+            assert abs(want[k] - complex(exact)) <= 1e-11 * scale
+
+
+def test_route_a_evaluates_its_model_without_rebuilding_it(monkeypatch):
+    # route (a) takes its corrections from the generator and K^{1-s} from
+    # one mpmath.power, and the exact constant at an integer is kept, so
+    # once zeta(-3) has run no p-sum model is built again
+    zeta(-3, CFG)
+    zeta_module = sys.modules["cesaro.zeta"]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the p-sum model was rebuilt")
+
+    for module in ("cesaro.asymptotics", "cesaro.zeta"):
+        monkeypatch.setattr(sys.modules[module], "zeta_psum_expansion", refuse)
+    power, calls = mpmath.power, []
+    monkeypatch.setattr(mpmath, "power",
+                        lambda *args: calls.append(args) or power(*args))
+    route_a, per_call = zeta_module._psum_constant_mp, []
+
+    def counted(*args):
+        before = len(calls)
+        out = route_a(*args)
+        per_call.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(zeta_module, "_psum_constant_mp", counted)
+    for s in (-0.7, complex(-2.5, 1.0), 1.4):
+        zeta(s, CFG)
+        eta(s, CFG)
+    assert len(per_call) == 6 and max(per_call) <= 1
+    assert len(calls) == sum(per_call)
+    assert zeta(-3, CFG).value == 1 / 120
 
 
 def test_route_b_keeps_its_designs(monkeypatch):
