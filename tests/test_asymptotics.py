@@ -119,7 +119,8 @@ def _correction_from_scratch(s, r):
     product = 1
     for j in range(r - 1):
         product = product * (s + j)
-    return (-1) ** (r - 1) * Fraction(bernoulli(r), math.factorial(r)) * product
+    return ((-1) ** (r - 1) * Fraction(bernoulli(r), math.factorial(r))
+            * product)
 
 
 @pytest.mark.parametrize("s", [

@@ -24,7 +24,8 @@ from cesaro.zeta import (LOG_DIGIT, LOG_LEVELS, LOG_TOP, ROUTE_A_DPS,
                          ROUTE_B_CELLS, ROUTE_B_DESIGNS, U_BITS,
                          FaulhaberPoly,
                          _apply_factor_mp, _binomial_coefficients,
-                         _cell_means, _eta_factor, _exact_constant, _fixed_powers,
+                         _cell_means, _eta_factor, _exact_constant,
+                         _fixed_powers,
                          _log_table, _mp_s, _polynomial_branch,
                          _psum_constant_mp, _route_b, _route_b_design,
                          _route_b_mp, _route_b_tol,
@@ -248,7 +249,8 @@ def test_closed_form_cell_means_match_the_node_kernel(kind, cells):
     if kind == "complex":
         col = col + 1j * rng.standard_normal(cells)
     elif kind == "oscillating":          # eta plus a two-cell oscillation
-        col = 0.6 + (-1.0) ** np.arange(cells) * np.arange(1, cells + 1) ** -0.5
+        col = (0.6 + (-1.0) ** np.arange(cells)
+               * np.arange(1, cells + 1) ** -0.5)
     got, want = _cell_means(col), _node_cell_means(col)
     scale = np.abs(want).max()
     assert got.shape == want.shape == (cells,)

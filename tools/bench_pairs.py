@@ -85,8 +85,8 @@ def run_once(copy: Path, workload: str, seed: int, seconds: int,
     if proc.returncode:
         raise SystemExit(f"{copy}: perfbench failed:\n{proc.stderr}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    record = json.loads((copy / "perfbench" / "runs" /
-                         f"{workload}-seed{seed}-trace{trace}.json").read_text())
+    name = f"{workload}-seed{seed}-trace{trace}.json"
+    record = json.loads((copy / "perfbench" / "runs" / name).read_text())
     scored = [c for c in record["cases"]
               if c["ok"] and c["digits"] is not None]
     lowest = min(scored, key=lambda c: c["digits"], default=None)
@@ -157,8 +157,8 @@ def bench(trees: dict, workloads, seeds, pairs: int, seconds: int,
             summary = summarize(runs, better)
             if traced:
                 summary["layers"] = {
-                    t: run_once(copies[t], workload, seed, seconds, 1)["metrics"]
-                    for t in TREES}
+                    t: run_once(copies[t], workload, seed, seconds,
+                                1)["metrics"] for t in TREES}
             summary["runs"] = runs
             out.setdefault(workload, {})[f"seed {seed}"] = summary
     return {"environment": environment, "workloads": out}
