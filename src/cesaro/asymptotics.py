@@ -9,6 +9,7 @@ a finished expansion into the regular polynomial that annihilates it.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -173,15 +174,16 @@ def peel_ladder(pending, live, lower_order):
     """
     removed = []
     while True:
-        merged = []
+        merged = []                     # (c, e, complex(e))
         for c, e in pending:
-            for i, (mc, me) in enumerate(merged):
-                if abs(complex(e) - complex(me)) < EXPONENT_MERGE_TOL:
-                    merged[i] = (mc + c, me)
+            ec = complex(e)
+            for i, (mc, me, mec) in enumerate(merged):
+                if abs(ec - mec) < EXPONENT_MERGE_TOL:
+                    merged[i] = (mc + c, me, mec)
                     break
             else:
-                merged.append((c, e))
-        pending = [(c, e) for c, e in merged if not _negligible(c)]
+                merged.append((c, e, ec))
+        pending = [(c, e) for c, e, _ in merged if not _negligible(c)]
         top = [p for p in pending if live(p[1])]
         if not top:
             return removed, pending
@@ -223,15 +225,23 @@ def gamma_ratio_coeffs(rho) -> list:
     return a
 
 
-def eigensequence_lower_order(rho) -> list:
-    """(a_j, rho - j) for 1 <= j <= ceil(Re rho) - LEDGER_FLOOR - 1: the
-    content of Gamma(n)/Gamma(n-rho) below n^rho, down to the ledger floor.
-    Within SNAP_RADIUS of a nonnegative integer the exact falling-factorial
-    coefficients are used."""
-    n = round(complex(rho).real)
-    exact = n >= 0 and abs(complex(rho) - n) <= SNAP_RADIUS
-    coeffs = gamma_ratio_coeffs(n if exact else rho)
-    return [(a, rho - j) for j, a in enumerate(coeffs) if j]
+def eigensequence_ladder():
+    """A lower_order for one peel_ladder run: rung rho's (b_j, rho - j),
+    j >= 1, are gamma_ratio_coeffs(rho)'s, exact within SNAP_RADIUS of a
+    nonnegative integer.  If rho = sigma - 1, sigma the rung before (live
+    rho puts Re sigma > 0: sigma has one more a_j), g_rho = g_sigma/(n -
+    sigma) gives them in O(D) as b_j = a_j + sigma b_{j-1}."""
+    above = None, ()
+    def lower_order(rho):
+        nonlocal above
+        n, (top, a) = round(complex(rho).real), above
+        r = n if n >= 0 and abs(complex(rho) - n) <= SNAP_RADIUS else rho
+        b = gamma_ratio_coeffs(r) if top is None or r != top - 1 else list(
+            itertools.accumulate(a[1:-1], lambda x, y: y + top * x,
+                                 initial=a[0]))
+        above = r, b
+        return [(c, rho - j) for j, c in enumerate(b) if j]
+    return lower_order
 
 
 @functools.cache

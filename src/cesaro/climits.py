@@ -29,7 +29,7 @@ from .errors import NotConvergentError, is_pole
 from .operators import (RegularPolynomial, apply_P_D, apply_q_nodes,
                         average_pass, build_regular_polynomial)
 from .asymptotics import (AsymptoticExpansion, divergent_exponent,
-                          eigensequence_lower_order, invert_to_x_expansion,
+                          eigensequence_ladder, invert_to_x_expansion,
                           peel_ladder, synthesize_annihilator)
 from .seqfun import PiecewiseFn
 from .tailfit import (_window_means, _window_sequence, _window_values,
@@ -268,66 +268,60 @@ def _fixed(x, bits: int) -> tuple:
 
 
 def _gamma_ratio_fixed(rho, n_max: int, bits: int) -> tuple:
-    """Gamma(n)/Gamma(n-rho), n = 1..n_max, as (re, im) object arrays of
-    ints scaled by 2^bits: the falling factorial at a nonnegative integer,
-    else r_{n+1} = r_n n/(n-rho) from r_1 = 1/Gamma(1-rho) at the working
-    precision, each step floored."""
-    if (n_int := _near_nonneg_int(rho)) is not None:
-        re = [v << bits for v in _gamma_ratio_values(n_int, n_max)]
-        return np.array(re, dtype=object), np.zeros(n_max, dtype=object)
+    """Gamma(n)/Gamma(n-rho), n = 1..n_max, rho no nonnegative integer, as
+    (re, im) object arrays of ints scaled by 2^bits: r_{n+1} = r_n n/(n-rho)
+    from r_1 = 1/Gamma(1-rho) at the working precision, each step floored."""
     (r, r_im), (a, b) = _fixed(mpmath.rgamma(1 - rho), bits), _fixed(rho, bits)
-    out = [(r, r_im)]
+    if not b and not r_im:
+        out = [r] + [r := (r * n << bits) // ((n << bits) - a)
+                     for n in range(1, n_max)]
+        return np.array(out, dtype=object), np.zeros(n_max, dtype=object)
+    out, bb = [(r, r_im)], b * b
     for n in range(1, n_max):
         d = (n << bits) - a             # n - rho = (d - i b) / 2^bits
-        if b:
-            q = d * d + b * b
-            r, r_im = (((r * d - r_im * b) * n << bits) // q,
-                       ((r * b + r_im * d) * n << bits) // q)
-        else:
-            r = (r * n << bits) // d
+        q = d * d + bb
+        r, r_im = (((r * d - r_im * b) * n << bits) // q,
+                   ((r * b + r_im * d) * n << bits) // q)
         out.append((r, r_im))
     return tuple(np.array(part, dtype=object) for part in zip(*out))
-
-
-def _over_n_minus(g, rho, bits: int) -> tuple:
-    """g[n] / (n - rho), n = 1, 2, ..., on (re, im) object arrays of ints
-    scaled by 2^bits, each entry floored as a step of the recurrence in
-    _gamma_ratio_fixed is."""
-    (a, b), (g_re, g_im) = _fixed(rho, bits), g
-    d = (np.arange(1, len(g_re) + 1, dtype=object) << bits) - a
-    if b:                               # n - rho = (d - i b) / 2^bits
-        q = d * d + b * b
-        # in place, so fewer arrays of big ints are alive at once
-        re = g_re * d
-        re -= g_im * b
-        re <<= bits
-        re //= q
-        im = g_re * b
-        im += g_im * d
-        im <<= bits
-        im //= q
-        return re, im
-    return (g_re << bits) // d, (g_im << bits) // d
 
 
 def _peel_fixed(re, im, removed, bits: int, scaled) -> tuple:
     """re + i im minus c Gamma(n)/Gamma(n-rho) for each removed (c, rho),
     on object arrays of ints; scaled(c) is c as (re, im) at their scale,
-    and the eigensequence is scaled by 2^bits.
-
-    A rung whose exponent is one below the previous rung's, and not a
-    nonnegative integer, is derived from that rung's eigensequence:
-    Gamma(n)/Gamma(n-rho+1) = g_rho[n]/(n - rho), one floored division
-    per entry in place of a new recurrence from 1/Gamma(1-rho)."""
-    g = prev = None
+    and each g_rho is scaled by 2^bits.  As g_{rho-1} = g_rho/(n - rho),
+    a unit-gap chain e_0, ..., e_m sums to g_{e_m} P(n), P = c_m +
+    (n - e_{m-1})(... + (n - e_0) c_0): P's coefficients, at twice the
+    precision and rounded once, give P(n) exactly by Horner's rule in n.
+    A chain ending at a nonnegative integer runs on to rung 0, g_0 = 1,
+    and stays exact; only other bottoms run _gamma_ratio_fixed."""
+    chains = []
     for c, e in removed:
-        if g is not None and _near_nonneg_int(e) is None and e == prev - 1:
-            g = _over_n_minus(g, prev, bits)
-        else:
-            g = _gamma_ratio_fixed(e, len(re), bits)
-        (g_re, g_im), (c_re, c_im), prev = g, scaled(c), e
-        re, im = (re - (c_re * g_re - c_im * g_im >> bits),
-                  im - (c_re * g_im + c_im * g_re >> bits))
+        if not chains or e != chains[-1][-1][1] - 1:
+            chains.append([])
+        chains[-1].append((c, e))
+    n = np.arange(1, len(re) + 1, dtype=object)
+    for chain in chains:
+        bottom = chain[-1][1]
+        if (k := _near_nonneg_int(bottom)) is not None:
+            chain = [(c, k + len(chain) - 1 - i) for i, (c, _) in
+                     enumerate(chain + [(0, 0)] * k)]
+        with mpmath.extraprec(bits):
+            poly = [chain[0][0]]        # highest power of n first
+            for (c, _), (_, e) in zip(chain[1:], chain):
+                poly = [x - e * y for x, y in zip(poly + [0], [0] + poly)]
+                poly[-1] += c
+        (h_re, h_im), *rest = [scaled(x) for x in poly]
+        real = not complex(bottom).imag and not h_im and not any(
+            x_im for _, x_im in rest)
+        for x_re, x_im in rest:
+            h_re, h_im = h_re * n + x_re, 0 if real else h_im * n + x_im
+        if k is None:
+            g_re, g_im = _gamma_ratio_fixed(bottom, len(re), bits)
+            h_re, h_im = ((h_re * g_re >> bits, 0) if real else
+                          (h_re * g_re - h_im * g_im >> bits,
+                           h_re * g_im + h_im * g_re >> bits))
+        re, im = re - h_re, im if real else im - h_im
     return re, im
 
 
@@ -360,27 +354,26 @@ def cesaro_limit_discrete(a, eigendecomposition: Sequence[tuple],
 
     eigendecomposition lists (coeff, rho) for the divergent power content
     of a.  Working top exponent first, the matching eigensequence
-    Gamma(n)/Gamma(n-rho) is subtracted and its lower-order terms are
-    pushed back onto the pending ledger, so the bookkeeping is exact; the
-    decaying content left on the ledger is subtracted outright.  Degree-zero
-    content is deliberately left in place: a constant sequence is its own
-    discrete limit, which is exactly how the integer-exponent anomalies
-    show up.
+    Gamma(n)/Gamma(n-rho) is subtracted and its lower-order terms, which
+    eigensequence_ladder takes from the rung above where it can, go back
+    onto the pending ledger, so the bookkeeping is exact; the decaying
+    content left on the ledger is subtracted outright.  Degree-zero content
+    is left in place: a constant sequence is its own discrete limit, which
+    is exactly how the integer-exponent anomalies show up.
 
-    Exact and mpmath input is peeled in one arithmetic, Python ints over a
-    common scale.  Ints and Fractions with nonnegative integer exponents
-    are tried exactly on at most 4000 entries: the scale is the lcm of the
-    entries' and coefficients' denominators (an int's is 1), and an entry
-    v becomes v.numerator * (scale // v.denominator), one path for both
-    types.  If the residual does not close there, the whole input runs as
-    float input.  mpmath entries are scaled by 2^(mp.prec +
-    GUARD_BITS), and a Fixed sequence comes scaled already; the peel then
-    runs at the working precision, which the cancellation against the
-    divergences needs, and its bounded residual is rounded once to
-    doubles.  Float and complex input is peeled in doubles.  The decaying
-    ledger is subtracted in doubles, and the residual is judged by
-    _convergence_gate; if its tail fails, annihilating factors over the
-    running-average operator are applied and escalated.
+    Exact and mpmath input is peeled by _peel_fixed, one Horner pass per
+    unit-gap chain of rungs, in Python ints over a common scale.  Ints and
+    Fractions with nonnegative integer exponents are tried exactly on at
+    most 4000 entries, over the lcm of the entries' and coefficients'
+    denominators; if the residual does not close there, the input runs as
+    float input.  mpmath entries are scaled by 2^(mp.prec + GUARD_BITS),
+    and a Fixed sequence comes scaled already; the peel runs at the
+    working precision the cancellation needs, and its bounded residual is
+    rounded once to doubles.  Float and complex input is peeled in
+    doubles.  The decaying ledger is subtracted in doubles, and the
+    residual is judged by _convergence_gate; if its tail fails,
+    annihilating factors over the running-average operator are applied and
+    escalated.
     """
     n_max = cfg.horizon
     if isinstance(a, Fixed):
@@ -400,7 +393,7 @@ def cesaro_limit_discrete(a, eigendecomposition: Sequence[tuple],
                     and Fraction(e).denominator == 1 and e >= 0
                     for c, e in pending)):
         removed, _ = peel_ladder([(Fraction(c), int(e)) for c, e in pending],
-                                 divergent_exponent, eigensequence_lower_order)
+                                 divergent_exponent, eigensequence_ladder())
         cut = vals[:4000]
         scale = math.lcm(*(v.denominator for v in cut),
                          *(c.denominator for c, _ in removed))
@@ -418,7 +411,7 @@ def cesaro_limit_discrete(a, eigendecomposition: Sequence[tuple],
     if isinstance(a, Fixed):
         removed, pending = peel_ladder(
             [(mpmath.mpmathify(c), mpmath.mpmathify(e)) for c, e in pending],
-            divergent_exponent, eigensequence_lower_order)
+            divergent_exponent, eigensequence_ladder())
         re, im = (part / (1 << a.bits) for part in _peel_fixed(
             *(np.array(part[:n_max], dtype=object) for part in a[:2]),
             removed, a.bits, lambda c: _fixed(c, a.bits)))
@@ -431,7 +424,7 @@ def cesaro_limit_discrete(a, eigendecomposition: Sequence[tuple],
         arr = np.asarray(vals, dtype=complex if kind == "complex" else float)
         del vals
         removed, pending = peel_ladder(pending, divergent_exponent,
-                                       eigensequence_lower_order)
+                                       eigensequence_ladder())
         for c, e in removed:
             n_int = _near_nonneg_int(e)
             arr = _minus(arr, c, _gamma_ratio_values(
@@ -447,16 +440,12 @@ def cesaro_limit_discrete(a, eigendecomposition: Sequence[tuple],
                       else ns.astype(complex) ** complex(e))
             arr = _minus(arr, c, powers, kind)
 
-    q_factors = []
-    applied_factors = False
-    escalations = 0
+    q_factors, applied_factors, escalations = [], False, 0
     for stage in range(cfg.max_pure_power + 1):
         gate, variation, fit = _convergence_gate(*_window_sequence(arr))
         if gate:
-            if removed or q_factors:
-                mech = "generalised"
-            else:
-                mech = f"strong({escalations})" if escalations else "classical"
+            mech = ("generalised" if removed or q_factors else
+                    f"strong({escalations})" if escalations else "classical")
             q_used = (build_regular_polynomial(q_factors, escalations)
                       if (q_factors or escalations) else None)
             return CesaroResult(

@@ -40,17 +40,18 @@ is checked on the discrete evaluation instead.
 
 The discrete-operator variant hands the p-sums and their divergence model
 to the one discrete driver, climits.cesaro_limit_discrete, which peels the
-model's eigensequences in one arithmetic, Python ints over a common scale:
-exact integers at nonpositive integer s, and elsewhere p-sums scaled by
-2^B, B at least 30 digits' worth of bits plus guard bits.  Once the
-divergences are peeled the residual is a constant plus decaying terms, so
-it is rounded once to doubles, where the decaying terms are subtracted and
-the limit is fitted.  It goes anomalous at nonpositive integer s, where the
-p-sum is a polynomial whose every power carries discrete limit 1; the
-corrected evaluation recovers the true value by differentiating the
-factored annihilator at the anomaly (a L'Hopital computation in s at fixed
-index, then the limit in the index), in exact rationals and fixed-point
-integers.
+model's eigensequences in Python ints over a common scale: exact integers
+at nonpositive integer s, elsewhere p-sums scaled by 2^B, B at least 30
+digits' worth of bits plus guard bits.  The divergent content is one
+unit-gap ladder 1-s, -s, -s-1, ..., subtracted in one Horner pass, as
+Gamma(n)/Gamma(n-rho+1) is Gamma(n)/Gamma(n-rho) over n - rho.  The
+residual, a constant plus decaying terms, is rounded once to doubles,
+where the decaying terms are subtracted and the limit is fitted.  It goes
+anomalous at nonpositive integer s, where the p-sum is a polynomial whose
+every power carries discrete limit 1; the corrected evaluation recovers
+the true value by differentiating the factored annihilator at the anomaly
+(a L'Hopital computation in s at fixed index, then the limit in the
+index), in exact rationals and fixed-point integers.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ _spec.loader.exec_module(bench_pairs)
 def _run(pair, tree, wall, digits, failed=0, case="c"):
     return {"pair": pair, "tree": tree,
             "metrics": {"wall_s": wall, "digits_min": digits},
+            "case_seconds": {"a": wall / 4, "b": 3 * wall / 4},
             "failed": failed, "attempted": 10,
             "lowest_digits": {"digits": digits, "case": case}}
 
@@ -44,6 +45,26 @@ def test_the_summary_gives_medians_quartiles_and_wins_per_metric():
     assert out["lowest_digits"] == {
         "parent": {"digits": 15.0, "case": "c"},
         "change": {"digits": 14.0, "case": "low"}}
+
+
+def test_each_case_has_its_median_seconds_per_tree():
+    runs = [_run(0, "parent", 0.040, 15.0), _run(0, "change", 0.020, 15.0),
+            _run(1, "change", 0.030, 15.0), _run(1, "parent", 0.048, 15.0),
+            _run(2, "parent", 0.044, 15.0), _run(2, "change", 0.028, 15.0),
+            _run(3, "parent", 1.0, 1.0)]         # a pair left unfinished
+    runs[0]["case_seconds"]["a"] = 0.5           # the median resists it
+    out = bench_pairs.summarize(runs, {"wall_s": "lower"})
+    assert list(out["case_seconds"]) == ["a", "b"]
+    assert out["case_seconds"]["a"] == pytest.approx(
+        {"parent": 0.012, "change": 0.007})
+    assert out["case_seconds"]["b"] == pytest.approx(
+        {"parent": 0.033, "change": 0.021})
+
+
+def test_no_finished_pair_gives_no_case_seconds():
+    out = bench_pairs.summarize([_run(0, "parent", 0.5, 15.0)],
+                                {"wall_s": "lower"})
+    assert out["metrics"] == {} and out["case_seconds"] == {}
 
 
 def test_one_pair_has_its_value_for_median_and_quartiles():

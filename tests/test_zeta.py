@@ -11,7 +11,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cesaro.asymptotics import bernoulli
+from cesaro.asymptotics import (bernoulli, eigensequence_ladder,
+                               gamma_ratio_coeffs)
 from cesaro.climits import (GUARD_BITS, Fixed, _fixed, _gamma_ratio_fixed,
                             _gamma_ratio_values, _near_nonneg_int,
                             _peel_fixed)
@@ -887,6 +888,95 @@ def test_derived_rung_matches_its_own_recurrence(rho):
         want_re, want_im = _gamma_ratio_fixed(rho - 1, 4000, bits)
     err = (re - want_re) ** 2 + (im - want_im) ** 2
     assert ((err << 2 * prec) <= 4 ** 2 * (want_re ** 2 + want_im ** 2)).all()
+
+
+def _rung_by_rung(removed, n_max: int, bits: int) -> tuple:
+    """-sum c g_rho over removed, each rung from its own recurrence, and
+    sum |c| |g_rho|, all scaled by 2^bits."""
+    re, im, size = (np.zeros(n_max, dtype=object) for _ in range(3))
+    for c, rho in removed:
+        (g_re, g_im), (c_re, c_im) = (_gamma_ratio_fixed(rho, n_max, bits),
+                                      _fixed(c, bits))
+        re = re - (c_re * g_re - c_im * g_im >> bits)
+        im = im - (c_re * g_im + c_im * g_re >> bits)
+        size = size + ((abs(c_re) + abs(c_im)) * (abs(g_re) + abs(g_im))
+                       >> bits)
+    return re, im, size
+
+
+@pytest.mark.parametrize("s, dps, ks, bottoms", [
+    (mpmath.mpf("-5.5"), 39, range(7), [6]),
+    (mpmath.mpc(-3, 5), 30, range(5), [4]),
+    (mpmath.mpf("-2.5"), 30, [0, 1, 3], [1, 3]),    # 3.5, 2.5 | 0.5
+])
+def test_a_chain_peels_as_its_rungs_one_by_one(s, dps, ks, bottoms,
+                                               monkeypatch):
+    # rungs 1 - s - k, k in ks; each unit-gap chain runs the recurrence of
+    # its bottom rung alone.  Against each rung from its own recurrence,
+    # with alternating coefficients, the error over 2^-prec sum |c g|
+    # measured at most 1.4 for -5.5 (39 digits), 0.83 for -3+5j and 0.71
+    # for the gap; the bound is 4
+    with mpmath.workdps(dps):
+        prec = mpmath.mp.prec
+        bits = prec + GUARD_BITS
+        removed = [((k + 1) * (-1) ** k / (1 - s), 1 - s - k) for k in ks]
+        seen, recurrence = [], _gamma_ratio_fixed
+
+        def recorded(rho, *args):
+            seen.append(rho)
+            return recurrence(rho, *args)
+        monkeypatch.setattr(sys.modules["cesaro.climits"],
+                            "_gamma_ratio_fixed", recorded)
+        zero = np.zeros(4000, dtype=object)
+        re, im = _peel_fixed(zero, zero, removed, bits,
+                             lambda c: _fixed(c, bits))
+        assert seen == [1 - s - k for k in bottoms]
+        want_re, want_im, size = _rung_by_rung(removed, 4000, bits)
+    err = (re - want_re) ** 2 + (im - want_im) ** 2
+    assert ((err << 2 * prec) <= 4 ** 2 * size ** 2).all()
+
+
+def test_an_exact_chain_is_the_falling_factorial_columns():
+    # rungs 4, 3, 2, 1 run on to rung 0 in ints, so bit for bit
+    coeffs = [Fraction(1, 3), Fraction(-5, 2), Fraction(7, 6), Fraction(-1, 4)]
+    removed = [(c, 4 - i) for i, c in enumerate(coeffs)]
+    vals = np.array([n ** 5 for n in range(1, 301)], dtype=object)
+    re, im = _peel_fixed(vals, np.zeros(300, dtype=object), removed, 0,
+                         lambda c: (int(c * 12), 0))
+    want = [v - sum(int(c * 12) * math.perm(n - 1, e) for c, e in removed)
+            for n, v in enumerate(vals, 1)]
+    assert list(re) == want and not any(im)
+
+
+@pytest.mark.parametrize("top", [mpmath.mpf("3.421025"), mpmath.mpf("4.1"),
+                                 mpmath.mpc(4, -5), mpmath.mpc(6.75, 10)])
+def test_chained_coefficients_match_the_rung_s_own(top):
+    # each rung one below the rung before takes b_j = a_j + rho b_{j-1}; the
+    # content below n^rho at the fit window's start, n = 400, differs from
+    # gamma_ratio_coeffs(rho - 1)'s by at most 0.82 * 2^-prec of
+    # sum_j |a_j| n^-j, measured over these chains at 30 and 39 digits; the
+    # bound is 4.  Coefficients far down can differ more, relatively.
+    for dps in (30, 39):
+        with mpmath.workdps(dps):
+            ladder, rho, n = eigensequence_ladder(), top, 400
+            ladder(rho)
+            while complex(rho).real >= 1:
+                got, want = ladder(rho - 1), gamma_ratio_coeffs(rho - 1)[1:]
+                assert [f for _, f in got] == [rho - 1 - j for j in
+                                               range(1, len(want) + 1)]
+                diff = abs(sum((a - b) * n ** -j for j, ((a, _), b)
+                               in enumerate(zip(got, want), 1)))
+                size = sum(abs(b) * n ** -j for j, b in enumerate(want, 1))
+                assert diff <= 4 * size * 2 ** -mpmath.mp.prec
+                rho -= 1
+
+
+def test_chained_coefficients_are_exact_at_the_integers():
+    ladder = eigensequence_ladder()
+    ladder(5)
+    for rho in (4, 3, 1, 0.5):          # 1 and 0.5 start afresh
+        want = gamma_ratio_coeffs(Fraction(rho) if rho >= 1 else rho)
+        assert ladder(rho) == [(a, rho - j) for j, a in enumerate(want) if j]
 
 
 def test_eigensequence_rejects_bad_kind():

@@ -15,9 +15,11 @@ For each workload, seed and end-to-end metric the file gives both trees'
 median and quartiles and the change's wins out of N: a pair it won reads
 better in the direction BENCHMARK.json gives the metric.  It also gives
 each tree's failed and attempted operations, its lowest per-case digits
-with the case, and every run's metrics, so that the summary can be
-recomputed.  With --traced 1 each tree also makes one `--trace 1` run per
-workload and seed, whose per-layer metrics are written as they are.
+with the case, each case's median seconds in the first timed pass of a
+run (the pass the run's record keeps), and every run's metrics and case
+seconds, so that the summary can be recomputed.  With --traced 1 each
+tree also makes one `--trace 1` run per workload and seed, whose
+per-layer metrics are written as they are.
 
 The file records the Python, numpy, scipy and mpmath versions and the
 processor count the runs saw, both commits, the seeds, T and N, and
@@ -76,8 +78,9 @@ def archive(tree: str, dest: Path) -> Path:
 
 def run_once(copy: Path, workload: str, seed: int, seconds: int,
              trace: int) -> dict:
-    """One perfbench run in copy: its metrics, failures, lowest per-case
-    digits and environment, from the run's last output line and record."""
+    """One perfbench run in copy: its metrics, each case's seconds in the
+    first timed pass, failures, lowest per-case digits and environment,
+    from the run's last output line and record."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace",
@@ -91,6 +94,7 @@ def run_once(copy: Path, workload: str, seed: int, seconds: int,
               if c["ok"] and c["digits"] is not None]
     lowest = min(scored, key=lambda c: c["digits"], default=None)
     return {"metrics": {k: m["value"] for k, m in result["metrics"].items()},
+            "case_seconds": {c["case"]: c["seconds"] for c in record["cases"]},
             "failed": result["failed"], "attempted": result["attempted"],
             "lowest_digits": None if lowest is None else {
                 "digits": lowest["digits"], "case": lowest["case"]},
@@ -113,8 +117,8 @@ def spread(xs) -> dict:
 
 def summarize(runs: list, better: dict) -> dict:
     """The summary of one workload and seed from its runs, each a dict
-    with "pair", "tree" ("parent" or "change"), "metrics", "failed",
-    "attempted" and "lowest_digits" as run_once gives them."""
+    with "pair", "tree" ("parent" or "change"), "metrics", "case_seconds",
+    "failed", "attempted" and "lowest_digits" as run_once gives them."""
     by_pair = {}
     for run in runs:
         by_pair.setdefault(run["pair"], {})[run["tree"]] = run
@@ -129,7 +133,10 @@ def summarize(runs: list, better: dict) -> dict:
             "change_wins": sum(sign * (c - p) > 0 for p, c in
                                zip(values["parent"], values["change"])),
             "pairs": len(pairs)}
-    out = {"metrics": metrics}
+    cases = pairs[0]["parent"]["case_seconds"] if pairs else ()
+    out = {"metrics": metrics, "case_seconds": {
+        case: {t: statistics.median(p[t]["case_seconds"][case] for p in pairs)
+               for t in TREES} for case in cases}}
     for key in ("failed", "attempted"):
         out[key] = {t: sum(p[t][key] for p in pairs) for t in TREES}
     out["lowest_digits"] = {

@@ -21,13 +21,20 @@ stderr, and the share of points where that ratio is at most 10.  The
 second counts the points where 30 stderr, not _route_b_tol(s), sets the
 cross-check window max(_route_b_tol(s), 30 stderr, 10 trunc), read from
 the arguments of each call of cesaro.zeta._cross_check, with the worst
-30 stderr / _route_b_tol(s).  The exit status is 1 if any point raises.
+30 stderr / _route_b_tol(s).
+
+Then zeta_discrete_ext runs at Re s = -6, -5.75, ..., 0.75 with Im s = 0,
+2, 5 and 10, less the anomalous nonpositive integers: 105 points.  Its
+lines give each point that raises, the worst error against 30-digit
+mpmath.zeta relative to max(1, |zeta|) at each Im s, and the seconds its
+evaluations took.  The exit status is 1 if any point of any scan raises.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -89,6 +96,42 @@ def scan(name: str, evaluate, oracle) -> int:
     return raised
 
 
+def discrete_points() -> list:
+    grid = [complex(-6 + 0.25 * k, im) for im in (0, 2, 5, 10)
+            for k in range(28)]
+    return [s if s.imag else s.real for s in grid
+            if s.imag or s.real != int(s.real)]
+
+
+def scan_discrete(evaluate, oracle) -> int:
+    """Print zeta_discrete_ext's raises, its worst error at each Im s and
+    the seconds its evaluations took over discrete_points(), the oracle
+    not counted; returns the raises."""
+    raised, worst, seconds = 0, {}, 0.0
+    for s in discrete_points():
+        t0 = time.perf_counter()
+        try:
+            value = evaluate(s)
+        except Exception as exc:     # a raise is what the scan looks for
+            value = exc
+        seconds += time.perf_counter() - t0
+        if isinstance(value, Exception):
+            raised += 1
+            print(f"zeta_discrete_ext raises at s={s}: "
+                  f"{type(value).__name__}: {value}")
+            continue
+        want = oracle(s)
+        err = abs(complex(value) - want) / max(1.0, abs(want))
+        if err >= worst.get(complex(s).imag, (0.0, None))[0]:
+            worst[complex(s).imag] = err, s
+    print(f"zeta_discrete_ext: {len(discrete_points())} points, {raised} "
+          f"raised, {seconds:.1f} s")
+    for im, (err, s) in sorted(worst.items()):
+        print(f"zeta_discrete_ext worst error relative to max(1, |zeta|) at "
+              f"Im s = {im:g}: {err:.2g} at s={s}")
+    return raised
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("checkout", type=Path,
@@ -99,7 +142,7 @@ def main(argv=None):
         raise SystemExit(f"no cesaro sources under {src}")
     sys.path[:0] = [str(src)]
     import mpmath
-    from cesaro.zeta import _route_b, eta, zeta
+    from cesaro.zeta import _route_b, eta, zeta, zeta_discrete_ext
     zeta_module = sys.modules["cesaro.zeta"]
     cross_check, windows = zeta_module._cross_check, []
 
@@ -128,6 +171,8 @@ def main(argv=None):
 
     raised = scan("zeta", zeta_routes, oracle(mpmath.zeta))
     raised += scan("eta", eta_routes, oracle(mpmath.altzeta))
+    raised += scan_discrete(lambda s: zeta_discrete_ext(s).value,
+                            oracle(mpmath.zeta))
     sys.exit(1 if raised else 0)
 
 
